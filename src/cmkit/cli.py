@@ -8,6 +8,7 @@ parallelism when set.
 """
 
 import argparse
+import ctypes
 import itertools
 import json
 import os
@@ -24,22 +25,65 @@ from .problem import residual
 from .sphere import build_grid, read_grid_function, write_grid_function
 
 
+# OpenBLAS thread setters, by the symbol names its builds export
+BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _mapped_openblas(maps_lines):
+    """Existing OpenBLAS files named in lines of /proc/self/maps, sorted.
+
+    The pathname is everything after the fifth field, so it may hold
+    spaces; a mapping of a file since deleted ends in " (deleted)" and is
+    skipped, as it names no file that can be opened.
+    """
+    paths = set()
+    for line in maps_lines:
+        fields = line.split(maxsplit=5)
+        if len(fields) == 6 and "openblas" in fields[5].lower():
+            path = fields[5].rstrip("\n")
+            if os.path.isfile(path):
+                paths.add(path)
+    return sorted(paths)
+
+
 def _apply_thread_cap():
+    """Cap the threads of every OpenBLAS loaded into this process.
+
+    BLAS reads its thread variables only when it loads, which importing
+    numpy has already done, so the cap goes through each library's setter.
+    """
     cap = os.environ.get("CMK_THREADS")
     if not cap:
         return
     try:
         limit = int(cap)
     except ValueError:
-        print(f"warning: ignoring non-integer CMK_THREADS={cap!r}", file=sys.stderr)
+        limit = 0
+    if limit < 1:
+        print(f"warning: ignoring CMK_THREADS={cap!r}: not a positive integer",
+              file=sys.stderr)
         return
     try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limit)
-    except ImportError:
-        # best effort for libraries loaded later
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(limit))
+        with open("/proc/self/maps") as fh:
+            paths = _mapped_openblas(fh)
+    except OSError:
+        paths = []
+    capped = False
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = next((getattr(lib, s) for s in BLAS_SETTERS if hasattr(lib, s)), None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = None
+            setter(limit)
+            capped = True
+    if not capped:
+        print("warning: CMK_THREADS has no effect: no loaded BLAS exposes "
+              "a thread setter", file=sys.stderr)
 
 
 def _write_json(path, payload):

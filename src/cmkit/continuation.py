@@ -123,5 +123,6 @@ def continue_path(spec):
             dt = min(dt * 1.5, spec.dt_max)
 
     trace.success = True
+    trace.message = ""  # a corrector error of a rejected step is not the outcome
     trace.wall_time = time.perf_counter() - start
     return trace

@@ -3,8 +3,13 @@ Damped Newton corrector for the discrete equation at fixed t.
 
 Safeguards per step: positivity of the iterate, Gamma_k admissibility of
 b(iterate), residual decrease (Armijo-like on the sup norm), and an exact
-evenness projection.  The linear solver is a direct factorization, dense
-or sparse depending on how assemble_jacobian returned the matrix.
+evenness projection.  The linear solver is a direct factorization:
+LAPACK LU for the dense Jacobians assemble_jacobian returns on the circle
+and on small grids, SuperLU in natural order for the sparse sphere
+Jacobians.  Nodes are numbered ring by ring and every stencil reaches at
+most two latitude rings away, so in natural order the Jacobian is banded
+(half-bandwidth 3*m_lon - 1); a fill-reducing column order would break
+that band and factor slower.
 """
 
 import warnings
@@ -39,7 +44,8 @@ class NewtonResult:
 def solve_linear(J, rhs):
     """Solve J x = rhs by direct factorization with partial pivoting.
 
-    Accepts a dense array or a sparse matrix.  Raises
+    Accepts a dense array or a sparse matrix; a sparse one is factored in
+    its natural (banded, ring-major) column order.  Raises
     SingularJacobianError (carrying a near-null direction when available)
     if a pivot falls below 1e-13 * norm(J), and verifies the backward
     error of the returned solution.
@@ -48,7 +54,7 @@ def solve_linear(J, rhs):
     if sparse.issparse(J):
         scale = spla.norm(J, np.inf)
         try:
-            lu = spla.splu(J.tocsc())
+            lu = spla.splu(J.tocsc(), permc_spec="NATURAL")
         except RuntimeError as exc:
             raise SingularJacobianError(f"sparse factorization failed: {exc}")
         piv = np.abs(lu.U.diagonal())

@@ -70,8 +70,8 @@ class SphereGrid:
     """Node set, quadrature and differentiation stencils for S^n, n in {1,2}.
 
     Construct through build_grid.  Instances are immutable in use; the
-    sparse operator matrices needed by Jacobian assembly are built lazily
-    and cached.
+    sparse frame operators needed by Jacobian assembly are built lazily
+    and cached (frame_operators).
     """
 
     def __init__(self, n, m_theta=None, m_lat=None, m_lon=None):
@@ -99,7 +99,7 @@ class SphereGrid:
             self.m_lat = m_lat
             self.m_lon = m_lon
             self._build_sphere()
-        self._matrices = None
+        self._frame_ops = None
 
     # -- construction -------------------------------------------------------
 
@@ -258,16 +258,15 @@ class SphereGrid:
     # -- sparse operator matrices for linearization assembly -----------------
 
     def operator_matrices(self):
-        """Sparse CSR versions of the derivative operators, built once.
+        """Sparse CSR versions of the derivative operators, built per call.
 
         Returns a dict with keys 'lon1', 'lon2' (n=1: on m_theta nodes;
         n=2: on all nodes, acting along longitude) and for n=2 also 'lat1',
         'lat2'.  These reproduce the kernel applications up to summation
-        order and exist only so the linearization can be assembled as a
-        matrix.
+        order.  They are not cached: frame_operators() composes them once
+        into the operators Jacobian assembly uses, and holds the grid's
+        only cached set.
         """
-        if self._matrices is not None:
-            return self._matrices
         from scipy import sparse
 
         def lon_block(m):
@@ -293,8 +292,7 @@ class SphereGrid:
 
         if self.n == 1:
             b1, b2 = lon_block(self.m_theta)
-            self._matrices = {"lon1": b1, "lon2": b2}
-            return self._matrices
+            return {"lon1": b1, "lon2": b2}
 
         M, L = self.shape
         b1, b2 = lon_block(L)
@@ -321,12 +319,45 @@ class SphereGrid:
             return sparse.csr_matrix((vals, (rows, cols)),
                                      shape=(self.node_count, self.node_count))
 
-        self._matrices = {
+        return {
             "lon1": lon1, "lon2": lon2,
             "lat1": lat_matrix(self._lat_ent1),
             "lat2": lat_matrix(self._lat_ent2),
         }
-        return self._matrices
+
+    def frame_operators(self):
+        """The h-independent operators of the linearization, built once.
+
+        Returns a cached dict of CSR matrices over flat node values.
+        'hess11', 'hess12', 'hess22' map phi to the frame components of
+        hess(phi) + phi*I, and 'grad1', 'grad2' to the frame gradient, as
+        in hessian_field (n=1: only 'hess11' and 'grad1').  Jacobian
+        assembly then only scales their rows and adds them.
+        """
+        if self._frame_ops is not None:
+            return self._frame_ops
+        from scipy import sparse
+
+        mats = self.operator_matrices()
+        eye = sparse.identity(self.node_count, format="csr")
+        if self.n == 1:
+            ops = {"hess11": mats["lon2"] + eye, "grad1": mats["lon1"]}
+        else:
+            D = sparse.diags_array
+            lat1, lon1 = mats["lat1"], mats["lon1"]
+            invcos = np.repeat(self.invcos, self.m_lon)
+            tanlat = np.repeat(self.tanlat, self.m_lon)
+            ops = {
+                "hess11": mats["lat2"] + eye,
+                "hess12": D(invcos) @ ((lat1 + D(tanlat)) @ lon1),
+                "hess22": D(invcos ** 2) @ mats["lon2"] - D(tanlat) @ lat1 + eye,
+                "grad1": lat1,
+                "grad2": D(invcos) @ lon1,
+            }
+        self._frame_ops = {key: sparse.csr_array(op) for key, op in ops.items()}
+        for op in self._frame_ops.values():
+            op.sum_duplicates()  # canonical CSR keeps the assembly sums fast
+        return self._frame_ops
 
     # -- misc ----------------------------------------------------------------
 

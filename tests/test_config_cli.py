@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -285,3 +287,73 @@ def test_thread_cap_is_harmless(tmp_path, monkeypatch):
     assert main(["solve", path]) == 0
     monkeypatch.setenv("CMK_THREADS", "lots")
     assert main(["solve", path]) == 0  # warns and continues
+
+
+# reads the thread count of every loaded OpenBLAS after the cap is applied
+THREAD_PROBE = """
+import ctypes, json
+from cmkit import cli
+cli._apply_thread_cap()
+with open("/proc/self/maps") as fh:
+    paths = cli._mapped_openblas(fh)
+counts = []
+for path in paths:
+    lib = ctypes.CDLL(path)
+    getters = [s.replace("_set_", "_get_") for s in cli.BLAS_SETTERS]
+    getter = getattr(lib, next(s for s in getters if hasattr(lib, s)))
+    getter.argtypes = []
+    getter.restype = ctypes.c_int
+    counts.append(getter())
+print(json.dumps(counts))
+"""
+
+
+def test_thread_cap_sets_blas_threads():
+    # BLAS is loaded with two threads before the cap is read
+    import cmkit
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cmkit.__file__)))
+    env = {**os.environ, "CMK_THREADS": "1", "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    counts = json.loads(out.stdout)
+    if not counts:
+        pytest.skip("no OpenBLAS loaded (numpy built against another BLAS)")
+    assert all(c == 1 for c in counts)
+    assert "CMK_THREADS" not in out.stderr
+
+
+def test_mapped_openblas_reads_whole_pathnames(tmp_path):
+    from cmkit import cli
+
+    lib = tmp_path / "My Projects" / "libscipy_openblas64_.so"
+    lib.parent.mkdir()
+    lib.write_bytes(b"")
+    gone = tmp_path / "libopenblas.so"
+    lines = [f"7f0000-7f1000 r-xp 00000000 08:01 1234   {lib}\n",
+             f"7f1000-7f2000 r--p 00001000 08:01 1234   {lib}\n",
+             f"7f2000-7f3000 r-xp 00000000 08:01 999    {gone} (deleted)\n",
+             "7f3000-7f4000 rw-p 00000000 00:00 0 \n",
+             "7f4000-7f5000 r-xp 00000000 08:01 77     /usr/lib/libc.so.6\n"]
+    assert cli._mapped_openblas(lines) == [str(lib)]
+
+
+def test_thread_cap_warns_when_a_library_does_not_load(tmp_path, monkeypatch, capsys):
+    from cmkit import cli
+
+    bogus = tmp_path / "libopenblas.so"
+    bogus.write_text("not a shared object")
+    monkeypatch.setattr(cli, "_mapped_openblas", lambda lines: [str(bogus)])
+    monkeypatch.setenv("CMK_THREADS", "1")
+    cli._apply_thread_cap()
+    assert "CMK_THREADS has no effect" in capsys.readouterr().err
+
+
+def test_thread_cap_warns_without_a_setter(monkeypatch, capsys):
+    from cmkit import cli
+
+    monkeypatch.setattr(cli, "BLAS_SETTERS", ())
+    monkeypatch.setenv("CMK_THREADS", "1")
+    cli._apply_thread_cap()
+    assert "CMK_THREADS has no effect" in capsys.readouterr().err

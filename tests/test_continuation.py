@@ -142,6 +142,33 @@ def test_abort_returns_partial_trace(g2):
     assert np.all(tr.h.values == 1.0)
 
 
+def test_success_after_rejected_step_has_no_error_message(monkeypatch):
+    # on this circle path the corrector raises at t = 0.3 (the predicted
+    # iterate leaves Gamma_1); the retry with half the step succeeds
+    from cmkit import continuation
+
+    errors = []
+    newton_solve = continuation.newton_solve
+
+    def recording(*args):
+        try:
+            return newton_solve(*args)
+        except Exception as exc:
+            errors.append(exc)
+            raise
+
+    monkeypatch.setattr(continuation, "newton_solve", recording)
+    g = build_grid(1, m_theta=32)
+    u = g.coords[:, 1]
+    k, p = 1, 1.5
+    spec = ProblemSpec(n=1, k=k, p=p, q=1.8,
+                       f=GridFunction(g, (1 + 4.0 * u ** 2) ** (-(k + p - 1))))
+    tr = continue_path(spec)
+    assert errors
+    assert tr.success
+    assert tr.message == ""
+
+
 def test_path_through_varying_data_records_monotone_t(g1):
     spec = ProblemSpec(n=1, k=1, p=1.8, q=2.4, f=even_data(g1, 11, base=1.2))
     tr = continue_path(spec)

@@ -10,7 +10,7 @@ from scipy import sparse
 from cmkit import GridFunction, build_grid
 from cmkit.errors import AdmissibilityError, DomainError, SingularJacobianError
 from cmkit.newton import newton_solve, solve_linear
-from cmkit.problem import ProblemSpec
+from cmkit.problem import ProblemSpec, assemble_jacobian
 from cmkit.sphere import constant_function, odd_defect
 
 
@@ -67,6 +67,30 @@ def test_solve_linear_sparse_path():
         bad = sparse.identity(10).tolil()
         bad[4, 4] = 0.0
         solve_linear(bad.tocsr(), np.ones(10))
+
+
+@pytest.mark.parametrize("k,tilt", [(1, 0.0), (1, 0.4), (2, 0.0), (2, 0.4)])
+def test_solve_linear_sparse_jacobian_matches_dense_lu(k, tilt):
+    # the natural-order sparse LU of a 32x64 Jacobian against LAPACK on
+    # the same matrix, for axisymmetric (polar) and tilted data
+    from scipy import linalg as sla
+
+    g = build_grid(2, m_lat=32, m_lon=64)
+    u = g.coords @ np.array([math.sin(tilt), 0.0, math.cos(tilt)])
+    p, q = 1.5, 1.0 + k
+    f = GridFunction(g, (1.0 + 0.5 * u ** 2) ** (-(k + p - 1.0)))
+    spec = ProblemSpec(n=2, k=k, p=p, q=q, f=f)
+    h = GridFunction(g, 1.0 + 0.05 * u ** 2)
+    J = assemble_jacobian(spec, h, 0.5)
+    assert sparse.issparse(J)
+    rhs = np.sin(np.arange(g.node_count))
+    x = solve_linear(J, rhs)
+    ref = sla.lu_solve(sla.lu_factor(J.toarray()), rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    scale = np.max(np.abs(J).sum(axis=1))
+    be = np.max(np.abs(J @ x - rhs)) / (scale * np.max(np.abs(x))
+                                        + np.max(np.abs(rhs)))
+    assert be <= 1e-10
 
 
 # ---------------------------------------------------------------------------

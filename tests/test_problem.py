@@ -288,6 +288,84 @@ def test_jacobian_requires_admissible(g2):
     assert exc.value.margin < 0
 
 
+def _per_call_jacobian(spec, h, t):
+    # the earlier assembly, kept as the reference: every composite operator
+    # rebuilt by sparse products on each call
+    from scipy import sparse
+
+    from cmkit.sphere import hessian_field
+
+    g = spec.grid
+    N = g.node_count
+    mats = g.operator_matrices()
+    hf = hessian_field(h)
+    D = sparse.diags_array
+    eye = sparse.identity(N, format="csr")
+    if g.n == 1:
+        JA = mats["lon2"] + eye
+    else:
+        c = hf.components
+        S11, S12, S22 = c["b22"].ravel(), -c["b12"].ravel(), c["b11"].ravel()
+        if spec.k == 1:
+            S11, S12, S22 = np.ones(N), np.zeros(N), np.ones(N)
+        lat1, lat2 = mats["lat1"], mats["lat2"]
+        lon1, lon2 = mats["lon1"], mats["lon2"]
+        invcos = np.repeat(g.invcos, g.m_lon)
+        tanlat = np.repeat(g.tanlat, g.m_lon)
+        hess11 = lat2 + eye
+        hess12 = D(invcos) @ ((lat1 + D(tanlat)) @ lon1)
+        hess22 = D(invcos ** 2) @ lon2 - D(tanlat) @ lat1 + eye
+        JA = D(S11) @ hess11 + D(2.0 * S12) @ hess12 + D(S22) @ hess22
+    ft = homotopy_f(spec, t).values
+    hv = h.values
+    rho2 = hv ** 2 + hf.grad_norm_sq()
+    c1 = ft * (spec.p - 1.0) * hv ** (spec.p - 2.0) \
+        * rho2 ** (0.5 * (spec.k + 1.0 - spec.q))
+    c2 = ft * (spec.k + 1.0 - spec.q) * hv ** (spec.p - 1.0) \
+        * rho2 ** (0.5 * (spec.k - 1.0 - spec.q))
+    JB = D(c1 + c2 * hv)
+    if g.n == 1:
+        JB = JB + D(c2 * hf.grad[:, 0]) @ mats["lon1"]
+    else:
+        JB = (JB + D(c2 * hf.grad[:, 0]) @ mats["lat1"]
+              + D(c2 * hf.grad[:, 1] * np.repeat(g.invcos, g.m_lon))
+              @ mats["lon1"])
+    return (JA - JB).toarray()
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2)])
+def test_jacobian_matches_per_call_assembly(g1, n, k):
+    # assembly from the cached frame operators reproduces the per-call
+    # formula at a non-axisymmetric h, up to summation order
+    g = g1 if n == 1 else build_grid(2, m_lat=16, m_lon=32)
+    spec = ProblemSpec(n=n, k=k, p=1.4, q=2.3, f=constant_function(g, 1.3))
+    h = GridFunction(g, 1.0 + smooth_field(g, 70 + k))
+    J = assemble_jacobian(spec, h, 0.6)
+    J = J.toarray() if hasattr(J, "toarray") else J
+    ref = _per_call_jacobian(spec, h, 0.6)
+    assert np.max(np.abs(J - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n,shape,dense", [
+    (1, (512,), True), (2, (8, 16), True), (2, (8, 32), True),
+    (2, (12, 24), False), (2, (16, 32), False)])
+def test_jacobian_representation(n, shape, dense):
+    # dense on the circle (a full spectral matrix) and for N <= 256 nodes,
+    # CSR otherwise
+    from scipy import sparse
+
+    if n == 1:
+        g = build_grid(1, m_theta=shape[0])
+    else:
+        g = build_grid(2, m_lat=shape[0], m_lon=shape[1])
+    spec = ProblemSpec(n=n, k=1, p=1.5, q=2.0, f=constant_function(g, 1.0))
+    J = assemble_jacobian(spec, constant_function(g, 1.0), 0.0)
+    if dense:
+        assert isinstance(J, np.ndarray)
+    else:
+        assert sparse.issparse(J) and J.format == "csr"
+
+
 # ---------------------------------------------------------------------------
 # data admissibility report
 # ---------------------------------------------------------------------------

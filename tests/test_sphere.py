@@ -288,6 +288,23 @@ def test_operator_matrices_circle(g1):
                     rtol=0, atol=1e-11)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_frame_operators_match_hessian_field(g1, g2, n):
+    g = g1 if n == 1 else g2
+    ops = g.frame_operators()
+    assert g.frame_operators() is ops  # built once per grid
+    h = _random_field(g, 42)
+    hf = hessian_field(h)
+    c = hf.components
+    parts = {"hess11": "b11", "grad1": "g1"}
+    if n == 2:
+        parts.update(hess12="b12", hess22="b22", grad2="g2")
+    for key, comp in parts.items():
+        expect = np.ravel(c[comp])
+        assert_allclose(ops[key] @ h.values, expect, rtol=0,
+                        atol=1e-14 * np.max(np.abs(expect)))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

@@ -19,14 +19,13 @@ from .sphere import (
     constant_function,
     coordinate_function,
     even_project,
-    grad,
     hessian_field,
     integrate,
     laplace_beltrami,
     read_grid_function,
     write_grid_function,
 )
-from .symfunc import in_gamma_k, newton_maclaurin_gap, sigma_k, sigma_k_derivs
+from .symfunc import in_gamma_k, newton_maclaurin_gap, sigma_k
 from .problem import ProblemSpec, assemble_jacobian, homotopy_f, residual, validate_f1
 from .newton import NewtonResult, newton_solve
 from .continuation import SolveTrace, continue_path

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import AdmissibilityError
 from .continuation import continue_path
 from .newton import newton_solve
-from .problem import ProblemSpec, residual, validate_f1
+from .problem import ProblemSpec, ellipticity_weights, residual, validate_f1
 from .sphere import (
     GridFunction,
     constant_function,
@@ -27,7 +27,7 @@ from .sphere import (
     integrate_values,
     odd_defect,
 )
-from .symfunc import in_gamma_k, _prefix_sigmas
+from .symfunc import in_gamma_k, sigma_k
 
 
 # ---------------------------------------------------------------------------
@@ -129,23 +129,18 @@ def af_inequality_check(h, k, testfn):
         raise AdmissibilityError(
             "af check needs b(h) in Gamma_k", node=i, margin=float(margin[i]))
 
-    sk = _prefix_sigmas(hf.lam, k)[..., k]
-    weight = h.values * sk
+    weight = h.values * sigma_k(hf.lam, k)
     mean = integrate_values(g, testfn.values * weight) / integrate_values(g, weight)
     f = testfn.values - mean
 
-    fh = hessian_field(GridFunction(g, f))
-    if g.n == 1:
-        quad = fh.grad[:, 0] ** 2
-    else:
-        c = hf.components
-        g1, g2 = fh.grad[:, 0], fh.grad[:, 1]
-        if k == 1:
-            quad = g1 ** 2 + g2 ** 2
-        else:
-            quad = (c["b22"].ravel() * g1 ** 2
-                    - 2.0 * c["b12"].ravel() * g1 * g2
-                    + c["b11"].ravel() * g2 ** 2)
+    # sigma_k^{ij} grad_i f grad_j f, with the linearization's weights
+    w = ellipticity_weights(hf, k)
+    fg = hessian_field(GridFunction(g, f)).grad
+    quad = w["hess11"] * fg[:, 0] ** 2
+    if "hess12" in w:
+        quad = quad + w["hess12"] * fg[:, 0] * fg[:, 1]
+    if "hess22" in w:
+        quad = quad + w["hess22"] * fg[:, 1] ** 2
 
     lhs = k * integrate_values(g, f ** 2 * weight)
     rhs = integrate_values(g, h.values ** 2 * quad)
@@ -231,10 +226,9 @@ def manufacture(h_star, k, p, q):
         i = int(np.argmin(margin))
         raise AdmissibilityError("manufactured solution is not k-admissible",
                                  node=i, margin=float(margin[i]))
-    sk = _prefix_sigmas(hf.lam, k)[..., k]
     rho2 = v ** 2 + hf.grad_norm_sq()
     denom = v ** (p - 1.0) * rho2 ** (0.5 * (k + 1.0 - q))
-    return GridFunction(g, sk / denom)
+    return GridFunction(g, sigma_k(hf.lam, k) / denom)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ to rounding.
 import numpy as np
 
 from .errors import AdmissibilityError
-from .sphere import GridFunction, hessian_field
+from .sphere import hessian_field
 
 
 class BodyMesh:
@@ -67,9 +67,10 @@ def reconstruct_body(h):
         raise ValueError("reconstruction needs h > 0")
     hf = hessian_field(h)
     frame = _frame_vectors(g)
+    grad = hf.grad
     X = h.values[:, None] * g.coords
     for a in range(g.n):
-        X = X + hf.grad[:, a][:, None] * frame[a]
+        X = X + grad[:, a][:, None] * frame[a]
 
     if g.n == 1:
         m = g.m_theta
@@ -170,13 +171,6 @@ def _refine_sphere(g, align, rad, best):
     return float(cr @ basis)
 
 
-def support_from_radial(h, n_dirs=None):
-    """Consistency helper: rebuild h(x) = max_u rho(u) <u, x> from the
-    mesh's own vertex cloud (exact for the discrete body's convex hull)."""
-    mesh = reconstruct_body(h)
-    return GridFunction(h.grid, np.max(h.grid.coords @ mesh.vertices.T, axis=1))
-
-
 # ---------------------------------------------------------------------------
 # mesh files
 # ---------------------------------------------------------------------------
@@ -194,21 +188,6 @@ def write_obj(mesh, path):
         for a, b, c, d in mesh.faces + 1:  # 1-based
             fh.write(f"f {a}//{a} {b}//{b} {c}//{c}\n")
             fh.write(f"f {a}//{a} {c}//{c} {d}//{d}\n")
-
-
-def read_obj_vertices(path):
-    """Vertices (and normals) of an OBJ written by write_obj."""
-    vs, ns = [], []
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                vs.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "vn":
-                ns.append([float(x) for x in parts[1:4]])
-    return np.array(vs), np.array(ns)
 
 
 def write_polyline(mesh, path):

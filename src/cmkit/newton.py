@@ -14,6 +14,7 @@ that band and factor slower.
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import linalg as sla
@@ -61,8 +62,7 @@ def solve_linear(J, rhs):
         if piv.min() < 1e-13 * scale:
             raise SingularJacobianError(
                 f"pivot {piv.min():.3e} below 1e-13 * |J| = {1e-13 * scale:.3e}")
-        x = lu.solve(rhs)
-        matvec = J.dot
+        solve = lu.solve
     else:
         J = np.asarray(J, dtype=float)
         if not np.all(np.isfinite(J)):
@@ -80,8 +80,9 @@ def solve_linear(J, rhs):
             raise SingularJacobianError(
                 f"pivot {piv.min():.3e} below 1e-13 * |J| = {1e-13 * scale:.3e}",
                 direction=VT[-1])
-        x = sla.lu_solve((lu, piv_idx), rhs)
-        matvec = J.dot
+        solve = partial(sla.lu_solve, (lu, piv_idx))
+    matvec = J.dot
+    x = solve(rhs)
 
     # backward-error check with one refinement step if needed
     def backward(xv):
@@ -91,10 +92,7 @@ def solve_linear(J, rhs):
 
     be, r = backward(x)
     if be > 1e-10:
-        if sparse.issparse(J):
-            x = x - lu.solve(r)
-        else:
-            x = x - sla.lu_solve((lu, piv_idx), r)
+        x = x - solve(r)
         be, _ = backward(x)
         if be > 1e-10:
             raise SingularJacobianError(

@@ -22,7 +22,7 @@ from scipy import sparse
 
 from .errors import AdmissibilityError, DomainError, UnsupportedParameterError
 from .sphere import GridFunction, hessian_field, odd_defect
-from .symfunc import _prefix_sigmas, in_gamma_k
+from .symfunc import in_gamma_k, sigma_k
 
 # exponent ranges with a solvability guarantee; outside them the solver
 # still runs but flags the spec
@@ -37,7 +37,8 @@ class ProblemSpec:
 
     n, k: sphere dimension and Hessian order (1 <= k <= n);
     p, q: the two exponents; f: positive even GridFunction;
-    the rest are Newton / continuation controls.
+    the rest are Newton / continuation controls, with the step sizes
+    dt0, dt_min and dt_max positive and finite.
     """
 
     n: int
@@ -58,6 +59,11 @@ class ProblemSpec:
                 f"f lives on a dimension-{self.f.grid.n} grid, spec has n={self.n}")
         if not (1 <= self.k <= self.n):
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+        # a zero step size stalls the continuation, a negative one leaves [0, 1]
+        for name in ("dt0", "dt_min", "dt_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.k + self.p - 1 <= 0:
             raise UnsupportedParameterError(
                 f"k+p-1 = {self.k + self.p - 1:g} <= 0: the data homotopy "
@@ -126,10 +132,6 @@ def _require_positive(h):
                           node=i, value=float(v[i]))
 
 
-def _sigma_k_of(lam, k):
-    return _prefix_sigmas(lam, k)[..., k]
-
-
 def _rhs_fields(spec, h, hf, ft):
     """f_t * h^(p-1) * rho^(k+1-q) and the shared intermediate powers."""
     hv = h.values
@@ -144,7 +146,7 @@ def residual(spec, h, t):
     _require_positive(h)
     hf = hessian_field(h)
     ft = homotopy_f(spec, t)
-    lhs = _sigma_k_of(hf.lam, spec.k)
+    lhs = sigma_k(hf.lam, spec.k)
     rhs, _ = _rhs_fields(spec, h, hf, ft)
     res = GridFunction(spec.grid, lhs - rhs)
     linf = float(np.max(np.abs(res.values)))
@@ -163,17 +165,19 @@ def admissibility_margin(spec, h):
 # linearization
 # ---------------------------------------------------------------------------
 
-def _ellipticity_weights(spec, hf):
-    """sigma_k^{ij} at b(h) as row weights of the frame Hessian operators.
+def ellipticity_weights(hf, k):
+    """sigma_k^{ij} = d sigma_k / d b_ij at b(h), as per-node weights.
 
-    Keys name the SphereGrid.frame_operators() entry each weight scales;
-    the off-diagonal weight is doubled (it multiplies both b12 and b21)
-    and left out where it vanishes identically.
+    Keys name the SphereGrid.frame_operators() entry each weight scales
+    (hess11, hess12, hess22).  The off-diagonal weight is doubled, as it
+    multiplies both b12 and b21, and left out where it vanishes
+    identically: sigma_1^{ij} is the identity, sigma_2^{ij} for n = 2 the
+    adjugate of b.
     """
-    N = spec.grid.node_count
-    if spec.grid.n == 1:
+    N = hf.grid.node_count
+    if hf.grid.n == 1:
         return {"hess11": np.ones(N)}
-    if spec.k == 1:
+    if k == 1:
         return {"hess11": np.ones(N), "hess22": np.ones(N)}
     c = hf.components
     return {"hess11": c["b22"].ravel(), "hess12": -2.0 * c["b12"].ravel(),
@@ -222,9 +226,9 @@ def assemble_jacobian(spec, h, t):
     c2 = ft * (spec.k + 1.0 - spec.q) * hv ** (spec.p - 1.0) \
         * rho2 ** (0.5 * (spec.k - 1.0 - spec.q))
 
-    weights = _ellipticity_weights(spec, hf)
+    weights = ellipticity_weights(hf, spec.k)
     for i in range(g.n):
-        weights[f"grad{i + 1}"] = -c2 * hf.grad[:, i]
+        weights[f"grad{i + 1}"] = -c2 * hf.components[f"g{i + 1}"].ravel()
     J = sparse.diags_array(-(c1 + c2 * hv), format="csr")
     # a fixed order, sparsest operator first, so every sum but the last
     # stays narrow

@@ -429,44 +429,44 @@ def coordinate_function(grid, v):
 class HessianField:
     """Per-node data of b = (Hessian of h in the orthonormal frame) + h*I.
 
-    Attributes: b (N,n,n) symmetric matrices, lam (N,n) eigenvalues sorted
-    ascending, grad (N,n) frame gradient.  For n=2 the raw component fields
-    (b11, b12, b22, g1, g2, in grid shape) are kept as well; the vectorized
-    sigma_k formulas downstream consume those.
+    Stores lam (N,n), the eigenvalues sorted ascending, and the component
+    fields in grid shape: b11 and the frame gradient g1 for n=1, plus b12,
+    b22 and g2 for n=2.  The (N,n,n) matrices b and the (N,n) gradient
+    grad are derived from the components on access.
     """
 
-    def __init__(self, grid, b, lam, grad, components=None):
+    def __init__(self, grid, lam, components):
         self.grid = grid
-        self.b = b
         self.lam = lam
-        self.grad = grad
         self.components = components
 
-    def trace(self):
-        """trace(b) per node, computed from the component fields."""
-        if self.grid.n == 1:
-            return self.b[:, 0, 0]
+    @property
+    def b(self):
         c = self.components
+        n = self.grid.n
+        b = np.empty((self.grid.node_count, n, n))
+        for i in range(n):
+            for j in range(i, n):
+                b[:, i, j] = b[:, j, i] = c[f"b{i + 1}{j + 1}"].ravel()
+        return b
+
+    @property
+    def grad(self):
+        c = self.components
+        return np.column_stack([c[f"g{i + 1}"].ravel() for i in range(self.grid.n)])
+
+    def trace(self):
+        """trace(b) per node."""
+        c = self.components
+        if self.grid.n == 1:
+            return c["b11"]
         return (c["b11"] + c["b22"]).ravel()
 
     def grad_norm_sq(self):
+        c = self.components
         if self.grid.n == 1:
-            return self.grad[:, 0] ** 2
-        return self.grad[:, 0] ** 2 + self.grad[:, 1] ** 2
-
-
-def grad(h):
-    """Frame gradient of h: (N, n) array.
-
-    n=1: spectral d/dtheta.  n=2: (d/dlat, (1/cos lat) d/dlon).
-    """
-    g = h.grid
-    if g.n == 1:
-        return g._lon_apply1(h.values)[:, None]
-    F = h.field
-    g1 = g.lat_d1(F)
-    g2 = g.invcos[:, None] * g._lon_apply1(F)
-    return np.column_stack([g1.ravel(), g2.ravel()])
+            return c["g1"] ** 2
+        return c["g1"].ravel() ** 2 + c["g2"].ravel() ** 2
 
 
 def hessian_field(h):
@@ -482,11 +482,8 @@ def hessian_field(h):
     g = h.grid
     if g.n == 1:
         b11 = g._lon_apply2(h.values) + h.values
-        gr = g._lon_apply1(h.values)
-        b = b11[:, None, None]
-        lam = b11[:, None]
-        return HessianField(g, b, lam, gr[:, None],
-                            components={"b11": b11, "g1": gr})
+        return HessianField(g, b11[:, None],
+                            {"b11": b11, "g1": g._lon_apply1(h.values)})
 
     F = h.field
     h_l = g.lat_d1(F)
@@ -500,21 +497,12 @@ def hessian_field(h):
     b11 = h_ll + F
     b12 = invcos * (h_lt + tanlat * h_t)
     b22 = (invcos ** 2 * h_tt - tanlat * h_l) + F
-    g1 = h_l
-    g2 = invcos * h_t
 
     mid = 0.5 * (b11 + b22)
     rad = np.hypot(0.5 * (b11 - b22), b12)
     lam = np.column_stack([(mid - rad).ravel(), (mid + rad).ravel()])
-
-    N = g.node_count
-    b = np.empty((N, 2, 2))
-    b[:, 0, 0] = b11.ravel()
-    b[:, 0, 1] = b[:, 1, 0] = b12.ravel()
-    b[:, 1, 1] = b22.ravel()
-    gr = np.column_stack([g1.ravel(), g2.ravel()])
-    comps = {"b11": b11, "b12": b12, "b22": b22, "g1": g1, "g2": g2}
-    return HessianField(g, b, lam, gr, components=comps)
+    return HessianField(g, lam, {"b11": b11, "b12": b12, "b22": b22,
+                                 "g1": h_l, "g2": invcos * h_t})
 
 
 def laplace_beltrami(h):

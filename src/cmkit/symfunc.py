@@ -1,12 +1,11 @@
 """
 Elementary symmetric functions of eigenvalue vectors.
 
-sigma_k and its derivatives are evaluated by the prefix-polynomial
-recurrence (expanding prod(x + lam_i) one factor at a time), which is
-O(n k), cancellation-free beyond the data's own, and exact for constant
-vectors.  Gradients recompute the recurrence with one entry deleted, so
-grad_i = sigma_{k-1}(lam | i) holds by construction rather than by
-algebraic rearrangement.
+sigma_k is evaluated by the prefix-polynomial recurrence (expanding
+prod(x + lam_i) one factor at a time), which is O(n k), cancellation-free
+beyond the data's own, and exact for constant vectors.  The matrix
+derivative sigma_k^{ij} at b(h) is problem.ellipticity_weights, shared by
+the linearization and the weighted Poincare check.
 
 All functions accept an arbitrary leading batch shape: lam may be (n,) or
 (..., n), and results broadcast accordingly.
@@ -44,84 +43,6 @@ def sigma_k(lam, k):
     _check_order(lam.shape[-1], k)
     out = _prefix_sigmas(lam, k)[..., k]
     return float(out) if out.ndim == 0 else out
-
-
-def _deleted(lam, i):
-    return np.delete(lam, i, axis=-1)
-
-
-class SymDerivatives:
-    """Value and derivatives of sigma_k at an eigenvalue vector.
-
-    value: sigma_k(lam)
-    grad: partials d sigma_k / d lam_i = sigma_{k-1}(lam | i), shape (..., n)
-    matrix_grad: d sigma_k / d b_ij for the symmetric matrix with these
-        eigenvalues, expressed in the frame of b itself.  When built from an
-        eigenvalue vector the frame is the eigenframe, so matrix_grad is
-        diagonal with the grad entries.
-    """
-
-    def __init__(self, value, grad, matrix_grad):
-        self.value = value
-        self.grad = grad
-        self.matrix_grad = matrix_grad
-
-
-def sigma_k_derivs(lam, k):
-    """SymDerivatives of sigma_k at lam (diagonal case)."""
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    _check_order(n, k, lo=1)
-    value = sigma_k(lam, k)
-    cols = [sigma_k(_deleted(lam, i), k - 1) for i in range(n)]
-    grad = np.stack([np.asarray(c, dtype=float) for c in cols], axis=-1)
-    mg = np.zeros(lam.shape + (n,))
-    idx = np.arange(n)
-    mg[..., idx, idx] = grad
-    if lam.ndim == 1:
-        return SymDerivatives(float(value), grad, mg)
-    return SymDerivatives(value, grad, mg)
-
-
-def sigma_k_hessian(lam, k):
-    """Second derivatives: d2 sigma_k / d lam_i d lam_j = sigma_{k-2}(lam|ij)
-    for i != j, zero on the diagonal.  Shape (..., n, n)."""
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    _check_order(n, k, lo=1)
-    H = np.zeros(lam.shape + (n,))
-    if k < 2:
-        return H
-    for i in range(n):
-        rest = _deleted(lam, i)
-        for jr in range(n - 1):
-            j = jr if jr < i else jr + 1
-            H[..., i, j] = sigma_k(_deleted(rest, jr), k - 2)
-    return H
-
-
-def matrix_sigma_grad(b, k):
-    """sigma_k^{ij} = d sigma_k / d b_ij for symmetric b, shape (..., n, n).
-
-    Closed forms for n <= 2 (identity for k=1; the adjugate for n=2, k=2);
-    larger matrices go through the eigendecomposition, where the gradient is
-    the eigenframe diagonal of sigma_{k-1}(lam | i) rotated back.
-    """
-    b = np.asarray(b, dtype=float)
-    n = b.shape[-1]
-    _check_order(n, k, lo=1)
-    if k == 1:
-        return np.broadcast_to(np.eye(n), b.shape).copy()
-    if n == 2 and k == 2:
-        g = np.empty_like(b)
-        g[..., 0, 0] = b[..., 1, 1]
-        g[..., 1, 1] = b[..., 0, 0]
-        g[..., 0, 1] = -b[..., 0, 1]
-        g[..., 1, 0] = -b[..., 1, 0]
-        return g
-    lam, Q = np.linalg.eigh(b)
-    d = sigma_k_derivs(lam, k).grad
-    return np.einsum("...ip,...p,...jp->...ij", Q, d, Q)
 
 
 def in_gamma_k(lam, k):

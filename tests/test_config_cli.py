@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +87,21 @@ def test_invalid_problem_parameters_become_config_errors(tmp_path):
         build_problem(parse_config(path))
 
 
+@pytest.mark.parametrize("key", ["dt0", "dt_min", "dt_max"])
+def test_step_size_controls_must_be_positive_and_finite(tmp_path, key):
+    # a zero step size used to make `cmkit solve` loop forever, a negative
+    # one to fail with exit 1 on the t range instead of a config error
+    from cmkit.problem import ProblemSpec
+    from cmkit.sphere import constant_function
+
+    f = constant_function(build_grid(1, m_theta=64), 1.0)
+    for value in ("0", "-0.1", "inf", "nan"):
+        with pytest.raises(ValueError, match=key):
+            ProblemSpec(n=1, k=1, p=1.5, q=2.0, f=f, **{key: float(value)})
+        path = write_cfg(tmp_path, BASE + f"continuation.{key} = {value}\n")
+        assert main(["solve", path]) == 2
+
+
 # ---------------------------------------------------------------------------
 # data families
 # ---------------------------------------------------------------------------
@@ -123,12 +139,13 @@ def test_solve_round_body(tmp_path):
     g = build_grid(2, m_lat=16, m_lon=32)
     h = read_grid_function(g, os.path.join(out, "solution.csv"))
     assert np.all(h.values == 1.0)
-    report = json.load(open(os.path.join(out, "report.json")))
+    report = json.loads(Path(out, "report.json").read_text())
     assert report["success"] and report["steps"] == 1
     assert report["residual"]["linf"] <= 1e-12
     assert report["diagnostics"]["min_b_eig"] > 0
     assert os.path.exists(os.path.join(out, "mesh.obj"))
-    rows = [json.loads(line) for line in open(os.path.join(out, "trace.jsonl"))]
+    rows = [json.loads(line)
+            for line in Path(out, "trace.jsonl").read_text().splitlines()]
     assert [row["t"] for row in rows] == [0.0, 1.0]
 
 
@@ -137,7 +154,7 @@ def test_verify_solution_round_trip(tmp_path):
     assert main(["solve", path]) == 0
     sol = os.path.join(tmp_path, "out", "solution.csv")
     assert main(["verify", path, "--solution", sol]) == 0
-    report = json.load(open(os.path.join(tmp_path, "out", "verify.json")))
+    report = json.loads(Path(tmp_path, "out", "verify.json").read_text())
     assert report["passes"] and report["residual"]["linf"] <= 1e-10
 
 
@@ -146,7 +163,7 @@ def test_verify_flags_wrong_solution(tmp_path, capsys):
     assert main(["solve", path]) == 0
     sol = os.path.join(tmp_path, "out", "solution.csv")
     # perturb the stored solution: residual must blow past the tolerance
-    lines = open(sol).read().splitlines()
+    lines = Path(sol).read_text().splitlines()
     head, rows = lines[0], lines[1:]
     bad = [head]
     for row in rows:
@@ -188,7 +205,7 @@ out.dir = solved
     assert main(["solve", solve]) == 0
     sol = os.path.join(tmp_path, "solved", "solution.csv")
     assert main(["verify", solve, "--solution", sol]) == 0
-    report = json.load(open(os.path.join(tmp_path, "solved", "verify.json")))
+    report = json.loads(Path(tmp_path, "solved", "verify.json").read_text())
     assert report["residual"]["linf"] <= 1e-12
 
     # the recovered solution is the manufactured target up to newton tol
@@ -243,8 +260,8 @@ sweep.p = 1.2, 1.8
 sweep.q = 2.0, 2.4
 """)
     assert main(["sweep", path]) == 0
-    rows = [json.loads(line)
-            for line in open(os.path.join(tmp_path, "out", "sweep.jsonl"))]
+    rows = [json.loads(line) for line in
+            Path(tmp_path, "out", "sweep.jsonl").read_text().splitlines()]
     assert len(rows) == 4
     assert all(row["success"] for row in rows)
     assert {(row["p"], row["q"]) for row in rows} == \
@@ -264,7 +281,7 @@ f.kind = constant
 f.value = 1.0
 """)
     assert main(["solve", path]) == 0
-    report = json.load(open(os.path.join(tmp_path, "out", "report.json")))
+    report = json.loads(Path(tmp_path, "out", "report.json").read_text())
     assert report["warnings"]
 
 

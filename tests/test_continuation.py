@@ -122,7 +122,7 @@ def test_jsonl_serialization(tmp_path, g1):
     assert tr.success
     p = tmp_path / "trace.jsonl"
     tr.to_jsonl(p)
-    rows = [json.loads(line) for line in open(p)]
+    rows = [json.loads(line) for line in p.read_text().splitlines()]
     assert len(rows) == len(tr.steps)
     for row in rows:
         assert set(row) == set(TRACE_KEYS)

@@ -205,6 +205,47 @@ def test_af_rejects_inadmissible_body():
         af_inequality_check(h, 1, GridFunction(g, z))
 
 
+def _af_explicit_form(h, k, testfn):
+    # the check with sigma_k^{ij} written out case by case, kept as the
+    # reference for the weights it now shares with the linearization
+    from cmkit.sphere import hessian_field
+    from cmkit.symfunc import sigma_k
+
+    g = h.grid
+    hf = hessian_field(h)
+    weight = h.values * sigma_k(hf.lam, k)
+    mean = integrate_values(g, testfn.values * weight) / integrate_values(g, weight)
+    f = testfn.values - mean
+    gr = hessian_field(GridFunction(g, f)).grad
+    if g.n == 1:
+        quad = gr[:, 0] ** 2
+    else:
+        c = hf.components
+        g1, g2 = gr[:, 0], gr[:, 1]
+        if k == 1:
+            quad = g1 ** 2 + g2 ** 2
+        else:
+            quad = (c["b22"].ravel() * g1 ** 2
+                    - 2.0 * c["b12"].ravel() * g1 * g2
+                    + c["b11"].ravel() * g2 ** 2)
+    lhs = k * integrate_values(g, f ** 2 * weight)
+    rhs = integrate_values(g, h.values ** 2 * quad)
+    return lhs, rhs, mean
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 1), (2, 2)])
+def test_af_matches_explicit_quadratic_form(n, k):
+    rng = np.random.default_rng(10 * n + k)
+    g = build_grid(1, m_theta=128) if n == 1 else build_grid(2, m_lat=16, m_lon=32)
+    h = sample_admissible_body(g, k, rng, 0.08)
+    x = g.coords
+    f = GridFunction(g, x[:, 0] + x[:, -1] ** 2 + x[:, 0] * x[:, 1])
+    out = af_inequality_check(h, k, f)
+    lhs, rhs, mean = _af_explicit_form(h, k, f)
+    assert (out["lhs"], out["rhs"], out["subtracted_mean"]) == (lhs, rhs, mean)
+    assert out["slack"] == rhs - lhs
+
+
 def test_fit_equality_direction_rejects_generic_function():
     g = build_grid(2, m_lat=16, m_lon=32)
     h = constant_function(g, 1.0)

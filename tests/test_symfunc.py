@@ -10,14 +10,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cmkit.errors import AdmissibilityError
-from cmkit.symfunc import (
-    in_gamma_k,
-    matrix_sigma_grad,
-    newton_maclaurin_gap,
-    sigma_k,
-    sigma_k_derivs,
-    sigma_k_hessian,
-)
+from cmkit.problem import ellipticity_weights
+from cmkit.sphere import HessianField, build_grid
+from cmkit.symfunc import in_gamma_k, newton_maclaurin_gap, sigma_k
 
 
 def sigma_by_enumeration(lam, k):
@@ -69,54 +64,39 @@ def test_sigma_batched():
 # derivatives
 # ---------------------------------------------------------------------------
 
-def test_grad_examples():
-    d = sigma_k_derivs(np.array([1.0, 1, 1]), 2)
-    assert_allclose(d.grad, [2, 2, 2], rtol=1e-14)
-    d = sigma_k_derivs(np.array([1.0, 2, 3]), 2)
-    assert d.value == 11
-    assert_allclose(d.grad, [5, 4, 3], rtol=1e-14)
-    d = sigma_k_derivs(np.array([0.0, 2, 3]), 3)
-    assert d.value == 0
-    assert_allclose(d.grad, [6, 0, 0], atol=1e-14)
-
-
-def test_grad_is_deleted_sigma():
-    rng = np.random.default_rng(7)
-    lam = rng.standard_normal(4)
-    d = sigma_k_derivs(lam, 3)
-    for i in range(4):
-        assert_allclose(d.grad[i],
-                        sigma_by_enumeration(np.delete(lam, i), 2), rtol=1e-12)
-
-
 def test_grad_matches_finite_differences():
+    # d sigma_k / d lam_i = sigma_{k-1}(lam | i)
     rng = np.random.default_rng(8)
     eps = 1e-5
     for n, k in [(2, 1), (2, 2), (3, 2), (4, 3)]:
         lam = 1.0 + rng.standard_normal(n)
-        d = sigma_k_derivs(lam, k)
         for i in range(n):
             lp, lm = lam.copy(), lam.copy()
             lp[i] += eps
             lm[i] -= eps
             fd = (sigma_k(lp, k) - sigma_k(lm, k)) / (2 * eps)
-            assert_allclose(d.grad[i], fd, rtol=1e-6, atol=1e-8)
-
-
-def test_matrix_grad_diagonal_case():
-    lam = np.array([1.0, 2, 3])
-    d = sigma_k_derivs(lam, 2)
-    assert_allclose(d.matrix_grad, np.diag(d.grad), rtol=1e-14)
+            assert_allclose(sigma_k(np.delete(lam, i), k - 1), fd,
+                            rtol=1e-6, atol=1e-8)
 
 
 def test_matrix_grad_closed_forms():
+    # sigma_k^{ij} as the linearization's weights (off-diagonal weight
+    # doubled), at one random symmetric b placed on every node
     rng = np.random.default_rng(9)
     a = rng.standard_normal((2, 2))
     b = 0.5 * (a + a.T) + 2 * np.eye(2)
+    g = build_grid(2, m_lat=8, m_lon=8)
+    comps = {"b11": np.full(g.shape, b[0, 0]), "b12": np.full(g.shape, b[0, 1]),
+             "b22": np.full(g.shape, b[1, 1])}
+    hf = HessianField(g, np.tile(np.linalg.eigvalsh(b), (g.node_count, 1)), comps)
     # k=1: identity
-    assert_allclose(matrix_sigma_grad(b, 1), np.eye(2), rtol=1e-14)
+    w = ellipticity_weights(hf, 1)
+    assert w.keys() == {"hess11", "hess22"}
+    assert np.all(w["hess11"] == 1.0) and np.all(w["hess22"] == 1.0)
     # k=2: the adjugate; check against finite differences of det
-    g = matrix_sigma_grad(b, 2)
+    w = ellipticity_weights(hf, 2)
+    S = np.array([[w["hess11"], 0.5 * w["hess12"]],
+                  [0.5 * w["hess12"], w["hess22"]]])
     eps = 1e-6
     for i in range(2):
         for j in range(2):
@@ -124,40 +104,7 @@ def test_matrix_grad_closed_forms():
             bp[i, j] += eps
             bm[i, j] -= eps
             fd = (np.linalg.det(bp) - np.linalg.det(bm)) / (2 * eps)
-            assert_allclose(g[i, j], fd, rtol=1e-6)
-
-
-def test_matrix_grad_eigh_path_agrees():
-    # 3x3 exercises the eigendecomposition branch; compare with FD
-    rng = np.random.default_rng(10)
-    a = rng.standard_normal((3, 3))
-    b = 0.5 * (a + a.T) + 3 * np.eye(3)
-    g = matrix_sigma_grad(b, 2)
-    eps = 1e-6
-
-    def s2(m):
-        lam = np.linalg.eigvalsh(m)
-        return sigma_by_enumeration(lam, 2)
-
-    for i in range(3):
-        for j in range(3):
-            bp, bm = b.copy(), b.copy()
-            # symmetric perturbation: d sigma/d b_ij + d sigma/d b_ji
-            bp[i, j] += eps
-            bp[j, i] += eps
-            bm[i, j] -= eps
-            bm[j, i] -= eps
-            fd = (s2(bp) - s2(bm)) / (2 * eps)
-            expect = g[i, j] + g[j, i]
-            assert_allclose(expect, fd, rtol=1e-5, atol=1e-8)
-
-
-def test_hessian_structure():
-    lam = np.array([1.0, 2, 3])
-    H = sigma_k_hessian(lam, 2)
-    # d2 sigma_2 / dl_i dl_j = 1 off diagonal, 0 on it
-    assert_allclose(H, np.ones((3, 3)) - np.eye(3), rtol=1e-14)
-    assert np.all(sigma_k_hessian(lam, 1) == 0.0)
+            assert_allclose(S[i, j], fd, rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +149,20 @@ def test_identity_suite(n, seed):
     lam = rng.standard_normal(n) * 2
     s1 = sigma_k(lam, 1)
     for k in range(1, n):
-        d = sigma_k_derivs(lam, k)
+        # deleted[i] = sigma_k(lam | i), grad[i] = sigma_{k-1}(lam | i)
+        deleted = np.array([sigma_k(np.delete(lam, i), k) for i in range(n)])
+        grad = np.array([sigma_k(np.delete(lam, i), k - 1) for i in range(n)])
         sk1 = sigma_k(lam, k + 1)
         scale = 1 + abs(sk1) + np.abs(lam).max() ** (k + 1)
         # sum_i lam_i sigma_k(lam|i) = (k+1) sigma_{k+1}
-        lhs = float(np.dot(lam, sigma_k_derivs(lam, k + 1).grad))
+        lhs = float(np.dot(lam, deleted))
         assert abs(lhs - (k + 1) * sk1) < 1e-10 * scale
         # sum_i sigma_k(lam|i) over the deleted vectors = (n-k) sigma_k
-        tot = math.fsum(sigma_k(np.delete(lam, i), k) for i in range(n))
+        tot = math.fsum(deleted)
         assert abs(tot - (n - k) * sigma_k(lam, k)) < 1e-10 * scale
         # sum_i lam_i^2 sigma_{k-1}(lam|i) = sigma_1 sigma_k - (k+1) sigma_{k+1}
-        lhs = float(np.dot(lam ** 2, d.grad))
-        rhs = s1 * d.value - (k + 1) * sk1
+        lhs = float(np.dot(lam ** 2, grad))
+        rhs = s1 * sigma_k(lam, k) - (k + 1) * sk1
         assert abs(lhs - rhs) < 1e-10 * scale
 
 

@@ -3,15 +3,26 @@ Damped Newton corrector for the discrete equation at fixed t.
 
 Safeguards per step: positivity of the iterate, Gamma_k admissibility of
 b(iterate), residual decrease (Armijo-like on the sup norm), and an exact
-evenness projection.  The linear solver is a direct factorization:
-LAPACK LU for the dense Jacobians assemble_jacobian returns on the circle
-and on small grids, SuperLU in natural order for the sparse sphere
-Jacobians.  Nodes are numbered ring by ring and every stencil reaches at
-most two latitude rings away, so in natural order the Jacobian is banded
-(half-bandwidth 3*m_lon - 1); a fill-reducing column order would break
-that band and factor slower.
+evenness projection.
+
+The Newton step: the dense Jacobians assemble_jacobian returns on the
+circle and on small grids are factored by LAPACK LU.  The sparse sphere
+Jacobians are solved by GMRES (Knoll & Keyes, JCP 2004), right-
+preconditioned with the ring-averaged Jacobian.  Every frame operator
+commutes with whole-step longitude shifts and only the coefficients vary
+along a latitude ring, so with the coefficients replaced by their ring
+means a real FFT in longitude splits the operator into m_lon/2 + 1
+independent banded blocks, one per Fourier mode (problem.ring_blocks).
+Their exact inverse is the preconditioner; for axisymmetric iterates and
+data it is J^-1 and GMRES takes one iteration.  When GMRES misses its
+backward-error target or a block pivot is tiny, the step falls back to
+SuperLU in natural order: nodes are numbered ring by ring and every
+stencil reaches at most two latitude rings away, so the Jacobian is
+banded (half-bandwidth 3*m_lon - 1) and a fill-reducing column order
+would only break that band.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -22,13 +33,18 @@ from scipy import sparse
 from scipy.sparse import linalg as spla
 
 from .errors import AdmissibilityError, DomainError, SingularJacobianError
-from .problem import admissibility_margin, assemble_jacobian, residual
-from .sphere import GridFunction, even_project, odd_defect
+from .problem import admissibility_margin, assemble_jacobian, residual, ring_blocks
+from .sphere import GridFunction, even_project, hessian_field, odd_defect
 
 # line-search controls
 ALPHA_MIN = 1e-6
 DECREASE_SLOPE = 1e-4
 MARGIN_FLOOR = 1e-10  # Gamma_k margin kept strictly off the cone boundary
+
+# linear solve
+PIVOT_RTOL = 1e-13  # smallest pivot allowed, relative to norm(J, inf)
+KRYLOV_TARGET = 1e-16  # estimated normwise backward error GMRES stops at
+KRYLOV_MAX_ITER = 40  # GMRES iterations before the SuperLU fallback
 
 
 @dataclass
@@ -42,54 +58,160 @@ class NewtonResult:
     message: str = ""
 
 
-def solve_linear(J, rhs):
-    """Solve J x = rhs by direct factorization with partial pivoting.
+def _ring_preconditioner(blocks, scale):
+    """Inverse of the ring-averaged Jacobian, one longitude mode at a time.
 
-    Accepts a dense array or a sparse matrix; a sparse one is factored in
-    its natural (banded, ring-major) column order.  Raises
-    SingularJacobianError (carrying a near-null direction when available)
-    if a pivot falls below 1e-13 * norm(J), and verifies the backward
-    error of the returned solution.
+    blocks is the output of problem.ring_blocks.  Factors the banded
+    block of every mode once, with SuperLU on their block-diagonal sum in
+    natural order, and returns v -> P^-1 v (rfft along longitude, the
+    block solves, irfft); None when a pivot falls below
+    PIVOT_RTOL * |J| (scale).
+    """
+    width, M, K = blocks.shape
+    L = 2 * (K - 1)
+    offs = np.arange(width) - width // 2
+    # mode-major numbering m * M + j; keep the band entries inside a block
+    o_idx, j = np.nonzero((np.arange(M) + offs[:, None] >= 0)
+                          & (np.arange(M) + offs[:, None] < M))
+    rows = (np.arange(K)[:, None] * M + j).ravel()
+    cols = rows + np.tile(offs[o_idx], K)
+    P = sparse.csc_array((blocks[o_idx, j].T.ravel(), (rows, cols)),
+                         shape=(K * M, K * M))
+    try:
+        lu = spla.splu(P, permc_spec="NATURAL")
+    except RuntimeError:  # exactly singular
+        return None
+    if np.abs(lu.U.diagonal()).min() < PIVOT_RTOL * scale:
+        return None
+
+    def apply(v):
+        V = np.fft.rfft(v.reshape(M, L), axis=1)
+        X = lu.solve(np.ascontiguousarray(V.T).ravel()).reshape(K, M)
+        return np.fft.irfft(X.T, n=L, axis=1).ravel()
+    return apply
+
+
+def _gmres(matvec, rhs, precond, scale):
+    """Right-preconditioned GMRES for J x = rhs (Saad & Schultz 1986).
+
+    Stops when the Arnoldi estimate of the normwise backward error,
+    |rhs - J x|_2 / (scale * |x|_inf + |rhs|_inf), meets KRYLOV_TARGET.
+    The estimate bounds the max-norm backward error that solve_linear
+    checks, and unlike the computed residual it has no rounding floor:
+    that floor is near the unit roundoff on some Jacobians, so a tight
+    target on the computed residual would often be missed by luck.
+    Returns x, or None when KRYLOV_MAX_ITER iterations do not reach the
+    target or J P^-1 is numerically singular on the Krylov space.
+    """
+    m = KRYLOV_MAX_ITER
+    V = np.empty((m + 1, rhs.size))
+    Z = np.empty((m, rhs.size))
+    R = np.zeros((m, m))
+    g = np.zeros(m + 1)
+    cs = np.zeros(m)
+    sn = np.zeros(m)
+    bnorm = np.max(np.abs(rhs))
+    g[0] = np.linalg.norm(rhs)
+    if g[0] == 0.0:
+        return np.zeros(rhs.size)
+    V[0] = rhs / g[0]
+    for k in range(m):
+        Z[k] = precond(V[k])
+        w = matvec(Z[k])
+        # classical Gram-Schmidt, applied twice
+        h = V[:k + 1] @ w
+        w = w - h @ V[:k + 1]
+        h2 = V[:k + 1] @ w
+        w -= h2 @ V[:k + 1]
+        col = np.append(h + h2, np.linalg.norm(w))
+        if col[-1] > 0.0:
+            V[k + 1] = w / col[-1]
+        for i in range(k):
+            col[i], col[i + 1] = (cs[i] * col[i] + sn[i] * col[i + 1],
+                                  cs[i] * col[i + 1] - sn[i] * col[i])
+        d = math.hypot(col[k], col[k + 1])
+        if d == 0.0:  # J P^-1 maps the Krylov space into a smaller one
+            return None
+        cs[k], sn[k] = col[k] / d, col[k + 1] / d
+        R[:k + 1, k] = col[:k + 1]
+        R[k, k] = d
+        g[k + 1] = -sn[k] * g[k]
+        g[k] *= cs[k]
+        Rk = R[:k + 1, :k + 1]
+        x = sla.solve_triangular(Rk, g[:k + 1]) @ Z[:k + 1]
+        if abs(g[k + 1]) <= KRYLOV_TARGET * (scale * np.max(np.abs(x)) + bnorm):
+            # J P^-1 on the Krylov space: a singular J makes it singular,
+            # while on a good preconditioner its condition is near 1
+            svals = np.linalg.svd(Rk, compute_uv=False)
+            return x if svals[-1] >= PIVOT_RTOL * svals[0] else None
+    return None
+
+
+def solve_linear(J, rhs, blocks=None):
+    """Solve J x = rhs and verify the backward error of x.
+
+    A dense J is factored by LAPACK LU with partial pivoting.  A sparse
+    J with blocks (problem.ring_blocks at the same iterate) is solved by
+    GMRES, right-preconditioned with the exact inverse of the
+    ring-averaged Jacobian, until its estimate of the normwise backward
+    error meets KRYLOV_TARGET.  If it does not within KRYLOV_MAX_ITER
+    iterations, if a block pivot is below PIVOT_RTOL * norm(J) or the
+    solution misses the backward-error check below, and for a sparse J
+    without blocks, J is factored by SuperLU in its natural (banded,
+    ring-major) column order.  A factorization raises
+    SingularJacobianError (carrying a near-null direction when
+    available) if a pivot falls below PIVOT_RTOL * norm(J).  Every
+    solution must meet a backward error of 1e-10, a factored one after
+    one refinement step if needed.
     """
     rhs = np.asarray(rhs, dtype=float)
     if sparse.issparse(J):
         scale = spla.norm(J, np.inf)
-        try:
-            lu = spla.splu(J.tocsc(), permc_spec="NATURAL")
-        except RuntimeError as exc:
-            raise SingularJacobianError(f"sparse factorization failed: {exc}")
-        piv = np.abs(lu.U.diagonal())
-        if piv.min() < 1e-13 * scale:
-            raise SingularJacobianError(
-                f"pivot {piv.min():.3e} below 1e-13 * |J| = {1e-13 * scale:.3e}")
-        solve = lu.solve
     else:
         J = np.asarray(J, dtype=float)
         if not np.all(np.isfinite(J)):
             raise ValueError("Jacobian has non-finite entries")
         scale = np.max(np.abs(J).sum(axis=1))
-        with warnings.catch_warnings():
-            # singularity is detected by the pivot check below
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu, piv_idx = sla.lu_factor(J)
-        piv = np.abs(np.diag(lu))
-        if piv.min() < 1e-13 * scale:
-            # name the offending direction: right singular vector of the
-            # smallest singular value
-            _, svals, VT = np.linalg.svd(J)
-            raise SingularJacobianError(
-                f"pivot {piv.min():.3e} below 1e-13 * |J| = {1e-13 * scale:.3e}",
-                direction=VT[-1])
-        solve = partial(sla.lu_solve, (lu, piv_idx))
     matvec = J.dot
-    x = solve(rhs)
 
-    # backward-error check with one refinement step if needed
     def backward(xv):
         r = matvec(xv) - rhs
         denom = scale * np.max(np.abs(xv)) + np.max(np.abs(rhs)) + 1e-300
         return np.max(np.abs(r)) / denom, r
 
+    if blocks is not None:
+        precond = _ring_preconditioner(blocks, scale)
+        x = None if precond is None else _gmres(matvec, rhs, precond, scale)
+        if x is not None and backward(x)[0] <= 1e-10:
+            return x
+
+    if sparse.issparse(J):
+        try:
+            lu = spla.splu(J.tocsc(), permc_spec="NATURAL")
+        except RuntimeError as exc:
+            raise SingularJacobianError(f"sparse factorization failed: {exc}")
+        piv = np.abs(lu.U.diagonal())
+        if piv.min() < PIVOT_RTOL * scale:
+            raise SingularJacobianError(
+                f"pivot {piv.min():.3e} below 1e-13 * |J| = {PIVOT_RTOL * scale:.3e}")
+        solve = lu.solve
+    else:
+        with warnings.catch_warnings():
+            # singularity is detected by the pivot check below
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            lu, piv_idx = sla.lu_factor(J)
+        piv = np.abs(np.diag(lu))
+        if piv.min() < PIVOT_RTOL * scale:
+            # name the offending direction: right singular vector of the
+            # smallest singular value
+            _, svals, VT = np.linalg.svd(J)
+            raise SingularJacobianError(
+                f"pivot {piv.min():.3e} below 1e-13 * |J| = {PIVOT_RTOL * scale:.3e}",
+                direction=VT[-1])
+        solve = partial(sla.lu_solve, (lu, piv_idx))
+    x = solve(rhs)
+
+    # backward-error check with one refinement step if needed
     be, r = backward(x)
     if be > 1e-10:
         x = x - solve(r)
@@ -99,6 +221,18 @@ def solve_linear(J, rhs):
                 f"backward error {be:.3e} does not meet 1e-10; "
                 "matrix effectively singular")
     return x
+
+
+def _newton_step(spec, h, t, res):
+    """Solve J(h) delta = -res, evaluating hessian_field(h) once.
+
+    The Jacobian lives only here, so it is freed before the next one is
+    assembled.
+    """
+    hf = hessian_field(h)
+    J = assemble_jacobian(spec, h, t, hf)
+    blocks = ring_blocks(spec, h, t, hf) if sparse.issparse(J) else None
+    return solve_linear(J, -res, blocks)
 
 
 def newton_solve(spec, h0, t):
@@ -127,8 +261,7 @@ def newton_solve(spec, h0, t):
                 min_admissibility_margin=float(np.min(admissibility_margin(spec, h))),
                 step_history=history)
 
-        J = assemble_jacobian(spec, h, t)
-        delta = solve_linear(J, -rep.residual.values)
+        delta = _newton_step(spec, h, t, rep.residual.values)
 
         alpha = 1.0
         accepted = None

@@ -12,6 +12,8 @@ from the constant binom(n, k) at t = 0 to the user's f at t = 1 along
 
 residual() evaluates the left minus right side, assemble_jacobian() its
 linearization in h.  Both share one code path for n = 1 and n = 2.
+ring_blocks() gives the longitude-mode blocks of the ring-averaged
+linearization on S^2, the preconditioner of the Newton step.
 """
 
 import math
@@ -21,7 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import AdmissibilityError, DomainError, UnsupportedParameterError
-from .sphere import GridFunction, hessian_field, odd_defect
+from .sphere import RING_REACH, GridFunction, hessian_field, odd_defect
 from .symfunc import in_gamma_k, sigma_k
 
 # exponent ranges with a solvability guarantee; outside them the solver
@@ -37,8 +39,9 @@ class ProblemSpec:
 
     n, k: sphere dimension and Hessian order (1 <= k <= n);
     p, q: the two exponents; f: positive even GridFunction;
-    the rest are Newton / continuation controls, with the step sizes
-    dt0, dt_min and dt_max positive and finite.
+    the rest are Newton / continuation controls, with the tolerance
+    tol_newton and the step sizes dt0, dt_min and dt_max positive and
+    finite, and max_newton at least 1.
     """
 
     n: int
@@ -59,11 +62,14 @@ class ProblemSpec:
                 f"f lives on a dimension-{self.f.grid.n} grid, spec has n={self.n}")
         if not (1 <= self.k <= self.n):
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        # a zero step size stalls the continuation, a negative one leaves [0, 1]
-        for name in ("dt0", "dt_min", "dt_max"):
+        # a zero step size stalls the continuation, a negative one leaves
+        # [0, 1]; a tolerance that is not positive and finite cannot be met
+        for name in ("tol_newton", "dt0", "dt_min", "dt_max"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if self.max_newton < 1:
+            raise ValueError(f"max_newton must be at least 1, got {self.max_newton}")
         if self.k + self.p - 1 <= 0:
             raise UnsupportedParameterError(
                 f"k+p-1 = {self.k + self.p - 1:g} <= 0: the data homotopy "
@@ -190,34 +196,13 @@ def _scale_rows(w, A):
                              A.indices, A.indptr), shape=A.shape)
 
 
-def assemble_jacobian(spec, h, t):
-    """Matrix of the linearization at (h, t), over flat node values.
+def _linearization_weights(spec, h, t, hf):
+    """Per-node coefficients of the linearization at (h, t).
 
-    phi -> sigma_k^{ij} (hess phi + phi I)_ij
-           - f_t [ (p-1) h^(p-2) rho^(k+1-q) phi
-                   + (k+1-q) h^(p-1) rho^(k-1-q) (h phi + <grad h, grad phi>) ]
-
-    Assembled from the grid's cached frame operators by row scaling and
-    addition.  Returned dense on the circle, whose spectral Jacobian is a
-    full matrix, and for N <= 256 nodes; both factor faster with LAPACK
-    (one solve on 2 cores, OpenBLAS at 1 thread: 8x16 0.3 ms dense vs
-    0.9 ms sparse, 8x32 0.7-1.2 vs 2.0-2.2 ms, 16x16 1.0-1.2 vs 1.3-1.4 ms;
-    sparse wins from about 400 nodes, 16x32 4.0 vs 6.0 ms).
-    Otherwise CSR: the sphere Jacobian couples each latitude ring only to
-    rings at most two steps away, so in node order it is banded and the
-    sparse LU keeps that band.  Requires b(h) in Gamma_k at every node so
-    the sigma_k^{ij} weights carry the right sign.
+    The row scale of each frame operator, keyed as in
+    SphereGrid.frame_operators() (sigma_k^{ij} from ellipticity_weights
+    and the two gradient weights), and 'diag', the zeroth-order term.
     """
-    _require_positive(h)
-    hf = hessian_field(h)
-    ok, margin = in_gamma_k(hf.lam, spec.k)
-    if not np.all(ok):
-        i = int(np.argmin(margin))
-        raise AdmissibilityError(
-            "b(h) leaves Gamma_k", node=i, margin=float(margin[i]))
-
-    g = spec.grid
-    ops = g.frame_operators()
     ft = homotopy_f(spec, t).values
     hv = h.values
     rho2 = hv ** 2 + hf.grad_norm_sq()
@@ -227,9 +212,45 @@ def assemble_jacobian(spec, h, t):
         * rho2 ** (0.5 * (spec.k - 1.0 - spec.q))
 
     weights = ellipticity_weights(hf, spec.k)
-    for i in range(g.n):
+    for i in range(spec.grid.n):
         weights[f"grad{i + 1}"] = -c2 * hf.components[f"g{i + 1}"].ravel()
-    J = sparse.diags_array(-(c1 + c2 * hv), format="csr")
+    weights["diag"] = -(c1 + c2 * hv)
+    return weights
+
+
+def assemble_jacobian(spec, h, t, hf=None):
+    """Matrix of the linearization at (h, t), over flat node values.
+
+    phi -> sigma_k^{ij} (hess phi + phi I)_ij
+           - f_t [ (p-1) h^(p-2) rho^(k+1-q) phi
+                   + (k+1-q) h^(p-1) rho^(k-1-q) (h phi + <grad h, grad phi>) ]
+
+    hf is hessian_field(h), computed here when not given.  Assembled from
+    the grid's cached frame operators by row scaling and addition.
+    Returned dense on the circle, whose spectral Jacobian is a full
+    matrix, and for N <= 256 nodes; both factor faster with LAPACK (one
+    solve on 2 cores, OpenBLAS at 1 thread: 8x16 0.3 ms dense vs 0.9 ms
+    sparse, 8x32 0.7-1.2 vs 2.0-2.2 ms, 16x16 1.0-1.2 vs 1.3-1.4 ms;
+    sparse wins from about 400 nodes, 16x32 4.0 vs 6.0 ms).  Otherwise
+    CSR: the sphere Jacobian couples each latitude ring only to rings at
+    most two steps away, and newton.solve_linear solves with it by GMRES,
+    preconditioned with the ring-averaged Jacobian of ring_blocks; its
+    banded SuperLU factorization is the fallback.  Requires b(h) in
+    Gamma_k at every node so the sigma_k^{ij} weights carry the right sign.
+    """
+    _require_positive(h)
+    if hf is None:
+        hf = hessian_field(h)
+    ok, margin = in_gamma_k(hf.lam, spec.k)
+    if not np.all(ok):
+        i = int(np.argmin(margin))
+        raise AdmissibilityError(
+            "b(h) leaves Gamma_k", node=i, margin=float(margin[i]))
+
+    g = spec.grid
+    ops = g.frame_operators()
+    weights = _linearization_weights(spec, h, t, hf)
+    J = sparse.diags_array(weights["diag"], format="csr")
     # a fixed order, sparsest operator first, so every sum but the last
     # stays narrow
     for key in ("hess11", "grad1", "grad2", "hess22", "hess12"):
@@ -238,6 +259,27 @@ def assemble_jacobian(spec, h, t):
     if g.n == 1 or g.node_count <= 256:
         return J.toarray()
     return J
+
+
+def ring_blocks(spec, h, t, hf):
+    """Longitude-mode blocks of the ring-averaged linearization (n = 2).
+
+    Replaces every coefficient of the linearization at (h, t) by its mean
+    over each latitude ring, which makes the operator commute with
+    longitude shifts, and combines the means with the grid's
+    frame_symbols().  Returns the banded blocks in the frame_symbols()
+    layout: entry [o + RING_REACH, j, m] couples ring j to ring j + o in
+    longitude mode m.  When h and f_t are axisymmetric the coefficients
+    are constant along rings and the blocks are the Jacobian's own.
+    """
+    M, L = spec.grid.shape
+    syms = spec.grid.frame_symbols()
+    weights = _linearization_weights(spec, h, t, hf)
+    blocks = np.zeros_like(syms["hess11"])
+    blocks[RING_REACH] = weights.pop("diag").reshape(M, L).mean(axis=1)[:, None]
+    for key, w in weights.items():
+        blocks += w.reshape(M, L).mean(axis=1)[:, None] * syms[key]
+    return blocks
 
 
 # ---------------------------------------------------------------------------

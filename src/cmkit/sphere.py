@@ -66,12 +66,17 @@ def fd_weights(z, x, m):
 # grid
 # ---------------------------------------------------------------------------
 
+# latitude rings any S^2 stencil reaches on either side of its own ring
+RING_REACH = 2
+
+
 class SphereGrid:
     """Node set, quadrature and differentiation stencils for S^n, n in {1,2}.
 
     Construct through build_grid.  Instances are immutable in use; the
-    sparse frame operators needed by Jacobian assembly are built lazily
-    and cached (frame_operators).
+    sparse frame operators needed by Jacobian assembly and their
+    longitude-Fourier symbols are built lazily and cached
+    (frame_operators, frame_symbols).
     """
 
     def __init__(self, n, m_theta=None, m_lat=None, m_lon=None):
@@ -100,6 +105,7 @@ class SphereGrid:
             self.m_lon = m_lon
             self._build_sphere()
         self._frame_ops = None
+        self._frame_syms = None
 
     # -- construction -------------------------------------------------------
 
@@ -359,6 +365,35 @@ class SphereGrid:
             op.sum_duplicates()  # canonical CSR keeps the assembly sums fast
         return self._frame_ops
 
+    def frame_symbols(self):
+        """Longitude-Fourier symbols of the frame operators, built once (n=2).
+
+        Every frame operator A commutes with whole-step longitude shifts,
+        so on a single longitude mode, phi = c_s * exp(2 pi i m l / m_lon)
+        in ring s (l the longitude index), it acts ring by ring:
+        (A phi)_j = sum_s A_m[j, s] c_s * exp(2 pi i m l / m_lon).  Every
+        stencil reaches at most RING_REACH rings, so A_m is banded.
+        Returns a cached dict keyed like frame_operators() of complex
+        arrays (2*RING_REACH + 1, m_lat, m_lon//2 + 1): entry [o + RING_REACH,
+        j, m] is A_m[j, j + o], zero where ring j + o does not exist.  The
+        symbols are read from the first row of each ring of the CSR
+        operator; the other rows are its exact longitude shifts.
+        """
+        if self._frame_syms is not None:
+            return self._frame_syms
+        M, L = self.shape
+        first = np.arange(M) * L
+        self._frame_syms = {}
+        for key, op in self.frame_operators().items():
+            rows = op[first].tocoo()
+            ring, lon = np.divmod(rows.col, L)
+            # taps[o + RING_REACH, j, d]: weight of node (j + o, d) in row (j, 0)
+            taps = np.zeros((2 * RING_REACH + 1, M, L))
+            np.add.at(taps, (ring - rows.row + RING_REACH, rows.row, lon), rows.data)
+            # A_m = sum_d taps[d] * exp(+2 pi i m d / L), the conjugate rfft
+            self._frame_syms[key] = np.conj(np.fft.rfft(taps, axis=-1))
+        return self._frame_syms
+
     # -- misc ----------------------------------------------------------------
 
     def surface_measure(self):
@@ -431,24 +466,14 @@ class HessianField:
 
     Stores lam (N,n), the eigenvalues sorted ascending, and the component
     fields in grid shape: b11 and the frame gradient g1 for n=1, plus b12,
-    b22 and g2 for n=2.  The (N,n,n) matrices b and the (N,n) gradient
-    grad are derived from the components on access.
+    b22 and g2 for n=2.  The (N,n) gradient grad is derived from the
+    components on access.
     """
 
     def __init__(self, grid, lam, components):
         self.grid = grid
         self.lam = lam
         self.components = components
-
-    @property
-    def b(self):
-        c = self.components
-        n = self.grid.n
-        b = np.empty((self.grid.node_count, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                b[:, i, j] = b[:, j, i] = c[f"b{i + 1}{j + 1}"].ravel()
-        return b
 
     @property
     def grad(self):

@@ -87,18 +87,32 @@ def test_invalid_problem_parameters_become_config_errors(tmp_path):
         build_problem(parse_config(path))
 
 
-@pytest.mark.parametrize("key", ["dt0", "dt_min", "dt_max"])
+# ProblemSpec field -> (config key, invalid values)
+SOLVER_CONTROLS = {
+    "dt0": ("continuation.dt0", ("0", "-0.1", "inf", "nan")),
+    "dt_min": ("continuation.dt_min", ("0", "-0.1", "inf", "nan")),
+    "dt_max": ("continuation.dt_max", ("0", "-0.1", "inf", "nan")),
+    "tol_newton": ("newton.tol", ("0", "-1", "inf", "nan")),
+    "max_newton": ("newton.max_iter", ("0", "-3")),
+}
+
+
+@pytest.mark.parametrize("key", list(SOLVER_CONTROLS))
 def test_step_size_controls_must_be_positive_and_finite(tmp_path, key):
     # a zero step size used to make `cmkit solve` loop forever, a negative
-    # one to fail with exit 1 on the t range instead of a config error
+    # one to fail with exit 1 on the t range instead of a config error; a
+    # tolerance or iteration cap that cannot be met ran until the line
+    # search or the step size gave up, with exit 1
     from cmkit.problem import ProblemSpec
     from cmkit.sphere import constant_function
 
     f = constant_function(build_grid(1, m_theta=64), 1.0)
-    for value in ("0", "-0.1", "inf", "nan"):
+    cfg_key, values = SOLVER_CONTROLS[key]
+    convert = int if key == "max_newton" else float
+    for value in values:
         with pytest.raises(ValueError, match=key):
-            ProblemSpec(n=1, k=1, p=1.5, q=2.0, f=f, **{key: float(value)})
-        path = write_cfg(tmp_path, BASE + f"continuation.{key} = {value}\n")
+            ProblemSpec(n=1, k=1, p=1.5, q=2.0, f=f, **{key: convert(value)})
+        path = write_cfg(tmp_path, BASE + f"{cfg_key} = {value}\n")
         assert main(["solve", path]) == 2
 
 

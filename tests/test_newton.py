@@ -9,9 +9,10 @@ from scipy import sparse
 
 from cmkit import GridFunction, build_grid
 from cmkit.errors import AdmissibilityError, DomainError, SingularJacobianError
+from cmkit import newton
 from cmkit.newton import newton_solve, solve_linear
-from cmkit.problem import ProblemSpec, assemble_jacobian
-from cmkit.sphere import constant_function, odd_defect
+from cmkit.problem import ProblemSpec, assemble_jacobian, ring_blocks
+from cmkit.sphere import constant_function, hessian_field, odd_defect
 
 
 @pytest.fixture(scope="module")
@@ -69,28 +70,86 @@ def test_solve_linear_sparse_path():
         solve_linear(bad.tocsr(), np.ones(10))
 
 
-@pytest.mark.parametrize("k,tilt", [(1, 0.0), (1, 0.4), (2, 0.0), (2, 0.4)])
-def test_solve_linear_sparse_jacobian_matches_dense_lu(k, tilt):
-    # the natural-order sparse LU of a 32x64 Jacobian against LAPACK on
-    # the same matrix, for axisymmetric (polar) and tilted data
-    from scipy import linalg as sla
-
-    g = build_grid(2, m_lat=32, m_lon=64)
+def _sphere_jacobian(k, tilt, a=0.5, m_lat=32):
+    """Jacobian, its ring blocks and the spec at t = 0.5 on an m_lat x 2m_lat
+    grid, for quadratic data and iterate about an axis tilted from the pole."""
+    g = build_grid(2, m_lat=m_lat, m_lon=2 * m_lat)
     u = g.coords @ np.array([math.sin(tilt), 0.0, math.cos(tilt)])
     p, q = 1.5, 1.0 + k
-    f = GridFunction(g, (1.0 + 0.5 * u ** 2) ** (-(k + p - 1.0)))
+    f = GridFunction(g, (1.0 + a * u ** 2) ** (-(k + p - 1.0)))
     spec = ProblemSpec(n=2, k=k, p=p, q=q, f=f)
     h = GridFunction(g, 1.0 + 0.05 * u ** 2)
-    J = assemble_jacobian(spec, h, 0.5)
-    assert sparse.issparse(J)
-    rhs = np.sin(np.arange(g.node_count))
-    x = solve_linear(J, rhs)
-    ref = sla.lu_solve(sla.lu_factor(J.toarray()), rhs)
-    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    hf = hessian_field(h)
+    J = assemble_jacobian(spec, h, 0.5, hf)
+    return J, ring_blocks(spec, h, 0.5, hf)
+
+
+def _backward_error(J, x, rhs):
     scale = np.max(np.abs(J).sum(axis=1))
-    be = np.max(np.abs(J @ x - rhs)) / (scale * np.max(np.abs(x))
-                                        + np.max(np.abs(rhs)))
-    assert be <= 1e-10
+    return np.max(np.abs(J @ x - rhs)) / (scale * np.max(np.abs(x))
+                                          + np.max(np.abs(rhs)))
+
+
+@pytest.mark.parametrize("k,tilt,a", [(1, 0.0, 0.5), (1, 0.4, 0.5), (2, 0.0, 0.5),
+                                      (2, 0.4, 0.5), (2, 1.0, 2.0)],
+                         ids=["1-0.0", "1-0.4", "2-0.0", "2-0.4", "2-1.0-a2"])
+def test_solve_linear_sparse_jacobian_matches_dense_lu(monkeypatch, k, tilt, a):
+    # the natural-order sparse LU of a 32x64 Jacobian against LAPACK on
+    # the same matrix, and the preconditioned Krylov step against the
+    # sparse LU, for axisymmetric (polar) and tilted data
+    from scipy import linalg as sla
+
+    gmres_results = []
+
+    def spy(*args):
+        gmres_results.append(gmres(*args))
+        return gmres_results[-1]
+
+    gmres = newton._gmres
+    monkeypatch.setattr(newton, "_gmres", spy)
+    J, blocks = _sphere_jacobian(k, tilt, a)
+    assert sparse.issparse(J)
+    rhs = np.sin(np.arange(J.shape[0]))
+    x_lu = solve_linear(J, rhs)
+    assert gmres_results == []
+    x = solve_linear(J, rhs, blocks)
+    assert gmres_results[0] is not None  # met its target: no fallback
+    ref = sla.lu_solve(sla.lu_factor(J.toarray()), rhs)
+    assert np.max(np.abs(x_lu - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.max(np.abs(x - x_lu)) <= 1e-12 * np.max(np.abs(x_lu))
+    assert _backward_error(J, x_lu, rhs) <= 1e-10
+    assert _backward_error(J, x, rhs) <= 1e-15  # a few unit roundoffs
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_ring_preconditioner_inverts_polar_jacobian(k):
+    # axisymmetric data and iterate: the ring means are the coefficients
+    # themselves, so the mode blocks are J's own and P^-1 J = I
+    J, blocks = _sphere_jacobian(k, 0.0)
+    precond = newton._ring_preconditioner(blocks, np.max(np.abs(J).sum(axis=1)))
+    x = np.cos(0.7 * np.arange(J.shape[0])) + 0.3
+    assert np.max(np.abs(precond(J @ x) - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_solve_linear_falls_back_to_sparse_lu(monkeypatch):
+    J, blocks = _sphere_jacobian(2, 1.0, 2.0)
+    rhs = np.sin(np.arange(J.shape[0]))
+    x_lu = solve_linear(J, rhs)
+    # singular mode blocks: no preconditioner
+    assert np.array_equal(solve_linear(J, rhs, np.zeros_like(blocks)), x_lu)
+    # GMRES cannot reach its target in one iteration on tilted data
+    monkeypatch.setattr(newton, "KRYLOV_MAX_ITER", 1)
+    assert np.array_equal(solve_linear(J, rhs, blocks), x_lu)
+
+
+def test_solve_linear_singular_sparse_with_blocks():
+    # a zero row: no step meets the backward-error target, and the
+    # SuperLU fallback reports the singular matrix
+    J, blocks = _sphere_jacobian(1, 0.4)
+    J = J.tolil()
+    J[100, :] = 0.0
+    with pytest.raises(SingularJacobianError):
+        solve_linear(J.tocsr(), np.ones(J.shape[0]), blocks)
 
 
 # ---------------------------------------------------------------------------

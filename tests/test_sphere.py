@@ -95,8 +95,11 @@ def test_constant_hessian_exact(g1, g2):
     for g in (g1, g2):
         h = constant_function(g, 1.3)
         hf = hessian_field(h)
-        ident = np.broadcast_to(1.3 * np.eye(g.n), (g.node_count, g.n, g.n))
-        assert np.array_equal(hf.b, ident)
+        c = hf.components
+        for i in range(g.n):
+            for j in range(i, g.n):
+                assert np.array_equal(c[f"b{i + 1}{j + 1}"],
+                                      np.full(g.shape, 1.3 if i == j else 0.0))
         assert np.all(hf.grad == 0.0)
         assert np.all(hf.lam == 1.3)
         lap = laplace_beltrami(h)
@@ -112,11 +115,16 @@ def test_sphere_of_radius_r_eigenvalues_exact(g2):
 # accuracy on known fields
 # ---------------------------------------------------------------------------
 
+def _max_abs_b(hf):
+    """max |b_ij| over every node and entry of b."""
+    return max(np.max(np.abs(hf.components[key])) for key in ("b11", "b12", "b22"))
+
+
 def test_linear_function_flat_hessian(g2):
     # b vanishes identically for h = <x, v>
     for v in [(0, 0, 1), (1, 0, 0), (0.3, -0.5, 0.81)]:
         hf = hessian_field(coordinate_function(g2, v))
-        assert np.max(np.abs(hf.b)) < 2e-2
+        assert _max_abs_b(hf) < 2e-2
 
 
 def test_linear_function_flat_hessian_converges():
@@ -124,7 +132,7 @@ def test_linear_function_flat_hessian_converges():
     for (ml, mo) in [(16, 32), (32, 64), (64, 128)]:
         g = build_grid(2, m_lat=ml, m_lon=mo)
         hf = hessian_field(coordinate_function(g, (0.3, -0.5, 0.81)))
-        errs.append(np.max(np.abs(hf.b)))
+        errs.append(_max_abs_b(hf))
     assert errs[0] / errs[1] > 2.5
     assert errs[1] / errs[2] > 2.5
 
@@ -162,7 +170,7 @@ def test_circle_hessian_of_support_of_segment(g1):
     th = g1.thetas
     h = GridFunction(g1, 1.5 + 0.3 * np.cos(th) - 0.2 * np.sin(th))
     hf = hessian_field(h)
-    assert np.max(np.abs(hf.b[:, 0, 0] - 1.5)) < 1e-11
+    assert np.max(np.abs(hf.components["b11"] - 1.5)) < 1e-11
 
 
 def test_trace_identity_bitwise(g1, g2):
@@ -219,16 +227,16 @@ def test_hessian_equivariance_bitwise(g2, kind, steps):
 def test_lon_shift_equivariance_circle(g1):
     h = _random_field(g1, 11)
     hs = apply_symmetry(h, "lon_shift", steps=9)
-    b = hessian_field(h).b[:, 0, 0]
-    bs = hessian_field(hs).b[:, 0, 0]
+    b = hessian_field(h).components["b11"]
+    bs = hessian_field(hs).components["b11"]
     assert np.array_equal(bs, np.roll(b, -9))
 
 
 def test_antipodal_equivariance_circle(g1):
     h = _random_field(g1, 12)
     hs = apply_symmetry(h, "antipodal")
-    b = hessian_field(h).b[:, 0, 0]
-    bs = hessian_field(hs).b[:, 0, 0]
+    b = hessian_field(h).components["b11"]
+    bs = hessian_field(hs).components["b11"]
     assert np.array_equal(bs, b[g1.antipodal_perm])
 
 
@@ -302,6 +310,32 @@ def test_frame_operators_match_hessian_field(g1, g2, n):
         expect = np.ravel(c[comp])
         assert_allclose(ops[key] @ h.values, expect, rtol=0,
                         atol=1e-14 * np.max(np.abs(expect)))
+
+
+@pytest.mark.parametrize("m_lat", [32, 9])
+def test_frame_symbols_act_on_longitude_modes(m_lat):
+    # on phi = c_s exp(2 pi i m l / m_lon) in ring s, every frame operator
+    # acts as its banded mode-m symbol on the ring amplitudes c
+    from cmkit.sphere import RING_REACH
+
+    g = build_grid(2, m_lat=m_lat, m_lon=64)
+    M, L = g.shape
+    syms = g.frame_symbols()
+    assert g.frame_symbols() is syms  # built once per grid
+    rng = np.random.default_rng(5)
+    for m in (0, 1, 7, L // 2):
+        c = rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        wave = np.exp(2j * np.pi * m * np.arange(L) / L)
+        phi = (c[:, None] * wave).ravel()
+        for key, op in g.frame_operators().items():
+            got = (op @ phi.real + 1j * (op @ phi.imag)).reshape(M, L)
+            band = syms[key][:, :, m]
+            amp = np.zeros(M, dtype=complex)
+            for o in range(-RING_REACH, RING_REACH + 1):
+                j = np.arange(max(0, -o), min(M, M - o))
+                amp[j] += band[o + RING_REACH, j] * c[j + o]
+            scale = np.max(np.abs(op).sum(axis=1)) * np.max(np.abs(c))
+            assert np.max(np.abs(got - amp[:, None] * wave)) <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -39,13 +39,15 @@ class SolveTrace:
                 fh.write(json.dumps({k: row[k] for k in TRACE_KEYS}) + "\n")
 
 
-def _trace_row(spec, h, t, iters, linf):
-    hf = hessian_field(h)
+def _trace_row(h, t, iters, linf, min_b_eig):
     R = float(np.max(h.values))
     r = float(np.min(h.values))
     return {"t": t, "newton_iterations": iters, "residual": linf,
-            "min_b_eig": float(np.min(hf.lam[:, 0])), "R": R, "r": r,
-            "ratio": R / r}
+            "min_b_eig": min_b_eig, "R": R, "r": r, "ratio": R / r}
+
+
+def _newton_row(res, t):
+    return _trace_row(res.h, t, res.iterations, res.final_linf, res.min_b_eig)
 
 
 def predictor(prev, t_next):
@@ -72,16 +74,16 @@ def continue_path(spec):
     trace = SolveTrace(f1_report=validate_f1(spec))
 
     h = constant_function(spec.grid, 1.0)
-    rep0 = residual(spec, h, 0.0)
-    trace.steps.append(_trace_row(spec, h, 0.0, 0, rep0.linf))
+    hf = hessian_field(h)
+    rep0 = residual(spec, h, 0.0, hf)
+    trace.steps.append(_trace_row(h, 0.0, 0, rep0.linf, float(np.min(hf.lam[:, 0]))))
     trace.h = h
 
     # one-step shortcut: the current iterate may already solve the target
     # (exactly so when f is the t = 0 constant)
-    if residual(spec, h, 1.0).linf <= spec.tol_newton:
+    if residual(spec, h, 1.0, hf).linf <= spec.tol_newton:
         res = newton_solve(spec, h, 1.0)
-        trace.steps.append(_trace_row(spec, res.h, 1.0, res.iterations,
-                                      res.final_linf))
+        trace.steps.append(_newton_row(res, 1.0))
         trace.h = res.h
         trace.success = True
         trace.wall_time = time.perf_counter() - start
@@ -116,8 +118,7 @@ def continue_path(spec):
         accepted.append((t_cur, res.h))
         if len(accepted) > 2:
             accepted.pop(0)
-        trace.steps.append(_trace_row(spec, res.h, t_cur, res.iterations,
-                                      res.final_linf))
+        trace.steps.append(_newton_row(res, t_cur))
         trace.h = res.h
         if res.iterations <= 3:
             dt = min(dt * 1.5, spec.dt_max)

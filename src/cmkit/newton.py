@@ -33,7 +33,13 @@ from scipy import sparse
 from scipy.sparse import linalg as spla
 
 from .errors import AdmissibilityError, DomainError, SingularJacobianError
-from .problem import admissibility_margin, assemble_jacobian, residual, ring_blocks
+from .problem import (
+    admissibility_margin,
+    assemble_jacobian,
+    linearization_weights,
+    residual,
+    ring_blocks,
+)
 from .sphere import GridFunction, even_project, hessian_field, odd_defect
 
 # line-search controls
@@ -54,6 +60,7 @@ class NewtonResult:
     iterations: int
     final_linf: float
     min_admissibility_margin: float
+    min_b_eig: float  # smallest eigenvalue of b(h) over the nodes
     step_history: list = field(default_factory=list)  # (alpha, residual linf)
     message: str = ""
 
@@ -223,20 +230,35 @@ def solve_linear(J, rhs, blocks=None):
     return x
 
 
-def _newton_step(spec, h, t, res):
-    """Solve J(h) delta = -res, evaluating hessian_field(h) once.
+def _newton_step(spec, h, t, hf, res):
+    """Solve J(h) delta = -res, with hf = hessian_field(h) from the caller.
 
-    The Jacobian lives only here, so it is freed before the next one is
-    assembled.
+    The linearization weights are computed once, for the Jacobian and its
+    ring blocks.  The Jacobian lives only here, so it is freed before the
+    next one is assembled.
     """
-    hf = hessian_field(h)
-    J = assemble_jacobian(spec, h, t, hf)
-    blocks = ring_blocks(spec, h, t, hf) if sparse.issparse(J) else None
+    weights = linearization_weights(spec, h, t, hf)
+    J = assemble_jacobian(spec, h, t, hf, weights)
+    blocks = ring_blocks(spec.grid, weights) if sparse.issparse(J) else None
     return solve_linear(J, -res, blocks)
 
 
+def _result(spec, h, hf, rep, iterations, history, message=""):
+    return NewtonResult(
+        h=h, converged=rep.linf <= spec.tol_newton, iterations=iterations,
+        final_linf=rep.linf,
+        min_admissibility_margin=float(np.min(admissibility_margin(spec, h, hf))),
+        min_b_eig=float(np.min(hf.lam[:, 0])),
+        step_history=history, message=message)
+
+
 def newton_solve(spec, h0, t):
-    """Run the damped Newton iteration from h0 at continuation parameter t."""
+    """Run the damped Newton iteration from h0 at continuation parameter t.
+
+    b(h) is evaluated once per iterate: one hessian_field per line-search
+    candidate feeds its margin check, its residual, the next Jacobian and
+    the result's margin and min_b_eig.
+    """
     v = h0.values
     if np.any(v <= 0):
         i = int(np.argmin(v))
@@ -245,52 +267,46 @@ def newton_solve(spec, h0, t):
     if odd_defect(h0) > 1e-12:
         raise ValueError("initial iterate must be even "
                          f"(antipodal defect {odd_defect(h0):.3e})")
-    margin0 = admissibility_margin(spec, h0)
+    h = even_project(h0)
+    hf = hessian_field(h)
+    # even_project is idempotent, so an even h0 is h bitwise
+    hf0 = hf if np.array_equal(h.values, v) else hessian_field(h0)
+    margin0 = admissibility_margin(spec, h0, hf0)
     if np.min(margin0) <= 0:
         i = int(np.argmin(margin0))
         raise AdmissibilityError("initial iterate is not k-admissible",
                                  node=i, margin=float(margin0[i]))
 
-    h = even_project(h0)
-    rep = residual(spec, h, t)
+    rep = residual(spec, h, t, hf)
     history = []
     for it in range(spec.max_newton):
         if rep.linf <= spec.tol_newton:
-            return NewtonResult(
-                h=h, converged=True, iterations=it, final_linf=rep.linf,
-                min_admissibility_margin=float(np.min(admissibility_margin(spec, h))),
-                step_history=history)
+            return _result(spec, h, hf, rep, it, history)
 
-        delta = _newton_step(spec, h, t, rep.residual.values)
+        delta = _newton_step(spec, h, t, hf, rep.residual.values)
 
         alpha = 1.0
         accepted = None
         while alpha >= ALPHA_MIN:
             cand = even_project(GridFunction(spec.grid, h.values + alpha * delta))
             if np.all(cand.values > 0):
-                margin = admissibility_margin(spec, cand)
+                cand_hf = hessian_field(cand)
+                margin = admissibility_margin(spec, cand, cand_hf)
                 if np.min(margin) > MARGIN_FLOOR:
-                    cand_rep = residual(spec, cand, t)
+                    cand_rep = residual(spec, cand, t, cand_hf)
                     if cand_rep.linf <= (1.0 - DECREASE_SLOPE * alpha) * rep.linf:
-                        accepted = (cand, cand_rep)
+                        accepted = (cand, cand_hf, cand_rep)
                         break
             alpha *= 0.5
         if accepted is None:
-            return NewtonResult(
-                h=h, converged=False, iterations=it, final_linf=rep.linf,
-                min_admissibility_margin=float(np.min(admissibility_margin(spec, h))),
-                step_history=history,
-                message=f"line search failed at alpha < {ALPHA_MIN:g} "
-                        f"(residual stuck at {rep.linf:.3e})")
-        h, rep = accepted
+            return _result(spec, h, hf, rep, it, history,
+                           message=f"line search failed at alpha < {ALPHA_MIN:g} "
+                                   f"(residual stuck at {rep.linf:.3e})")
+        h, hf, rep = accepted
         history.append((alpha, rep.linf))
 
     converged = rep.linf <= spec.tol_newton
-    return NewtonResult(
-        h=h, converged=converged, iterations=spec.max_newton,
-        final_linf=rep.linf,
-        min_admissibility_margin=float(np.min(admissibility_margin(spec, h))),
-        step_history=history,
-        message="" if converged else
-        f"no convergence in {spec.max_newton} iterations "
-        f"(residual {rep.linf:.3e})")
+    return _result(spec, h, hf, rep, spec.max_newton, history,
+                   message="" if converged else
+                   f"no convergence in {spec.max_newton} iterations "
+                   f"(residual {rep.linf:.3e})")

@@ -147,10 +147,14 @@ def _rhs_fields(spec, h, hf, ft):
     return ft.values * hp1 * rho_pow, rho2
 
 
-def residual(spec, h, t):
-    """Node-wise equation residual at continuation parameter t."""
+def residual(spec, h, t, hf=None):
+    """Node-wise equation residual at continuation parameter t.
+
+    hf is hessian_field(h), computed here when not given.
+    """
     _require_positive(h)
-    hf = hessian_field(h)
+    if hf is None:
+        hf = hessian_field(h)
     ft = homotopy_f(spec, t)
     lhs = sigma_k(hf.lam, spec.k)
     rhs, _ = _rhs_fields(spec, h, hf, ft)
@@ -160,9 +164,13 @@ def residual(spec, h, t):
     return ResidualReport(residual=res, linf=linf, l2=l2)
 
 
-def admissibility_margin(spec, h):
-    """Per-node Gamma_k margin of b(h): min over i <= k of sigma_i."""
-    hf = hessian_field(h)
+def admissibility_margin(spec, h, hf=None):
+    """Per-node Gamma_k margin of b(h): min over i <= k of sigma_i.
+
+    hf is hessian_field(h), computed here when not given.
+    """
+    if hf is None:
+        hf = hessian_field(h)
     _, margin = in_gamma_k(hf.lam, spec.k)
     return margin
 
@@ -196,7 +204,7 @@ def _scale_rows(w, A):
                              A.indices, A.indptr), shape=A.shape)
 
 
-def _linearization_weights(spec, h, t, hf):
+def linearization_weights(spec, h, t, hf):
     """Per-node coefficients of the linearization at (h, t).
 
     The row scale of each frame operator, keyed as in
@@ -218,15 +226,18 @@ def _linearization_weights(spec, h, t, hf):
     return weights
 
 
-def assemble_jacobian(spec, h, t, hf=None):
+def assemble_jacobian(spec, h, t, hf=None, weights=None):
     """Matrix of the linearization at (h, t), over flat node values.
 
     phi -> sigma_k^{ij} (hess phi + phi I)_ij
            - f_t [ (p-1) h^(p-2) rho^(k+1-q) phi
                    + (k+1-q) h^(p-1) rho^(k-1-q) (h phi + <grad h, grad phi>) ]
 
-    hf is hessian_field(h), computed here when not given.  Assembled from
-    the grid's cached frame operators by row scaling and addition.
+    hf is hessian_field(h) and weights linearization_weights(spec, h, t,
+    hf), each computed here when not given.  Assembled from the grid's
+    cached frame operators by row scaling and addition; an operator whose
+    weight is 0 at every node (hess12 and grad2 on axisymmetric iterates)
+    is left out, as its products would only be dropped from the sum.
     Returned dense on the circle, whose spectral Jacobian is a full
     matrix, and for N <= 256 nodes; both factor faster with LAPACK (one
     solve on 2 cores, OpenBLAS at 1 thread: 8x16 0.3 ms dense vs 0.9 ms
@@ -249,36 +260,38 @@ def assemble_jacobian(spec, h, t, hf=None):
 
     g = spec.grid
     ops = g.frame_operators()
-    weights = _linearization_weights(spec, h, t, hf)
+    if weights is None:
+        weights = linearization_weights(spec, h, t, hf)
     J = sparse.diags_array(weights["diag"], format="csr")
     # a fixed order, sparsest operator first, so every sum but the last
     # stays narrow
     for key in ("hess11", "grad1", "grad2", "hess22", "hess12"):
-        if key in weights:
+        if key in weights and weights[key].any():
             J = J + _scale_rows(weights[key], ops[key])
     if g.n == 1 or g.node_count <= 256:
         return J.toarray()
     return J
 
 
-def ring_blocks(spec, h, t, hf):
+def ring_blocks(grid, weights):
     """Longitude-mode blocks of the ring-averaged linearization (n = 2).
 
-    Replaces every coefficient of the linearization at (h, t) by its mean
-    over each latitude ring, which makes the operator commute with
-    longitude shifts, and combines the means with the grid's
-    frame_symbols().  Returns the banded blocks in the frame_symbols()
-    layout: entry [o + RING_REACH, j, m] couples ring j to ring j + o in
-    longitude mode m.  When h and f_t are axisymmetric the coefficients
-    are constant along rings and the blocks are the Jacobian's own.
+    weights are the linearization_weights at some (h, t) on grid.  Every
+    coefficient is replaced by its mean over each latitude ring, which
+    makes the operator commute with longitude shifts, and the means are
+    combined with the grid's frame_symbols().  Returns the banded blocks
+    in the frame_symbols() layout: entry [o + RING_REACH, j, m] couples
+    ring j to ring j + o in longitude mode m.  When h and f_t are
+    axisymmetric the coefficients are constant along rings and the blocks
+    are the Jacobian's own.
     """
-    M, L = spec.grid.shape
-    syms = spec.grid.frame_symbols()
-    weights = _linearization_weights(spec, h, t, hf)
+    M, L = grid.shape
+    syms = grid.frame_symbols()
+    means = {key: w.reshape(M, L).mean(axis=1)[:, None] for key, w in weights.items()}
     blocks = np.zeros_like(syms["hess11"])
-    blocks[RING_REACH] = weights.pop("diag").reshape(M, L).mean(axis=1)[:, None]
-    for key, w in weights.items():
-        blocks += w.reshape(M, L).mean(axis=1)[:, None] * syms[key]
+    blocks[RING_REACH] = means.pop("diag")
+    for key, mean in means.items():
+        blocks += mean * syms[key]
     return blocks
 
 

@@ -14,9 +14,15 @@ tolerance, because downstream symmetry checks rely on them:
   * derivatives of constant fields are exactly zero (all stencils are
     applied in difference form, sum of w*(other - self));
   * the antipodal map, whole-step longitude shifts and the latitude flip
-    commute with every operator bitwise (circulant kernels applied via
-    np.roll with fixed pairwise accumulation; northern-hemisphere stencil
-    weights are exact IEEE mirrors of the southern ones).
+    commute with every operator bitwise (circulant kernels read shifted
+    views of one periodically padded copy of the field and accumulate the
+    pairwise differences in a fixed order; northern-hemisphere stencil
+    weights are exact IEEE mirrors of the southern ones).  The exception is
+    the equator ring of an odd m_lat: the flip reverses the order of its
+    four taps, so there the flip and the antipodal map hold to rounding.
+
+The latitude stencils are held once, as per-ring tap arrays; the kernel
+applications and the sparse operator matrices are both built from them.
 """
 
 import math
@@ -175,91 +181,110 @@ class SphereGrid:
         self._lon_half = half
 
     def _build_lat_stencils(self):
-        # difference-form stencil entries per latitude row: lists of
-        # (source_row, across_pole, weight); the self term is implicit.
-        # Southern rows are built from node sets, northern rows are their
-        # exact IEEE mirrors (negated for odd derivative order).
-        M = self.m_lat
+        # difference-form stencils as tap arrays, one row per latitude ring
+        # (the self term is implicit): source ring, shift in longitude
+        # (m_lon/2 across the pole) and the weights of the first and second
+        # derivative.  Southern rows are built from node sets, northern rows
+        # are their exact IEEE mirrors (negated for odd derivative order).
+        # Rows are padded to the widest, the equator row of odd-height
+        # grids; pad taps come last, have weight 0 and read their own ring,
+        # after a row sum that is never -0.0 (some weight of a derivative
+        # stencil is positive), so they change no bit.
+        M, L = self.m_lat, self.m_lon
         lat = self.lats
-        ent1 = [None] * M
-        ent2 = [None] * M
+        T = 4 if M % 2 else 3
+        src = np.arange(M)[:, None].repeat(T, axis=1)
+        shift = np.zeros((M, T), dtype=int)
+        w1 = np.zeros((M, T))
+        w2 = np.zeros((M, T))
 
         south = M // 2  # rows 0..south-1 have lat < 0
         for j in range(south):
             if j == 0:
                 nodes = [-np.pi - lat[0], lat[0], lat[1], lat[2]]
-                w = fd_weights(lat[0], nodes, 2)
-                ent1[0] = [(0, True, w[1, 0]), (1, False, w[1, 2]), (2, False, w[1, 3])]
-                ent2[0] = [(0, True, w[2, 0]), (1, False, w[2, 2]), (2, False, w[2, 3])]
+                src[0, :3] = (0, 1, 2)
+                shift[0, 0] = L // 2
             else:
                 # 4-point stencils: first-derivative truncation O(dx^3) so the
                 # 1/cos(lat) frame factors near the poles cost only one order
                 nodes = [lat[j - 1], lat[j], lat[j + 1], lat[j + 2]]
-                w = fd_weights(lat[j], nodes, 2)
-                ent1[j] = [(j - 1, False, w[1, 0]), (j + 1, False, w[1, 2]),
-                           (j + 2, False, w[1, 3])]
-                ent2[j] = [(j - 1, False, w[2, 0]), (j + 1, False, w[2, 2]),
-                           (j + 2, False, w[2, 3])]
+                src[j, :3] = (j - 1, j + 1, j + 2)
+            w = fd_weights(lat[j], nodes, 2)
+            w1[j, :3] = w[1, [0, 2, 3]]
+            w2[j, :3] = w[2, [0, 2, 3]]
         if M % 2:
             # equator row of odd-height grids: symmetric 5-point stencil with
-            # the weights explicitly (anti)symmetrized so the latitude flip
-            # stays a bitwise symmetry
+            # the weights explicitly (anti)symmetrized
             eq = M // 2
-            nodes = lat[eq - 2:eq + 3]
-            w = fd_weights(lat[eq], nodes, 2)
-            w1 = 0.5 * (w[1] - w[1][::-1])
-            w2 = 0.5 * (w[2] + w[2][::-1])
-            offs = [-2, -1, 1, 2]
-            ent1[eq] = [(eq + o, False, w1[o + 2]) for o in offs]
-            ent2[eq] = [(eq + o, False, w2[o + 2]) for o in offs]
-        for j in range(south):
-            jm = M - 1 - j
-            ent1[jm] = [(M - 1 - s, across, -wgt) for (s, across, wgt) in ent1[j]]
-            ent2[jm] = [(M - 1 - s, across, wgt) for (s, across, wgt) in ent2[j]]
-        self._lat_ent1 = ent1
-        self._lat_ent2 = ent2
+            w = fd_weights(lat[eq], lat[eq - 2:eq + 3], 2)
+            src[eq] = eq + np.array([-2, -1, 1, 2])
+            w1[eq] = (0.5 * (w[1] - w[1][::-1]))[[0, 1, 3, 4]]
+            w2[eq] = (0.5 * (w[2] + w[2][::-1]))[[0, 1, 3, 4]]
+        north = np.arange(M - 1, M - 1 - south, -1)
+        src[north] = M - 1 - src[:south]
+        shift[north] = shift[:south]
+        w1[north] = -w1[:south]
+        w2[north] = w2[:south]
+
+        # tap-major: _lat_src[t, j, i] is the node tap t of node (j, i)
+        # reads, _lat_w1/_lat_w2[t, j, 0] its weights
+        lon = (np.arange(L) + shift.T[:, :, None]) % L
+        self._lat_src = src.T[:, :, None] * L + lon
+        self._lat_w1 = w1.T[:, :, None]
+        self._lat_w2 = w2.T[:, :, None]
 
     # -- kernels applied in difference form ----------------------------------
 
+    def _lon_padded(self, field):
+        # field with m/2 wrapped columns on either side: column half + i + d
+        # holds np.roll(field, -d)[..., i] for |d| <= m/2
+        half = self._lon_half
+        return np.concatenate([field[..., -half:], field, field[..., :half]], axis=-1)
+
     def _lon_apply1(self, field):
         c = self._lon_c1
+        half = self._lon_half
+        m = field.shape[-1]
+        pad = self._lon_padded(field)
         out = np.zeros_like(field)
-        for idx in range(len(c)):
-            d = idx + 1
-            out += c[idx] * (np.roll(field, -d, axis=-1) - np.roll(field, d, axis=-1))
+        term = np.empty_like(field)
+        for d in range(1, half):
+            np.subtract(pad[..., half + d:half + d + m], pad[..., half - d:half - d + m],
+                        out=term)
+            term *= c[d - 1]
+            out += term
         return out
 
     def _lon_apply2(self, field):
         c = self._lon_c2
         half = self._lon_half
+        m = field.shape[-1]
+        pad = self._lon_padded(field)
         out = np.zeros_like(field)
-        for idx in range(len(c)):
-            d = idx + 1
-            out += c[idx] * ((np.roll(field, -d, axis=-1) - field)
-                             + (np.roll(field, d, axis=-1) - field))
-        out += self._lon_c2_half * (np.roll(field, -half, axis=-1) - field)
+        term = np.empty_like(field)
+        back = np.empty_like(field)
+        for d in range(1, half):
+            np.subtract(pad[..., half + d:half + d + m], field, out=term)
+            np.subtract(pad[..., half - d:half - d + m], field, out=back)
+            term += back
+            term *= c[d - 1]
+            out += term
+        out += self._lon_c2_half * (pad[..., 2 * half:2 * half + m] - field)
         return out
 
-    def _lat_apply(self, entries, field):
-        half = self.m_lon // 2
-        out = np.zeros_like(field)
-        for j, ent in enumerate(entries):
-            row = field[j]
-            acc = None
-            for (src, across, wgt) in ent:
-                vals = field[src]
-                if across:
-                    vals = np.roll(vals, -half)
-                term = wgt * (vals - row)
-                acc = term if acc is None else acc + term
-            out[j] = acc
+    def _lat_apply(self, weights, field):
+        # every ring at once, taps accumulated in stencil order
+        flat = field.ravel()
+        out = weights[0] * (flat[self._lat_src[0]] - field)
+        for w, src in zip(weights[1:], self._lat_src[1:]):
+            out += w * (flat[src] - field)
         return out
 
     def lat_d1(self, field):
-        return self._lat_apply(self._lat_ent1, field)
+        return self._lat_apply(self._lat_w1, field)
 
     def lat_d2(self, field):
-        return self._lat_apply(self._lat_ent2, field)
+        return self._lat_apply(self._lat_w2, field)
 
     # -- sparse operator matrices for linearization assembly -----------------
 
@@ -269,66 +294,58 @@ class SphereGrid:
         Returns a dict with keys 'lon1', 'lon2' (n=1: on m_theta nodes;
         n=2: on all nodes, acting along longitude) and for n=2 also 'lat1',
         'lat2'.  These reproduce the kernel applications up to summation
-        order.  They are not cached: frame_operators() composes them once
+        order; the latitude ones are built from the kernels' own tap
+        arrays.  They are not cached: frame_operators() composes them once
         into the operators Jacobian assembly uses, and holds the grid's
         only cached set.
         """
         from scipy import sparse
 
-        def lon_block(m):
+        def lon_blocks(m, copies):
+            # circulant kernels as in _lon_apply1/_lon_apply2: the weight of
+            # column i + d in row i, repeated on `copies` diagonal blocks
             half = m // 2
-            c1 = self._lon_c1
-            c2 = self._lon_c2
             row1 = np.zeros(m)
             row2 = np.zeros(m)
-            for idx in range(len(c1)):
-                d = idx + 1
-                row1[d] += c1[idx]
-                row1[m - d] -= c1[idx]
-                row2[d] += c2[idx]
-                row2[m - d] += c2[idx]
-            row2[half] += self._lon_c2_half
+            row1[1:half] = self._lon_c1
+            row1[m - 1:half:-1] = -self._lon_c1
+            row2[1:half] = self._lon_c2
+            row2[m - 1:half:-1] = self._lon_c2
+            row2[half] = self._lon_c2_half
             row1[0] = -row1.sum()
             row2[0] = -row2.sum()
-            i = np.repeat(np.arange(m), m)
-            jcols = (np.tile(np.arange(m), m) + i) % m
-            b1 = sparse.csr_matrix((np.tile(row1, m), (i, jcols)), shape=(m, m))
-            b2 = sparse.csr_matrix((np.tile(row2, m), (i, jcols)), shape=(m, m))
-            return b1, b2
+            offset = (np.arange(m) - np.arange(m)[:, None]) % m
+            cols = (np.arange(copies, dtype=np.int32)[:, None] * m
+                    + np.tile(np.arange(m, dtype=np.int32), m)).ravel()
+            indptr = np.arange(0, copies * m * m + 1, m)
+            return tuple(
+                sparse.csr_matrix((np.tile(row[offset].ravel(), copies), cols.copy(), indptr),
+                                  shape=(copies * m, copies * m))
+                for row in (row1, row2))
 
         if self.n == 1:
-            b1, b2 = lon_block(self.m_theta)
-            return {"lon1": b1, "lon2": b2}
+            lon1, lon2 = lon_blocks(self.m_theta, 1)
+            return {"lon1": lon1, "lon2": lon2}
 
         M, L = self.shape
-        b1, b2 = lon_block(L)
-        eye = sparse.identity(M, format="csr")
-        lon1 = sparse.kron(eye, b1, format="csr")
-        lon2 = sparse.kron(eye, b2, format="csr")
+        N = self.node_count
+        lon1, lon2 = lon_blocks(L, M)
+        T = self._lat_src.shape[0]
+        rows = np.tile(np.arange(N), T + 1)
+        cols = np.concatenate([self._lat_src.ravel(), np.arange(N)])
 
-        def lat_matrix(entries):
-            half = L // 2
-            rows, cols, vals = [], [], []
-            for j, ent in enumerate(entries):
-                selfw = 0.0
-                for (src, across, wgt) in ent:
-                    shift = half if across else 0
-                    for i in range(L):
-                        rows.append(j * L + i)
-                        cols.append(src * L + (i + shift) % L)
-                        vals.append(wgt)
-                    selfw -= wgt
-                for i in range(L):
-                    rows.append(j * L + i)
-                    cols.append(j * L + i)
-                    vals.append(selfw)
-            return sparse.csr_matrix((vals, (rows, cols)),
-                                     shape=(self.node_count, self.node_count))
+        def lat_matrix(weights):
+            # a pad tap adds its zero weight to the self term
+            selfw = np.zeros((M, 1))
+            for w in weights:
+                selfw -= w
+            vals = np.broadcast_to(np.concatenate([weights, selfw[None]]), (T + 1, M, L))
+            return sparse.csr_matrix((vals.ravel(), (rows, cols)), shape=(N, N))
 
         return {
             "lon1": lon1, "lon2": lon2,
-            "lat1": lat_matrix(self._lat_ent1),
-            "lat2": lat_matrix(self._lat_ent2),
+            "lat1": lat_matrix(self._lat_w1),
+            "lat2": lat_matrix(self._lat_w2),
         }
 
     def frame_operators(self):
@@ -350,12 +367,18 @@ class SphereGrid:
             ops = {"hess11": mats["lon2"] + eye, "grad1": mats["lon1"]}
         else:
             D = sparse.diags_array
+            L = self.m_lon
             lat1, lon1 = mats["lat1"], mats["lon1"]
-            invcos = np.repeat(self.invcos, self.m_lon)
-            tanlat = np.repeat(self.tanlat, self.m_lon)
+            invcos = np.repeat(self.invcos, L)
+            tanlat = np.repeat(self.tanlat, L)
+            # D(invcos) @ hess12, applied in place ring by ring so the
+            # widest operator exists once
+            hess12 = (lat1 + D(tanlat)) @ lon1
+            for j, s in enumerate(self.invcos):
+                hess12.data[hess12.indptr[j * L]:hess12.indptr[(j + 1) * L]] *= s
             ops = {
                 "hess11": mats["lat2"] + eye,
-                "hess12": D(invcos) @ ((lat1 + D(tanlat)) @ lon1),
+                "hess12": hess12,
                 "hess22": D(invcos ** 2) @ mats["lon2"] - D(tanlat) @ lat1 + eye,
                 "grad1": lat1,
                 "grad2": D(invcos) @ lon1,

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from cmkit import GridFunction, build_grid
 from cmkit.continuation import TRACE_KEYS, continue_path, predictor
 from cmkit.problem import ProblemSpec, homotopy_f
-from cmkit.sphere import constant_function, odd_defect
+from cmkit.sphere import constant_function, hessian_field, odd_defect
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,35 @@ def test_trace_invariants_and_bounds(g2):
     last = tr.steps[-1]
     assert last["r"] <= (fmax / binom) ** e + 1e-6
     assert last["R"] >= (fmin / binom) ** e - 1e-6
+
+
+def test_trace_rows_take_min_b_eig_from_the_newton_field(monkeypatch, g2):
+    # the rows carry the smallest eigenvalue of b at each accepted h, taken
+    # from the corrector's last evaluation; the path itself evaluates b
+    # only at h = 1
+    from cmkit import continuation, newton
+
+    accepted = []
+
+    def spy(spec, h0, t):
+        res = newton_solve(spec, h0, t)
+        accepted.append(res.h)
+        return res
+
+    def field_spy(h):
+        calls.append(h)
+        return hessian_field(h)
+
+    calls = []
+    newton_solve = newton.newton_solve
+    monkeypatch.setattr(continuation, "newton_solve", spy)
+    monkeypatch.setattr(continuation, "hessian_field", field_spy)
+    tr = continue_path(ProblemSpec(n=2, k=2, p=1.5, q=2.5, f=even_data(g2, 5)))
+    assert tr.success and len(calls) == 1
+    assert tr.steps[0]["min_b_eig"] == 1.0
+    assert len(accepted) == len(tr.steps) - 1  # no rejected attempt here
+    for row, h in zip(tr.steps[1:], accepted):
+        assert row["min_b_eig"] == float(np.min(hessian_field(h).lam[:, 0]))
 
 
 def test_f1_report_recorded(g2):

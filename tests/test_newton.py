@@ -11,7 +11,7 @@ from cmkit import GridFunction, build_grid
 from cmkit.errors import AdmissibilityError, DomainError, SingularJacobianError
 from cmkit import newton
 from cmkit.newton import newton_solve, solve_linear
-from cmkit.problem import ProblemSpec, assemble_jacobian, ring_blocks
+from cmkit.problem import ProblemSpec, assemble_jacobian, linearization_weights, ring_blocks
 from cmkit.sphere import constant_function, hessian_field, odd_defect
 
 
@@ -80,8 +80,9 @@ def _sphere_jacobian(k, tilt, a=0.5, m_lat=32):
     spec = ProblemSpec(n=2, k=k, p=p, q=q, f=f)
     h = GridFunction(g, 1.0 + 0.05 * u ** 2)
     hf = hessian_field(h)
-    J = assemble_jacobian(spec, h, 0.5, hf)
-    return J, ring_blocks(spec, h, 0.5, hf)
+    weights = linearization_weights(spec, h, 0.5, hf)
+    J = assemble_jacobian(spec, h, 0.5, hf, weights)
+    return J, ring_blocks(g, weights)
 
 
 def _backward_error(J, x, rhs):
@@ -225,3 +226,54 @@ def test_nonconvergence_reports_honestly(g2):
     assert not res.converged
     assert res.final_linf > spec.tol_newton
     assert res.message != ""
+
+
+def test_one_hessian_field_per_line_search_candidate(monkeypatch):
+    # b(h) is evaluated once for the start iterate and once per positive
+    # line-search candidate; the margin check, the residual, the Jacobian
+    # and the result all reuse that field
+    from cmkit import problem
+
+    g = build_grid(2, m_lat=16, m_lon=32)
+    u = g.coords @ np.array([math.sin(0.4), 0.0, math.cos(0.4)])
+    f = GridFunction(g, (1.0 + 2.0 * u ** 2) ** (-2.5))
+    spec = ProblemSpec(n=2, k=2, p=1.5, q=2.5, f=f)
+    counts = {"fields": 0, "in_step": 0, "evaluable": 0}
+    stepping = []
+
+    def field_spy(h):
+        counts["fields"] += 1
+        counts["in_step"] += bool(stepping)
+        return hessian_field(h)
+
+    def project_spy(h):
+        out = even_project(h)
+        counts["evaluable"] += bool(np.all(out.values > 0))
+        return out
+
+    def step_spy(*args):
+        stepping.append(True)
+        try:
+            return newton_step(*args)
+        finally:
+            stepping.pop()
+
+    def no_field(h):
+        raise AssertionError("problem evaluated hessian_field itself")
+
+    even_project, newton_step = newton.even_project, newton._newton_step
+    monkeypatch.setattr(newton, "hessian_field", field_spy)
+    monkeypatch.setattr(newton, "even_project", project_spy)
+    monkeypatch.setattr(newton, "_newton_step", step_spy)
+    monkeypatch.setattr(problem, "hessian_field", no_field)
+    res = newton_solve(spec, constant_function(g, 1.0), 0.6)
+    assert res.converged and res.iterations >= 3
+    assert counts["in_step"] == 0
+    assert counts["fields"] == counts["evaluable"] == res.iterations + 1
+    assert res.min_b_eig == float(np.min(hessian_field(res.h).lam[:, 0]))
+    # a decrease no step can meet: every halving is a rejected candidate
+    counts.update(fields=0, evaluable=0)
+    monkeypatch.setattr(newton, "DECREASE_SLOPE", 1.5)
+    res = newton_solve(spec, constant_function(g, 1.0), 0.6)
+    assert not res.converged and res.iterations == 0
+    assert counts["fields"] == counts["evaluable"] > 10

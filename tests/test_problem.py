@@ -346,6 +346,40 @@ def test_jacobian_matches_per_call_assembly(g1, n, k):
     assert np.max(np.abs(J - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("k,tilt", [(1, 0.0), (2, 0.0), (1, 0.4), (2, 0.4)])
+def test_jacobian_equals_five_operator_sum_bitwise(k, tilt):
+    # every frame operator row-scaled and added in the fixed order, zero
+    # weights included: leaving out the all-zero ones changes no bit
+    from scipy import sparse
+
+    from cmkit.problem import _scale_rows, linearization_weights
+    from cmkit.sphere import hessian_field
+
+    g = build_grid(2, m_lat=16, m_lon=32)
+    u = g.coords @ np.array([math.sin(tilt), 0.0, math.cos(tilt)])
+    spec = ProblemSpec(n=2, k=k, p=1.2, q=k + 0.5,
+                       f=GridFunction(g, (1.0 + 0.5 * u ** 2) ** (-(k + 0.2))))
+    h = GridFunction(g, 1.0 + 0.05 * u ** 2)
+    weights = linearization_weights(spec, h, 0.5, hessian_field(h))
+    ops = g.frame_operators()
+    ref = sparse.diags_array(weights["diag"], format="csr")
+    for key in ("hess11", "grad1", "grad2", "hess22", "hess12"):
+        without_hess12 = ref
+        w = weights.get(key, np.zeros(g.node_count))
+        ref = ref + _scale_rows(w, ops[key])
+    J = assemble_jacobian(spec, h, 0.5)
+    assert np.array_equal(J.indptr, ref.indptr)
+    assert np.array_equal(J.indices, ref.indices)
+    assert J.data.tobytes() == ref.data.tobytes()
+    zero = {key for key in ("grad2", "hess12") if key in weights and not weights[key].any()}
+    if tilt == 0.0:  # axisymmetric: no mixed or longitude-gradient term
+        assert zero == ({"grad2", "hess12"} if k == 2 else {"grad2"})
+    else:
+        assert zero == set()
+        if k == 2:  # the tilted Jacobian still holds the mixed operator
+            assert J.nnz > 2 * without_hess12.nnz
+
+
 @pytest.mark.parametrize("n,shape,dense", [
     (1, (512,), True), (2, (8, 16), True), (2, (8, 32), True),
     (2, (12, 24), False), (2, (16, 32), False)])

@@ -188,11 +188,10 @@ def l0_spectrum(spec):
     """Eigenvalues (sorted descending) of the linearization at h = 1, t = 0,
     restricted to the even subspace."""
     from .problem import assemble_jacobian
-    from scipy import sparse
 
     g = spec.grid
     J = assemble_jacobian(spec, constant_function(g, 1.0), 0.0)
-    if sparse.issparse(J):
+    if not isinstance(J, np.ndarray):
         J = J.toarray()
     B = even_basis(g)
     Je = B.T @ (J @ B)

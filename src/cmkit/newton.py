@@ -5,21 +5,14 @@ Safeguards per step: positivity of the iterate, Gamma_k admissibility of
 b(iterate), residual decrease (Armijo-like on the sup norm), and an exact
 evenness projection.
 
-The Newton step: the dense Jacobians assemble_jacobian returns on the
-circle and on small grids are factored by LAPACK LU.  The sparse sphere
-Jacobians are solved by GMRES (Knoll & Keyes, JCP 2004), right-
-preconditioned with the ring-averaged Jacobian.  Every frame operator
-commutes with whole-step longitude shifts and only the coefficients vary
-along a latitude ring, so with the coefficients replaced by their ring
-means a real FFT in longitude splits the operator into m_lon/2 + 1
-independent banded blocks, one per Fourier mode (problem.ring_blocks).
-Their exact inverse is the preconditioner; for axisymmetric iterates and
-data it is J^-1 and GMRES takes one iteration.  When GMRES misses its
-backward-error target or a block pivot is tiny, the step falls back to
-SuperLU in natural order: nodes are numbered ring by ring and every
-stencil reaches at most two latitude rings away, so the Jacobian is
-banded (half-bandwidth 3*m_lon - 1) and a fill-reducing column order
-would only break that band.
+The Newton step: dense Jacobians (circle, small grids) are factored by
+LAPACK LU.  The matrix-free sphere Jacobian is solved by GMRES (Knoll &
+Keyes, JCP 2004), right-preconditioned with the ring-averaged Jacobian:
+with every coefficient replaced by its ring mean, a real FFT in longitude
+splits the operator into m_lon/2 + 1 banded blocks, one per Fourier mode
+(problem.ring_blocks), whose exact inverse is the preconditioner.  For
+axisymmetric iterates and data it is J^-1.  A step whose GMRES misses its
+target raises SingularJacobianError, and continuation halves its step.
 """
 
 import math
@@ -34,9 +27,9 @@ from scipy.sparse import linalg as spla
 
 from .errors import AdmissibilityError, DomainError, SingularJacobianError
 from .problem import (
+    LinearizedOperator,
     admissibility_margin,
     assemble_jacobian,
-    linearization_weights,
     residual,
     ring_blocks,
 )
@@ -50,7 +43,7 @@ MARGIN_FLOOR = 1e-10  # Gamma_k margin kept strictly off the cone boundary
 # linear solve
 PIVOT_RTOL = 1e-13  # smallest pivot allowed, relative to norm(J, inf)
 KRYLOV_TARGET = 1e-16  # estimated normwise backward error GMRES stops at
-KRYLOV_MAX_ITER = 40  # GMRES iterations before the SuperLU fallback
+KRYLOV_MAX_ITER = 40  # GMRES iterations before the step counts as failed
 
 
 @dataclass
@@ -71,8 +64,8 @@ def _ring_preconditioner(blocks, scale):
     blocks is the output of problem.ring_blocks.  Factors the banded
     block of every mode once, with SuperLU on their block-diagonal sum in
     natural order, and returns v -> P^-1 v (rfft along longitude, the
-    block solves, irfft); None when a pivot falls below
-    PIVOT_RTOL * |J| (scale).
+    block solves, irfft).  Raises SingularJacobianError when a pivot falls
+    below PIVOT_RTOL * |J| (scale).
     """
     width, M, K = blocks.shape
     L = 2 * (K - 1)
@@ -87,9 +80,10 @@ def _ring_preconditioner(blocks, scale):
     try:
         lu = spla.splu(P, permc_spec="NATURAL")
     except RuntimeError:  # exactly singular
-        return None
-    if np.abs(lu.U.diagonal()).min() < PIVOT_RTOL * scale:
-        return None
+        lu = None
+    if lu is None or np.abs(lu.U.diagonal()).min() < PIVOT_RTOL * scale:
+        raise SingularJacobianError(
+            f"ring preconditioner pivot below 1e-13 * |J| = {PIVOT_RTOL * scale:.3e}")
 
     def apply(v):
         V = np.fft.rfft(v.reshape(M, L), axis=1)
@@ -107,8 +101,9 @@ def _gmres(matvec, rhs, precond, scale):
     checks, and unlike the computed residual it has no rounding floor:
     that floor is near the unit roundoff on some Jacobians, so a tight
     target on the computed residual would often be missed by luck.
-    Returns x, or None when KRYLOV_MAX_ITER iterations do not reach the
-    target or J P^-1 is numerically singular on the Krylov space.
+    Returns x; raises SingularJacobianError when KRYLOV_MAX_ITER
+    iterations do not reach the target or J P^-1 is numerically singular
+    on the Krylov space.
     """
     m = KRYLOV_MAX_ITER
     V = np.empty((m + 1, rhs.size))
@@ -138,7 +133,7 @@ def _gmres(matvec, rhs, precond, scale):
                                   cs[i] * col[i + 1] - sn[i] * col[i])
         d = math.hypot(col[k], col[k + 1])
         if d == 0.0:  # J P^-1 maps the Krylov space into a smaller one
-            return None
+            break
         cs[k], sn[k] = col[k] / d, col[k + 1] / d
         R[:k + 1, k] = col[:k + 1]
         R[k, k] = d
@@ -150,59 +145,37 @@ def _gmres(matvec, rhs, precond, scale):
             # J P^-1 on the Krylov space: a singular J makes it singular,
             # while on a good preconditioner its condition is near 1
             svals = np.linalg.svd(Rk, compute_uv=False)
-            return x if svals[-1] >= PIVOT_RTOL * svals[0] else None
-    return None
+            if svals[-1] >= PIVOT_RTOL * svals[0]:
+                return x
+            break
+    raise SingularJacobianError(
+        f"GMRES missed backward error {KRYLOV_TARGET:g} after {k + 1} iterations")
 
 
 def solve_linear(J, rhs, blocks=None):
     """Solve J x = rhs and verify the backward error of x.
 
-    A dense J is factored by LAPACK LU with partial pivoting.  A sparse
-    J with blocks (problem.ring_blocks at the same iterate) is solved by
-    GMRES, right-preconditioned with the exact inverse of the
-    ring-averaged Jacobian, until its estimate of the normwise backward
-    error meets KRYLOV_TARGET.  If it does not within KRYLOV_MAX_ITER
-    iterations, if a block pivot is below PIVOT_RTOL * norm(J) or the
-    solution misses the backward-error check below, and for a sparse J
-    without blocks, J is factored by SuperLU in its natural (banded,
-    ring-major) column order.  A factorization raises
-    SingularJacobianError (carrying a near-null direction when
-    available) if a pivot falls below PIVOT_RTOL * norm(J).  Every
-    solution must meet a backward error of 1e-10, a factored one after
-    one refinement step if needed.
+    A dense J is factored by LAPACK LU with partial pivoting and one
+    refinement step if needed.  A problem.LinearizedOperator is solved by
+    GMRES, preconditioned with the inverse of blocks (problem.ring_blocks
+    of J's weights when not given), to KRYLOV_TARGET within
+    KRYLOV_MAX_ITER iterations.  A pivot below PIVOT_RTOL * norm(J, inf), a
+    missed target or a backward error above 1e-10 raises
+    SingularJacobianError; a non-finite J raises ValueError first.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if sparse.issparse(J):
-        scale = spla.norm(J, np.inf)
-    else:
-        J = np.asarray(J, dtype=float)
-        if not np.all(np.isfinite(J)):
-            raise ValueError("Jacobian has non-finite entries")
-        scale = np.max(np.abs(J).sum(axis=1))
-    matvec = J.dot
+    dense = not isinstance(J, LinearizedOperator)
+    J = np.asarray(J, dtype=float) if dense else J
+    scale = np.max(np.abs(J).sum(axis=1)) if dense else J.norm_inf()
+    if not np.isfinite(scale):
+        raise ValueError("Jacobian has non-finite entries")
 
     def backward(xv):
-        r = matvec(xv) - rhs
+        r = J.dot(xv) - rhs
         denom = scale * np.max(np.abs(xv)) + np.max(np.abs(rhs)) + 1e-300
         return np.max(np.abs(r)) / denom, r
 
-    if blocks is not None:
-        precond = _ring_preconditioner(blocks, scale)
-        x = None if precond is None else _gmres(matvec, rhs, precond, scale)
-        if x is not None and backward(x)[0] <= 1e-10:
-            return x
-
-    if sparse.issparse(J):
-        try:
-            lu = spla.splu(J.tocsc(), permc_spec="NATURAL")
-        except RuntimeError as exc:
-            raise SingularJacobianError(f"sparse factorization failed: {exc}")
-        piv = np.abs(lu.U.diagonal())
-        if piv.min() < PIVOT_RTOL * scale:
-            raise SingularJacobianError(
-                f"pivot {piv.min():.3e} below 1e-13 * |J| = {PIVOT_RTOL * scale:.3e}")
-        solve = lu.solve
-    else:
+    if dense:
         with warnings.catch_warnings():
             # singularity is detected by the pivot check below
             warnings.simplefilter("ignore", sla.LinAlgWarning)
@@ -216,31 +189,26 @@ def solve_linear(J, rhs, blocks=None):
                 f"pivot {piv.min():.3e} below 1e-13 * |J| = {PIVOT_RTOL * scale:.3e}",
                 direction=VT[-1])
         solve = partial(sla.lu_solve, (lu, piv_idx))
-    x = solve(rhs)
-
-    # backward-error check with one refinement step if needed
-    be, r = backward(x)
-    if be > 1e-10:
-        x = x - solve(r)
+        x = solve(rhs)
+        be, r = backward(x)
+        if not (be <= 1e-10):
+            x = x - solve(r)
+            be, _ = backward(x)
+    else:
+        if blocks is None:
+            blocks = ring_blocks(J.grid, J.weights)
+        x = _gmres(J.dot, rhs, _ring_preconditioner(blocks, scale), scale)
         be, _ = backward(x)
-        if be > 1e-10:
-            raise SingularJacobianError(
-                f"backward error {be:.3e} does not meet 1e-10; "
-                "matrix effectively singular")
+    if not (be <= 1e-10):
+        raise SingularJacobianError(
+            f"backward error {be:.3e} does not meet 1e-10; "
+            "matrix effectively singular")
     return x
 
 
 def _newton_step(spec, h, t, hf, res):
-    """Solve J(h) delta = -res, with hf = hessian_field(h) from the caller.
-
-    The linearization weights are computed once, for the Jacobian and its
-    ring blocks.  The Jacobian lives only here, so it is freed before the
-    next one is assembled.
-    """
-    weights = linearization_weights(spec, h, t, hf)
-    J = assemble_jacobian(spec, h, t, hf, weights)
-    blocks = ring_blocks(spec.grid, weights) if sparse.issparse(J) else None
-    return solve_linear(J, -res, blocks)
+    """Solve J(h) delta = -res, with hf = hessian_field(h) from the caller."""
+    return solve_linear(assemble_jacobian(spec, h, t, hf), -res)
 
 
 def _result(spec, h, hf, rep, iterations, history, message=""):

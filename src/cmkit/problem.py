@@ -11,16 +11,16 @@ from the constant binom(n, k) at t = 0 to the user's f at t = 1 along
     f_t = [ (1-t) * binom(n,k)^(-1/(k+p-1)) + t * f^(-1/(k+p-1)) ]^(-(k+p-1)).
 
 residual() evaluates the left minus right side, assemble_jacobian() its
-linearization in h.  Both share one code path for n = 1 and n = 2.
+linearization in h, a LinearizedOperator or its dense matrix.
 ring_blocks() gives the longitude-mode blocks of the ring-averaged
 linearization on S^2, the preconditioner of the Newton step.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
 from .errors import AdmissibilityError, DomainError, UnsupportedParameterError
 from .sphere import RING_REACH, GridFunction, hessian_field, odd_defect
@@ -182,7 +182,7 @@ def admissibility_margin(spec, h, hf=None):
 def ellipticity_weights(hf, k):
     """sigma_k^{ij} = d sigma_k / d b_ij at b(h), as per-node weights.
 
-    Keys name the SphereGrid.frame_operators() entry each weight scales
+    Keys name the SphereGrid.frame_taps() entry each weight scales
     (hess11, hess12, hess22).  The off-diagonal weight is doubled, as it
     multiplies both b12 and b21, and left out where it vanishes
     identically: sigma_1^{ij} is the identity, sigma_2^{ij} for n = 2 the
@@ -198,17 +198,11 @@ def ellipticity_weights(hf, k):
             "hess22": c["b11"].ravel()}
 
 
-def _scale_rows(w, A):
-    """diag(w) @ A for a CSR array, keeping A's sparsity pattern."""
-    return sparse.csr_array((A.data * np.repeat(w, np.diff(A.indptr)),
-                             A.indices, A.indptr), shape=A.shape)
-
-
 def linearization_weights(spec, h, t, hf):
     """Per-node coefficients of the linearization at (h, t).
 
     The row scale of each frame operator, keyed as in
-    SphereGrid.frame_operators() (sigma_k^{ij} from ellipticity_weights
+    SphereGrid.frame_taps() (sigma_k^{ij} from ellipticity_weights
     and the two gradient weights), and 'diag', the zeroth-order term.
     """
     ft = homotopy_f(spec, t).values
@@ -226,28 +220,91 @@ def linearization_weights(spec, h, t, hf):
     return weights
 
 
+class LinearizedOperator:
+    """The linearization at one iterate: the grid and its linearization_weights.
+
+    J.v (n = 2) is one pass of the frame fields of v, as in hessian_field,
+    with the weights folded in; its longitude derivatives use rfft/irfft
+    with the symbols of the longitude kernels.  norm_inf() (exact) and
+    toarray() come from the frame taps, ring by ring; nnz counts weights.
+    """
+
+    def __init__(self, grid, weights):
+        self.grid = grid
+        self.weights = weights
+        self.shape = (grid.node_count, grid.node_count)
+        self.nnz = sum(w.size for w in weights.values())
+
+    @cached_property
+    def _coef(self):
+        # of v, lat2 v, lat1 v, v_tt; then of lat1 v_t, v_t (0 if axisymmetric)
+        g = self.grid
+        w = {key: val.reshape(g.shape) for key, val in self.weights.items()}
+        invcos, tanlat = g.invcos[:, None], g.tanlat[:, None]
+        w12 = invcos * w.get("hess12", 0.0)
+        coef_t = (w12, tanlat * w12 + invcos * w["grad2"])
+        return ((w["diag"] + w["hess11"] + w["hess22"], w["hess11"],
+                 w["grad1"] - tanlat * w["hess22"], invcos ** 2 * w["hess22"]),
+                coef_t if any(np.any(c) for c in coef_t) else ())
+
+    def dot(self, v):
+        g = self.grid
+        M, L = g.shape
+        (c0, c11, c1, ctt), coef_t = self._coef
+        F = np.reshape(v, (M, L))
+        V = np.fft.rfft(F, axis=1)
+        out = c0 * F + c11 * g.lat_d2(F) + c1 * g.lat_d1(F) \
+            + ctt * np.fft.irfft(V * g._lon_syms[1], n=L, axis=1)
+        if coef_t:
+            F_t = np.fft.irfft(V * g._lon_syms[0], n=L, axis=1)
+            out += coef_t[1] * F_t
+            if "hess12" in self.weights:  # sigma_k^{12} is 0 for k = 1
+                out += coef_t[0] * g.lat_d1(F_t)
+        return out.ravel()
+
+    __matmul__ = dot
+
+    def _ring_rows(self):
+        # per ring j: P[i, c] weighs node (j + o, i + d) in the row of node
+        # (j, i), (o + R, d) = divmod(cols[c], m_lon); all-zero columns left out
+        taps = dict(self.grid.frame_taps(), diag=np.zeros_like(self.grid.frame_taps()["hess11"]))
+        width, M, L = taps["diag"].shape
+        taps["diag"][width // 2, :, 0] = 1.0
+        keys = [key for key in taps if key in self.weights and self.weights[key].any()]
+        # T[j] (K, width * L) holds the taps and W[j] (L, K) the weights of ring j
+        T = np.stack([taps[key] for key in keys]).transpose(2, 0, 1, 3).reshape(M, len(keys), -1)
+        W = np.stack([self.weights[key].reshape(M, L) for key in keys], axis=2)
+        for j in range(M):
+            cols = np.flatnonzero(T[j].any(axis=0))
+            yield j, cols, W[j] @ T[j][:, cols]
+
+    def norm_inf(self):
+        return float(np.max([np.abs(P, out=P).sum(axis=1).max() for _, _, P in self._ring_rows()]))
+
+    def toarray(self):
+        width, M, L = self.grid.frame_taps()["hess11"].shape
+        J = np.zeros((M, L, M, L))
+        i = np.arange(L)[:, None]
+        for j, cols, P in self._ring_rows():
+            o, d = np.divmod(cols, L)
+            J[j, i, j + o - width // 2, (i + d) % L] = P
+        return J.reshape(M * L, M * L)
+
+
 def assemble_jacobian(spec, h, t, hf=None, weights=None):
-    """Matrix of the linearization at (h, t), over flat node values.
+    """The linearization at (h, t), over flat node values.
 
     phi -> sigma_k^{ij} (hess phi + phi I)_ij
            - f_t [ (p-1) h^(p-2) rho^(k+1-q) phi
                    + (k+1-q) h^(p-1) rho^(k-1-q) (h phi + <grad h, grad phi>) ]
 
     hf is hessian_field(h) and weights linearization_weights(spec, h, t,
-    hf), each computed here when not given.  Assembled from the grid's
-    cached frame operators by row scaling and addition; an operator whose
-    weight is 0 at every node (hess12 and grad2 on axisymmetric iterates)
-    is left out, as its products would only be dropped from the sum.
-    Returned dense on the circle, whose spectral Jacobian is a full
-    matrix, and for N <= 256 nodes; both factor faster with LAPACK (one
-    solve on 2 cores, OpenBLAS at 1 thread: 8x16 0.3 ms dense vs 0.9 ms
-    sparse, 8x32 0.7-1.2 vs 2.0-2.2 ms, 16x16 1.0-1.2 vs 1.3-1.4 ms;
-    sparse wins from about 400 nodes, 16x32 4.0 vs 6.0 ms).  Otherwise
-    CSR: the sphere Jacobian couples each latitude ring only to rings at
-    most two steps away, and newton.solve_linear solves with it by GMRES,
-    preconditioned with the ring-averaged Jacobian of ring_blocks; its
-    banded SuperLU factorization is the fallback.  Requires b(h) in
-    Gamma_k at every node so the sigma_k^{ij} weights carry the right sign.
+    hf), each computed here when not given.  Returned as a dense matrix on
+    the circle, whose spectral Jacobian is a full matrix, and for N <= 256
+    nodes, where LAPACK LU is fastest; otherwise as a LinearizedOperator,
+    which newton.solve_linear solves by preconditioned GMRES.  Requires
+    b(h) in Gamma_k at every node so the sigma_k^{ij} weights carry the
+    right sign, and finite weights.
     """
     _require_positive(h)
     if hf is None:
@@ -259,18 +316,12 @@ def assemble_jacobian(spec, h, t, hf=None, weights=None):
             "b(h) leaves Gamma_k", node=i, margin=float(margin[i]))
 
     g = spec.grid
-    ops = g.frame_operators()
     if weights is None:
         weights = linearization_weights(spec, h, t, hf)
-    J = sparse.diags_array(weights["diag"], format="csr")
-    # a fixed order, sparsest operator first, so every sum but the last
-    # stays narrow
-    for key in ("hess11", "grad1", "grad2", "hess22", "hess12"):
-        if key in weights and weights[key].any():
-            J = J + _scale_rows(weights[key], ops[key])
-    if g.n == 1 or g.node_count <= 256:
-        return J.toarray()
-    return J
+    if not all(np.all(np.isfinite(w)) for w in weights.values()):
+        raise ValueError("Jacobian has non-finite entries")
+    J = LinearizedOperator(g, weights)
+    return J.toarray() if g.n == 1 or g.node_count <= 256 else J
 
 
 def ring_blocks(grid, weights):

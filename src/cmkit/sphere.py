@@ -17,12 +17,11 @@ tolerance, because downstream symmetry checks rely on them:
     commute with every operator bitwise (circulant kernels read shifted
     views of one periodically padded copy of the field and accumulate the
     pairwise differences in a fixed order; northern-hemisphere stencil
-    weights are exact IEEE mirrors of the southern ones).  The exception is
-    the equator ring of an odd m_lat: the flip reverses the order of its
-    four taps, so there the flip and the antipodal map hold to rounding.
+    weights are exact IEEE mirrors of the southern ones; odd-m_lat rows sum
+    their four taps in mirrored pairs, which the flip maps to themselves).
 
-The latitude stencils are held once, as per-ring tap arrays; the kernel
-applications and the sparse operator matrices are both built from them.
+The latitude stencils are held once, as per-ring tap arrays; the kernels,
+the frame taps and symbols and the operator matrices all come from them.
 """
 
 import math
@@ -80,9 +79,9 @@ class SphereGrid:
     """Node set, quadrature and differentiation stencils for S^n, n in {1,2}.
 
     Construct through build_grid.  Instances are immutable in use; the
-    sparse frame operators needed by Jacobian assembly and their
-    longitude-Fourier symbols are built lazily and cached
-    (frame_operators, frame_symbols).
+    frame operators' taps needed by the linearization and their
+    longitude-Fourier symbols are built lazily and cached (frame_taps,
+    frame_symbols).
     """
 
     def __init__(self, n, m_theta=None, m_lat=None, m_lon=None):
@@ -110,7 +109,7 @@ class SphereGrid:
             self.m_lat = m_lat
             self.m_lon = m_lon
             self._build_sphere()
-        self._frame_ops = None
+        self._frame_taps = None
         self._frame_syms = None
 
     # -- construction -------------------------------------------------------
@@ -179,6 +178,14 @@ class SphereGrid:
         self._lon_c2 = -0.5 * sign / np.sin(ang) ** 2
         self._lon_c2_half = -0.5 if half % 2 == 0 else 0.5
         self._lon_half = half
+        # row o: weight of node i + d in derivative o + 1 at i; and symbols
+        rows = np.zeros((2, m))
+        rows[:, 1:half] = self._lon_c1, self._lon_c2
+        rows[:, m - 1:half:-1] = -self._lon_c1, self._lon_c2
+        rows[1, half] = self._lon_c2_half
+        rows[:, 0] = -rows.sum(axis=1)
+        self._lon_rows = rows
+        self._lon_syms = np.conj(np.fft.rfft(rows, axis=-1))
 
     def _build_lat_stencils(self):
         # difference-form stencils as tap arrays, one row per latitude ring
@@ -188,8 +195,7 @@ class SphereGrid:
         # are their exact IEEE mirrors (negated for odd derivative order).
         # Rows are padded to the widest, the equator row of odd-height
         # grids; pad taps come last, have weight 0 and read their own ring,
-        # after a row sum that is never -0.0 (some weight of a derivative
-        # stencil is positive), so they change no bit.
+        # so they add +0.0.
         M, L = self.m_lat, self.m_lon
         lat = self.lats
         T = 4 if M % 2 else 3
@@ -273,12 +279,13 @@ class SphereGrid:
         return out
 
     def _lat_apply(self, weights, field):
-        # every ring at once, taps accumulated in stencil order
+        # every ring at once; three taps summed in stencil order, four (odd
+        # m_lat) in mirrored pairs, which the flip keeps on the equator ring
         flat = field.ravel()
-        out = weights[0] * (flat[self._lat_src[0]] - field)
-        for w, src in zip(weights[1:], self._lat_src[1:]):
-            out += w * (flat[src] - field)
-        return out
+        t = [w * (flat[src] - field) for w, src in zip(weights, self._lat_src)]
+        if len(t) == 4:
+            return (t[0] + t[3]) + (t[1] + t[2])
+        return (t[0] + t[1]) + t[2]
 
     def lat_d1(self, field):
         return self._lat_apply(self._lat_w1, field)
@@ -286,7 +293,7 @@ class SphereGrid:
     def lat_d2(self, field):
         return self._lat_apply(self._lat_w2, field)
 
-    # -- sparse operator matrices for linearization assembly -----------------
+    # -- frame operators as per-ring taps ------------------------------------
 
     def operator_matrices(self):
         """Sparse CSR versions of the derivative operators, built per call.
@@ -295,25 +302,13 @@ class SphereGrid:
         n=2: on all nodes, acting along longitude) and for n=2 also 'lat1',
         'lat2'.  These reproduce the kernel applications up to summation
         order; the latitude ones are built from the kernels' own tap
-        arrays.  They are not cached: frame_operators() composes them once
-        into the operators Jacobian assembly uses, and holds the grid's
-        only cached set.
+        arrays.  No solve uses them: they are a reference for the kernels
+        and the frame taps.
         """
         from scipy import sparse
 
         def lon_blocks(m, copies):
-            # circulant kernels as in _lon_apply1/_lon_apply2: the weight of
-            # column i + d in row i, repeated on `copies` diagonal blocks
-            half = m // 2
-            row1 = np.zeros(m)
-            row2 = np.zeros(m)
-            row1[1:half] = self._lon_c1
-            row1[m - 1:half:-1] = -self._lon_c1
-            row2[1:half] = self._lon_c2
-            row2[m - 1:half:-1] = self._lon_c2
-            row2[half] = self._lon_c2_half
-            row1[0] = -row1.sum()
-            row2[0] = -row2.sum()
+            # the circulant kernel rows, repeated on `copies` diagonal blocks
             offset = (np.arange(m) - np.arange(m)[:, None]) % m
             cols = (np.arange(copies, dtype=np.int32)[:, None] * m
                     + np.tile(np.arange(m, dtype=np.int32), m)).ravel()
@@ -321,7 +316,7 @@ class SphereGrid:
             return tuple(
                 sparse.csr_matrix((np.tile(row[offset].ravel(), copies), cols.copy(), indptr),
                                   shape=(copies * m, copies * m))
-                for row in (row1, row2))
+                for row in self._lon_rows)
 
         if self.n == 1:
             lon1, lon2 = lon_blocks(self.m_theta, 1)
@@ -348,73 +343,60 @@ class SphereGrid:
             "lat2": lat_matrix(self._lat_w2),
         }
 
-    def frame_operators(self):
-        """The h-independent operators of the linearization, built once.
+    def frame_taps(self):
+        """The frame operators of the linearization as per-ring taps, built once.
 
-        Returns a cached dict of CSR matrices over flat node values.
         'hess11', 'hess12', 'hess22' map phi to the frame components of
-        hess(phi) + phi*I, and 'grad1', 'grad2' to the frame gradient, as
-        in hessian_field (n=1: only 'hess11' and 'grad1').  Jacobian
-        assembly then only scales their rows and adds them.
+        hess(phi) + phi*I, 'grad1', 'grad2' to the frame gradient, as in
+        hessian_field (n=1: 'hess11', 'grad1').  They commute with longitude
+        shifts, so a cached dict of the first row of each ring is returned:
+        arrays (2*RING_REACH + 1, m_lat, m_lon) ((1, 1, m_theta) for n=1)
+        whose entry [o + RING_REACH, j, d] weighs node (j + o, i + d) in the
+        row of node (j, i), zero where ring j + o does not exist.
         """
-        if self._frame_ops is not None:
-            return self._frame_ops
-        from scipy import sparse
-
-        mats = self.operator_matrices()
-        eye = sparse.identity(self.node_count, format="csr")
+        if self._frame_taps is not None:
+            return self._frame_taps
+        row1, row2 = self._lon_rows
         if self.n == 1:
-            ops = {"hess11": mats["lon2"] + eye, "grad1": mats["lon1"]}
-        else:
-            D = sparse.diags_array
-            L = self.m_lon
-            lat1, lon1 = mats["lat1"], mats["lon1"]
-            invcos = np.repeat(self.invcos, L)
-            tanlat = np.repeat(self.tanlat, L)
-            # D(invcos) @ hess12, applied in place ring by ring so the
-            # widest operator exists once
-            hess12 = (lat1 + D(tanlat)) @ lon1
-            for j, s in enumerate(self.invcos):
-                hess12.data[hess12.indptr[j * L]:hess12.indptr[(j + 1) * L]] *= s
-            ops = {
-                "hess11": mats["lat2"] + eye,
-                "hess12": hess12,
-                "hess22": D(invcos ** 2) @ mats["lon2"] - D(tanlat) @ lat1 + eye,
-                "grad1": lat1,
-                "grad2": D(invcos) @ lon1,
-            }
-        self._frame_ops = {key: sparse.csr_array(op) for key, op in ops.items()}
-        for op in self._frame_ops.values():
-            op.sum_duplicates()  # canonical CSR keeps the assembly sums fast
-        return self._frame_ops
+            self._frame_taps = {"hess11": (row2 + np.eye(1, row2.size))[None],
+                                "grad1": row1[None, None]}
+            return self._frame_taps
+        R = RING_REACH
+        M, L = self.shape
+        invcos = self.invcos[None, :, None]
+        tanlat = self.tanlat[:, None]
+        ring, lon = np.divmod(self._lat_src[:, :, 0], L)
+        lat1, hess11 = np.zeros((2, 2 * R + 1, M, L))
+        for taps, w in ((lat1, self._lat_w1[..., 0]), (hess11, self._lat_w2[..., 0])):
+            np.add.at(taps, (ring - np.arange(M) + R, np.arange(M), lon), w)
+            taps[R, :, 0] -= w.sum(axis=0)  # the self term
+        hess11[R, :, 0] += 1.0
+        # lat1 after lon1: a latitude tap at longitude offset e carries the
+        # lon1 row shifted by e (e is 0, or m_lon/2 across a pole)
+        hess12 = sum(lat1[:, :, e, None] * np.roll(row1, e)
+                     for e in np.flatnonzero(lat1.any(axis=(0, 1))))
+        hess12[R] += tanlat * row1
+        hess12 *= invcos
+        hess22 = -tanlat * lat1
+        hess22[R] += invcos[0] ** 2 * row2
+        hess22[R, :, 0] += 1.0
+        grad2 = np.zeros_like(lat1)
+        grad2[R] = invcos[0] * row1
+        self._frame_taps = {"hess11": hess11, "hess12": hess12, "hess22": hess22,
+                            "grad1": lat1, "grad2": grad2}
+        return self._frame_taps
 
     def frame_symbols(self):
         """Longitude-Fourier symbols of the frame operators, built once (n=2).
 
-        Every frame operator A commutes with whole-step longitude shifts,
-        so on a single longitude mode, phi = c_s * exp(2 pi i m l / m_lon)
-        in ring s (l the longitude index), it acts ring by ring:
-        (A phi)_j = sum_s A_m[j, s] c_s * exp(2 pi i m l / m_lon).  Every
-        stencil reaches at most RING_REACH rings, so A_m is banded.
-        Returns a cached dict keyed like frame_operators() of complex
-        arrays (2*RING_REACH + 1, m_lat, m_lon//2 + 1): entry [o + RING_REACH,
-        j, m] is A_m[j, j + o], zero where ring j + o does not exist.  The
-        symbols are read from the first row of each ring of the CSR
-        operator; the other rows are its exact longitude shifts.
+        On phi = c_s * exp(2 pi i m l / m_lon) in ring s (l the longitude
+        index) a frame operator acts as the banded matrix A_m on the c_s.
+        A cached dict keyed like frame_taps(), of the conjugate rfft of the
+        taps along d: entry [o + RING_REACH, j, m] is A_m[j, j + o].
         """
-        if self._frame_syms is not None:
-            return self._frame_syms
-        M, L = self.shape
-        first = np.arange(M) * L
-        self._frame_syms = {}
-        for key, op in self.frame_operators().items():
-            rows = op[first].tocoo()
-            ring, lon = np.divmod(rows.col, L)
-            # taps[o + RING_REACH, j, d]: weight of node (j + o, d) in row (j, 0)
-            taps = np.zeros((2 * RING_REACH + 1, M, L))
-            np.add.at(taps, (ring - rows.row + RING_REACH, rows.row, lon), rows.data)
-            # A_m = sum_d taps[d] * exp(+2 pi i m d / L), the conjugate rfft
-            self._frame_syms[key] = np.conj(np.fft.rfft(taps, axis=-1))
+        if self._frame_syms is None:
+            self._frame_syms = {key: np.conj(np.fft.rfft(taps, axis=-1))
+                                for key, taps in self.frame_taps().items()}
         return self._frame_syms
 
     # -- misc ----------------------------------------------------------------

@@ -5,13 +5,17 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import sparse
-
 from cmkit import GridFunction, build_grid
 from cmkit.errors import AdmissibilityError, DomainError, SingularJacobianError
 from cmkit import newton
 from cmkit.newton import newton_solve, solve_linear
-from cmkit.problem import ProblemSpec, assemble_jacobian, linearization_weights, ring_blocks
+from cmkit.problem import (
+    LinearizedOperator,
+    ProblemSpec,
+    assemble_jacobian,
+    linearization_weights,
+    ring_blocks,
+)
 from cmkit.sphere import constant_function, hessian_field, odd_defect
 
 
@@ -56,23 +60,10 @@ def test_solve_linear_singular():
     assert d is not None and np.argmax(d) == 3
 
 
-def test_solve_linear_sparse_path():
-    rng = np.random.default_rng(2)
-    n = 200
-    J = sparse.random_array((n, n), density=0.05, rng=rng) \
-        + 10 * sparse.identity(n)
-    rhs = rng.standard_normal(n)
-    x = solve_linear(J.tocsr(), rhs)
-    assert np.max(np.abs(J @ x - rhs)) < 1e-9
-    with pytest.raises(SingularJacobianError):
-        bad = sparse.identity(10).tolil()
-        bad[4, 4] = 0.0
-        solve_linear(bad.tocsr(), np.ones(10))
-
-
-def _sphere_jacobian(k, tilt, a=0.5, m_lat=32):
-    """Jacobian, its ring blocks and the spec at t = 0.5 on an m_lat x 2m_lat
-    grid, for quadratic data and iterate about an axis tilted from the pole."""
+def _sphere_case(k, tilt, a=0.5, m_lat=32):
+    """Spec, iterate, Hessian field and linearization weights at t = 0.5 on
+    an m_lat x 2m_lat grid, for quadratic data and iterate about an axis
+    tilted from the pole."""
     g = build_grid(2, m_lat=m_lat, m_lon=2 * m_lat)
     u = g.coords @ np.array([math.sin(tilt), 0.0, math.cos(tilt)])
     p, q = 1.5, 1.0 + k
@@ -80,9 +71,13 @@ def _sphere_jacobian(k, tilt, a=0.5, m_lat=32):
     spec = ProblemSpec(n=2, k=k, p=p, q=q, f=f)
     h = GridFunction(g, 1.0 + 0.05 * u ** 2)
     hf = hessian_field(h)
-    weights = linearization_weights(spec, h, 0.5, hf)
-    J = assemble_jacobian(spec, h, 0.5, hf, weights)
-    return J, ring_blocks(g, weights)
+    return spec, h, hf, linearization_weights(spec, h, 0.5, hf)
+
+
+def _sphere_jacobian(k, tilt, a=0.5, m_lat=32):
+    """The matrix-free Jacobian of _sphere_case and its ring blocks."""
+    spec, h, hf, weights = _sphere_case(k, tilt, a, m_lat)
+    return assemble_jacobian(spec, h, 0.5, hf, weights), ring_blocks(spec.grid, weights)
 
 
 def _backward_error(J, x, rhs):
@@ -91,13 +86,24 @@ def _backward_error(J, x, rhs):
                                           + np.max(np.abs(rhs)))
 
 
+def test_solve_linear_sparse_path():
+    # the matrix-free path on a tilted 16x32 grid: without blocks they come
+    # from the operator's own weights, and the step meets its target
+    J, blocks = _sphere_jacobian(2, 0.4, m_lat=16)
+    assert isinstance(J, LinearizedOperator)
+    rhs = np.sin(np.arange(J.shape[0]))
+    x = solve_linear(J, rhs)
+    assert np.array_equal(x, solve_linear(J, rhs, blocks))
+    assert _backward_error(J.toarray(), x, rhs) <= 1e-15
+
+
 @pytest.mark.parametrize("k,tilt,a", [(1, 0.0, 0.5), (1, 0.4, 0.5), (2, 0.0, 0.5),
                                       (2, 0.4, 0.5), (2, 1.0, 2.0)],
                          ids=["1-0.0", "1-0.4", "2-0.0", "2-0.4", "2-1.0-a2"])
 def test_solve_linear_sparse_jacobian_matches_dense_lu(monkeypatch, k, tilt, a):
-    # the natural-order sparse LU of a 32x64 Jacobian against LAPACK on
-    # the same matrix, and the preconditioned Krylov step against the
-    # sparse LU, for axisymmetric (polar) and tilted data
+    # the preconditioned Krylov step on a matrix-free 32x64 Jacobian
+    # against LAPACK on the same matrix, for axisymmetric (polar) and
+    # tilted data
     from scipy import linalg as sla
 
     gmres_results = []
@@ -109,17 +115,15 @@ def test_solve_linear_sparse_jacobian_matches_dense_lu(monkeypatch, k, tilt, a):
     gmres = newton._gmres
     monkeypatch.setattr(newton, "_gmres", spy)
     J, blocks = _sphere_jacobian(k, tilt, a)
-    assert sparse.issparse(J)
+    assert isinstance(J, LinearizedOperator)
     rhs = np.sin(np.arange(J.shape[0]))
-    x_lu = solve_linear(J, rhs)
-    assert gmres_results == []
     x = solve_linear(J, rhs, blocks)
-    assert gmres_results[0] is not None  # met its target: no fallback
-    ref = sla.lu_solve(sla.lu_factor(J.toarray()), rhs)
-    assert np.max(np.abs(x_lu - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.max(np.abs(x - x_lu)) <= 1e-12 * np.max(np.abs(x_lu))
-    assert _backward_error(J, x_lu, rhs) <= 1e-10
-    assert _backward_error(J, x, rhs) <= 1e-15  # a few unit roundoffs
+    assert len(gmres_results) == 1 and gmres_results[0] is not None
+    A = J.toarray()
+    ref = sla.lu_solve(sla.lu_factor(A), rhs)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert _backward_error(A, ref, rhs) <= 1e-10
+    assert _backward_error(A, x, rhs) <= 1e-15  # a few unit roundoffs
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -127,30 +131,102 @@ def test_ring_preconditioner_inverts_polar_jacobian(k):
     # axisymmetric data and iterate: the ring means are the coefficients
     # themselves, so the mode blocks are J's own and P^-1 J = I
     J, blocks = _sphere_jacobian(k, 0.0)
-    precond = newton._ring_preconditioner(blocks, np.max(np.abs(J).sum(axis=1)))
+    precond = newton._ring_preconditioner(blocks, J.norm_inf())
     x = np.cos(0.7 * np.arange(J.shape[0])) + 0.3
-    assert np.max(np.abs(precond(J @ x) - x)) <= 1e-12 * np.max(np.abs(x))
+    assert np.max(np.abs(precond(J.dot(x)) - x)) <= 1e-12 * np.max(np.abs(x))
 
 
-def test_solve_linear_falls_back_to_sparse_lu(monkeypatch):
+def test_solve_linear_raises_when_krylov_misses_target(monkeypatch):
     J, blocks = _sphere_jacobian(2, 1.0, 2.0)
     rhs = np.sin(np.arange(J.shape[0]))
-    x_lu = solve_linear(J, rhs)
     # singular mode blocks: no preconditioner
-    assert np.array_equal(solve_linear(J, rhs, np.zeros_like(blocks)), x_lu)
+    with pytest.raises(SingularJacobianError, match="preconditioner"):
+        solve_linear(J, rhs, np.zeros_like(blocks))
     # GMRES cannot reach its target in one iteration on tilted data
     monkeypatch.setattr(newton, "KRYLOV_MAX_ITER", 1)
-    assert np.array_equal(solve_linear(J, rhs, blocks), x_lu)
+    with pytest.raises(SingularJacobianError, match="GMRES"):
+        solve_linear(J, rhs, blocks)
+
+
+def test_krylov_miss_halves_the_continuation_step(monkeypatch):
+    # a tilted 16x32 path on which no Newton step can meet the Krylov
+    # target: every attempt raises SingularJacobianError and continuation
+    # halves dt until it underflows
+    from cmkit import continuation
+
+    spec, _, _, _ = _sphere_case(2, 0.4, m_lat=16)
+    attempts = []
+
+    def spy(spec, h, t):
+        attempts.append(t)
+        return solve(spec, h, t)
+
+    solve = continuation.newton_solve
+    monkeypatch.setattr(continuation, "newton_solve", spy)
+    monkeypatch.setattr(newton, "KRYLOV_MAX_ITER", 1)
+    trace = continuation.continue_path(spec)
+    assert not trace.success
+    assert "GMRES missed" in trace.message
+    expect = [spec.dt0]
+    while expect[-1] / 2 >= spec.dt_min:
+        expect.append(expect[-1] / 2)
+    assert attempts == expect
 
 
 def test_solve_linear_singular_sparse_with_blocks():
-    # a zero row: no step meets the backward-error target, and the
-    # SuperLU fallback reports the singular matrix
-    J, blocks = _sphere_jacobian(1, 0.4)
-    J = J.tolil()
-    J[100, :] = 0.0
+    # a zero row: no step meets the backward-error target
+    spec, h, hf, weights = _sphere_case(1, 0.4)
+    for w in weights.values():
+        w[100] = 0.0
+    J = assemble_jacobian(spec, h, 0.5, hf, weights)
     with pytest.raises(SingularJacobianError):
-        solve_linear(J.tocsr(), np.ones(J.shape[0]), blocks)
+        solve_linear(J, np.ones(J.shape[0]), ring_blocks(spec.grid, weights))
+
+
+@pytest.mark.parametrize("m_lat", [8, 16])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_weight_is_rejected_before_any_solve_work(monkeypatch, m_lat, bad):
+    # dense (8x16) and matrix-free (16x32) branches: a non-finite weight is
+    # reported before any factorization or Krylov work, and so is a dense
+    # Jacobian with a non-finite entry
+    def no_work(*args):
+        raise AssertionError("solve started on a non-finite Jacobian")
+
+    monkeypatch.setattr(newton, "_gmres", no_work)
+    monkeypatch.setattr(newton.sla, "lu_factor", no_work)
+    spec, h, hf, weights = _sphere_case(2, 0.4, m_lat=m_lat)
+    weights["hess22"][17] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_linear(assemble_jacobian(spec, h, 0.5, hf, weights), np.ones(h.values.size))
+    J = np.eye(5)
+    J[2, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_linear(J, np.ones(5))
+
+
+def test_matrix_free_newton_step_builds_no_matrix(monkeypatch):
+    # a Newton solve on a tilted 16x32 grid (N = 512 > 256) builds no
+    # operator matrix and no N x N sparse matrix
+    from scipy.sparse import _base
+
+    built = []
+    init = _base._spbase.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def no_matrices(self):
+        raise AssertionError("operator_matrices called")
+
+    spec, h, _, _ = _sphere_case(2, 0.4, m_lat=16)
+    monkeypatch.setattr(_base._spbase, "__init__", spy)
+    monkeypatch.setattr(type(spec.grid), "operator_matrices", no_matrices)
+    res = newton_solve(spec, h, 0.5)
+    assert res.converged and res.iterations >= 1
+    assert built  # the spy sees the preconditioner's factorization
+    N = spec.grid.node_count
+    assert all(max(A.shape) < N for A in built)
 
 
 # ---------------------------------------------------------------------------

@@ -346,38 +346,114 @@ def test_jacobian_matches_per_call_assembly(g1, n, k):
     assert np.max(np.abs(J - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("k,tilt", [(1, 0.0), (2, 0.0), (1, 0.4), (2, 0.4)])
-def test_jacobian_equals_five_operator_sum_bitwise(k, tilt):
-    # every frame operator row-scaled and added in the fixed order, zero
-    # weights included: leaving out the all-zero ones changes no bit
+def _csr_frame_operators(g):
+    # the earlier CSR frame operators, kept as the reference: the operator
+    # matrices composed by sparse products
     from scipy import sparse
 
-    from cmkit.problem import _scale_rows, linearization_weights
+    mats = g.operator_matrices()
+    eye = sparse.identity(g.node_count, format="csr")
+    if g.n == 1:
+        ops = {"hess11": mats["lon2"] + eye, "grad1": mats["lon1"]}
+    else:
+        D = sparse.diags_array
+        lat1, lon1 = mats["lat1"], mats["lon1"]
+        invcos = np.repeat(g.invcos, g.m_lon)
+        tanlat = np.repeat(g.tanlat, g.m_lon)
+        ops = {
+            "hess11": mats["lat2"] + eye,
+            "hess12": D(invcos) @ ((lat1 + D(tanlat)) @ lon1),
+            "hess22": D(invcos ** 2) @ mats["lon2"] - D(tanlat) @ lat1 + eye,
+            "grad1": lat1,
+            "grad2": D(invcos) @ lon1,
+        }
+    return {key: sparse.csr_array(op) for key, op in ops.items()}
+
+
+def _csr_jacobian(ops, weights):
+    # the earlier CSR assembly: every frame operator row-scaled and added
+    from scipy import sparse
+
+    J = sparse.diags_array(weights["diag"], format="csr")
+    for key in ("hess11", "grad1", "grad2", "hess22", "hess12"):
+        if key in weights:
+            J = J + sparse.diags_array(weights[key]) @ ops[key]
+    return sparse.csr_array(J)
+
+
+def _csr_frame_symbols(g, ops):
+    # symbols read from the first row of each ring of the CSR operators
+    from cmkit.sphere import RING_REACH
+
+    M, L = g.shape
+    syms = {}
+    for key, op in ops.items():
+        rows = op[np.arange(M) * L].tocoo()
+        ring, lon = np.divmod(rows.col, L)
+        taps = np.zeros((2 * RING_REACH + 1, M, L))
+        np.add.at(taps, (ring - rows.row + RING_REACH, rows.row, lon), rows.data)
+        syms[key] = np.conj(np.fft.rfft(taps, axis=-1))
+    return syms
+
+
+def _tilted_iterate(g, k, tilt):
+    u = g.coords[:, -1] if g.n == 1 else g.coords @ np.array([math.sin(tilt), 0.0, math.cos(tilt)])
+    spec = ProblemSpec(n=g.n, k=k, p=1.2, q=k + 0.5,
+                       f=GridFunction(g, (1.0 + 0.5 * u ** 2) ** (-(k + 0.2))))
+    return spec, GridFunction(g, 1.0 + 0.05 * u ** 2)
+
+
+@pytest.mark.parametrize("k,tilt", [(1, 0.0), (2, 0.0), (1, 0.4), (2, 0.4)],
+                         ids=lambda v: str(v))
+@pytest.mark.parametrize("shape", [(16, 32), (32, 64)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_matrix_free_jacobian_matches_csr_assembly(shape, k, tilt):
+    # J.v, norm_inf() and the frame symbols against the earlier CSR
+    # assembly, for polar and tilted data; only the summation order differs
+    from cmkit.problem import LinearizedOperator, linearization_weights
     from cmkit.sphere import hessian_field
 
-    g = build_grid(2, m_lat=16, m_lon=32)
-    u = g.coords @ np.array([math.sin(tilt), 0.0, math.cos(tilt)])
-    spec = ProblemSpec(n=2, k=k, p=1.2, q=k + 0.5,
-                       f=GridFunction(g, (1.0 + 0.5 * u ** 2) ** (-(k + 0.2))))
-    h = GridFunction(g, 1.0 + 0.05 * u ** 2)
+    g = build_grid(2, m_lat=shape[0], m_lon=shape[1])
+    spec, h = _tilted_iterate(g, k, tilt)
     weights = linearization_weights(spec, h, 0.5, hessian_field(h))
-    ops = g.frame_operators()
-    ref = sparse.diags_array(weights["diag"], format="csr")
-    for key in ("hess11", "grad1", "grad2", "hess22", "hess12"):
-        without_hess12 = ref
-        w = weights.get(key, np.zeros(g.node_count))
-        ref = ref + _scale_rows(w, ops[key])
+    ops = _csr_frame_operators(g)
+    ref = _csr_jacobian(ops, weights)
     J = assemble_jacobian(spec, h, 0.5)
-    assert np.array_equal(J.indptr, ref.indptr)
-    assert np.array_equal(J.indices, ref.indices)
-    assert J.data.tobytes() == ref.data.tobytes()
+    assert isinstance(J, LinearizedOperator) and J.shape == ref.shape
+    scale = np.max(np.abs(ref).sum(axis=1))
+    assert abs(J.norm_inf() - scale) <= 1e-14 * scale
+    rng = np.random.default_rng(7)
+    for v in (np.ones(g.node_count), rng.standard_normal(g.node_count),
+              np.sin(np.arange(g.node_count))):
+        assert np.max(np.abs(J.dot(v) - ref @ v)) <= 1e-14 * scale * np.max(np.abs(v))
+    for key, sym in _csr_frame_symbols(g, ops).items():
+        assert np.max(np.abs(g.frame_symbols()[key] - sym)) <= 1e-14 * np.max(np.abs(sym))
+    # the mixed and longitude-gradient weights vanish on axisymmetric data
     zero = {key for key in ("grad2", "hess12") if key in weights and not weights[key].any()}
-    if tilt == 0.0:  # axisymmetric: no mixed or longitude-gradient term
+    if tilt == 0.0:
         assert zero == ({"grad2", "hess12"} if k == 2 else {"grad2"})
     else:
         assert zero == set()
-        if k == 2:  # the tilted Jacobian still holds the mixed operator
-            assert J.nnz > 2 * without_hess12.nnz
+
+
+@pytest.mark.parametrize("shape,k", [((64,), 1), ((512,), 1), ((8, 16), 1), ((8, 16), 2),
+                                     ((9, 16), 1), ((9, 16), 2)],
+                         ids=["c64-1", "c512-1", "8x16-1", "8x16-2", "9x16-1", "9x16-2"])
+def test_dense_jacobian_matches_csr_assembly(shape, k):
+    # the dense Jacobians formed from the frame taps against the earlier
+    # CSR assembly, on the circle and on small sphere grids
+    from cmkit.problem import linearization_weights
+    from cmkit.sphere import hessian_field
+
+    if len(shape) == 1:
+        g = build_grid(1, m_theta=shape[0])
+    else:
+        g = build_grid(2, m_lat=shape[0], m_lon=shape[1])
+    spec, h = _tilted_iterate(g, k, 0.4)
+    ref = _csr_jacobian(_csr_frame_operators(g),
+                        linearization_weights(spec, h, 0.5, hessian_field(h))).toarray()
+    J = assemble_jacobian(spec, h, 0.5)
+    assert isinstance(J, np.ndarray)
+    assert np.max(np.abs(J - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n,shape,dense", [
@@ -385,8 +461,8 @@ def test_jacobian_equals_five_operator_sum_bitwise(k, tilt):
     (2, (12, 24), False), (2, (16, 32), False)])
 def test_jacobian_representation(n, shape, dense):
     # dense on the circle (a full spectral matrix) and for N <= 256 nodes,
-    # CSR otherwise
-    from scipy import sparse
+    # a matrix-free operator otherwise
+    from cmkit.problem import LinearizedOperator
 
     if n == 1:
         g = build_grid(1, m_theta=shape[0])
@@ -397,7 +473,10 @@ def test_jacobian_representation(n, shape, dense):
     if dense:
         assert isinstance(J, np.ndarray)
     else:
-        assert sparse.issparse(J) and J.format == "csr"
+        assert isinstance(J, LinearizedOperator)
+        assert J.shape == (g.node_count,) * 2 and J.nnz > 0
+        v = np.cos(np.arange(g.node_count))
+        assert_allclose(J.dot(v), J.toarray() @ v, rtol=0, atol=1e-13 * J.norm_inf())
 
 
 # ---------------------------------------------------------------------------

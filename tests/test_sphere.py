@@ -295,46 +295,65 @@ def test_operator_matrices_circle(g1):
                     rtol=0, atol=1e-11)
 
 
+def _apply_taps(taps, F):
+    # a frame_taps() entry applied node by node: the weight of node
+    # (j + o, i + d) in the row of node (j, i), summed over o and d
+    width, M, L = taps.shape
+    R = width // 2
+    out = np.zeros((M, L))
+    for o in range(-R, R + 1):
+        for j in range(max(0, -o), min(M, M - o)):
+            for d in range(L):
+                out[j] += taps[o + R, j, d] * np.roll(F[j + o], -d)
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_frame_operators_match_hessian_field(g1, g2, n):
-    g = g1 if n == 1 else g2
-    ops = g.frame_operators()
-    assert g.frame_operators() is ops  # built once per grid
+    # the frame operators, held as per-ring taps, reproduce the frame
+    # fields of hessian_field
+    g = g1 if n == 1 else build_grid(2, m_lat=9, m_lon=16)
+    taps = g.frame_taps()
+    assert g.frame_taps() is taps  # built once per grid
     h = _random_field(g, 42)
-    hf = hessian_field(h)
-    c = hf.components
+    c = hessian_field(h).components
     parts = {"hess11": "b11", "grad1": "g1"}
     if n == 2:
         parts.update(hess12="b12", hess22="b22", grad2="g2")
+    assert taps.keys() == parts.keys()
     for key, comp in parts.items():
-        expect = np.ravel(c[comp])
-        assert_allclose(ops[key] @ h.values, expect, rtol=0,
-                        atol=1e-14 * np.max(np.abs(expect)))
+        expect = np.reshape(c[comp], (-1, g.shape[-1]))
+        got = _apply_taps(taps[key], np.reshape(h.values, expect.shape))
+        assert_allclose(got, expect, rtol=0, atol=1e-14 * np.max(np.abs(expect)))
 
 
 @pytest.mark.parametrize("m_lat", [32, 9])
 def test_frame_symbols_act_on_longitude_modes(m_lat):
     # on phi = c_s exp(2 pi i m l / m_lon) in ring s, every frame operator
-    # acts as its banded mode-m symbol on the ring amplitudes c
+    # (the frame fields of hessian_field) acts as its banded mode-m symbol
+    # on the ring amplitudes c
     from cmkit.sphere import RING_REACH
 
     g = build_grid(2, m_lat=m_lat, m_lon=64)
     M, L = g.shape
     syms = g.frame_symbols()
     assert g.frame_symbols() is syms  # built once per grid
+    parts = {"hess11": "b11", "hess12": "b12", "hess22": "b22", "grad1": "g1", "grad2": "g2"}
+    assert syms.keys() == parts.keys()
     rng = np.random.default_rng(5)
     for m in (0, 1, 7, L // 2):
         c = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         wave = np.exp(2j * np.pi * m * np.arange(L) / L)
         phi = (c[:, None] * wave).ravel()
-        for key, op in g.frame_operators().items():
-            got = (op @ phi.real + 1j * (op @ phi.imag)).reshape(M, L)
+        re, im = (hessian_field(GridFunction(g, part)).components for part in (phi.real, phi.imag))
+        for key, comp in parts.items():
+            got = re[comp] + 1j * im[comp]
             band = syms[key][:, :, m]
             amp = np.zeros(M, dtype=complex)
             for o in range(-RING_REACH, RING_REACH + 1):
                 j = np.arange(max(0, -o), min(M, M - o))
                 amp[j] += band[o + RING_REACH, j] * c[j + o]
-            scale = np.max(np.abs(op).sum(axis=1)) * np.max(np.abs(c))
+            scale = np.max(np.abs(g.frame_taps()[key]).sum(axis=(0, 2))) * np.max(np.abs(c))
             assert np.max(np.abs(got - amp[:, None] * wave)) <= 1e-14 * scale
 
 
@@ -382,19 +401,24 @@ def _reference_lat_entries(g):
 
 
 def _reference_lat_apply(g, entries, field):
-    # one latitude ring at a time, the pole crossing by np.roll
+    # one latitude ring at a time, the pole crossing by np.roll; on odd
+    # m_lat every row has four taps (a three-tap row a zero pad last),
+    # summed in mirrored pairs
     half = g.m_lon // 2
     out = np.zeros_like(field)
     for j, ent in enumerate(entries):
         row = field[j]
-        acc = None
+        terms = []
         for (src, across, wgt) in ent:
             vals = field[src]
             if across:
                 vals = np.roll(vals, -half)
-            term = wgt * (vals - row)
-            acc = term if acc is None else acc + term
-        out[j] = acc
+            terms.append(wgt * (vals - row))
+        if g.m_lat % 2:
+            terms += [np.zeros_like(row)] * (4 - len(terms))
+            out[j] = (terms[0] + terms[3]) + (terms[1] + terms[2])
+        else:
+            out[j] = (terms[0] + terms[1]) + terms[2]
     return out
 
 
@@ -446,16 +470,10 @@ def test_kernels_of_constants_are_exactly_zero(shape):
     assert np.all(hf.grad == 0.0)
 
 
-# On odd m_lat the equator ring sums its four taps in the order -2, -1, 1,
-# 2; the flip reverses that order, so the flipped sums differ by rounding.
-ODD_EQUATOR = pytest.mark.xfail(
-    strict=True, reason="equator ring of odd m_lat: the latitude flip and the "
-                        "antipodal map hold only to rounding (about 1e-15 relative)")
-
-
-@pytest.mark.parametrize("shape", [
-    (8, 16), (16, 32), (64, 128), pytest.param((9, 16), marks=ODD_EQUATOR),
-    pytest.param((33, 64), marks=ODD_EQUATOR)], ids=lambda s: f"{s[0]}x{s[1]}")
+# On odd m_lat the equator ring sums its four taps in mirrored pairs,
+# (-2, 2) and (-1, 1), which the flip maps to themselves.
+@pytest.mark.parametrize("shape", [(8, 16), (16, 32), (64, 128), (9, 16), (33, 64)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
 @pytest.mark.parametrize("kind,steps", [("antipodal", 0), ("lat_flip", 0)])
 def test_hessian_flip_equivariance_bitwise_across_grids(shape, kind, steps):
     _check_hessian_equivariance(shape, kind, steps)

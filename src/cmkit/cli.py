@@ -269,10 +269,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError as exc:
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import AdmissibilityError
 from .continuation import continue_path
 from .newton import newton_solve
-from .problem import ProblemSpec, ellipticity_weights, residual, validate_f1
+from .problem import (ProblemSpec, ellipticity_weights, linearization_weights, residual,
+                      ring_blocks, validate_f1)
 from .sphere import (
     GridFunction,
     constant_function,
@@ -170,35 +171,35 @@ def fit_equality_direction(h, testfn):
 # linearized spectrum at the trivial solution
 # ---------------------------------------------------------------------------
 
-def even_basis(grid):
-    """Orthonormal basis of the even subspace: columns (e_i + e_a(i))/sqrt(2)
-    over antipodal pairs."""
-    perm = grid.antipodal_perm
-    N = grid.node_count
-    pairs = [(i, perm[i]) for i in range(N) if i < perm[i]]
-    B = np.zeros((N, len(pairs)))
-    s = 1.0 / math.sqrt(2.0)
-    for col, (i, j) in enumerate(pairs):
-        B[i, col] = s
-        B[j, col] = s
-    return B
-
-
 def l0_spectrum(spec):
     """Eigenvalues (sorted descending) of the linearization at h = 1, t = 0,
-    restricted to the even subspace."""
-    from .problem import assemble_jacobian
+    restricted to the even subspace: N/2 real values, from its ring_blocks.
 
+    The antipodal map sends ring j to ring M-1-j with the sign (-1)^m in
+    longitude mode m, so the even part of mode m is spanned by e_j +
+    (-1)^m e_(M-1-j); a self-paired ring (odd m_lat's equator, the
+    circle's one ring) is even only for even m.  Modes other than 0 and
+    the Nyquist mode carry a cosine and a sine and count twice.
+    """
     g = spec.grid
-    J = assemble_jacobian(spec, constant_function(g, 1.0), 0.0)
-    if not isinstance(J, np.ndarray):
-        J = J.toarray()
-    B = even_basis(g)
-    Je = B.T @ (J @ B)
-    ev = np.linalg.eigvals(Je)
+    h = constant_function(g, 1.0)
+    blocks = ring_blocks(g, linearization_weights(spec, h, 0.0, hessian_field(h)))
+    width, M, K = blocks.shape
+    # the dense block of every mode: A[m, j, j + o - width // 2] = blocks[o, j, m]
+    A = sum(blocks[o].T[:, :, None] * np.eye(M, k=o - width // 2) for o in range(width))
+    count = np.full(K, 2)
+    count[[0, -1]] = 1
+    eye = np.eye(M)
+    ev = []
+    for parity, d in ((0, (M + 1) // 2), (1, M // 2)):
+        E = (eye + (-1) ** parity * eye[::-1])[:, :d]
+        E /= E.diagonal()  # a self-paired ring's column is e_j, not 2 e_j
+        # A E = E F, and the first d rows of E are the identity
+        lam = np.linalg.eigvals((A[parity::2] @ E)[:, :d])
+        ev.append(np.repeat(lam.real, count[parity::2], axis=0).ravel())
     # the analytic spectrum is real; discrete asymmetry introduces at most
     # rounding-level imaginary parts on the resolved modes
-    return np.sort(ev.real)[::-1]
+    return np.sort(np.concatenate(ev))[::-1]
 
 
 def l0_top_eigenvalue_analytic(spec):

@@ -13,7 +13,7 @@ from the constant binom(n, k) at t = 0 to the user's f at t = 1 along
 residual() evaluates the left minus right side, assemble_jacobian() its
 linearization in h, a LinearizedOperator or its dense matrix.
 ring_blocks() gives the longitude-mode blocks of the ring-averaged
-linearization on S^2, the preconditioner of the Newton step.
+linearization: the Newton preconditioner, and at h = 1 the exact operator.
 """
 
 import math
@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError, UnsupportedParameterError
-from .sphere import RING_REACH, GridFunction, hessian_field, odd_defect
+from .sphere import GridFunction, hessian_field, odd_defect
 from .symfunc import in_gamma_k, sigma_k
 
 # exponent ranges with a solvability guarantee; outside them the solver
@@ -41,7 +41,7 @@ class ProblemSpec:
     p, q: the two exponents; f: positive even GridFunction;
     the rest are Newton / continuation controls, with the tolerance
     tol_newton and the step sizes dt0, dt_min and dt_max positive and
-    finite, and max_newton at least 1.
+    finite, dt_min <= dt0 <= dt_max, and max_newton at least 1.
     """
 
     n: int
@@ -68,6 +68,9 @@ class ProblemSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (self.dt_min <= self.dt0 <= self.dt_max):
+            raise ValueError(f"need dt_min <= dt0 <= dt_max, got {self.dt_min}, "
+                             f"{self.dt0}, {self.dt_max}")
         if self.max_newton < 1:
             raise ValueError(f"max_newton must be at least 1, got {self.max_newton}")
         if self.k + self.p - 1 <= 0:
@@ -85,7 +88,7 @@ class ProblemSpec:
                 f"f must be even: antipodal defect {defect:.3e} exceeds 1e-12")
         if self.p == self.q:
             self.warnings.append(EQUAL_EXPONENT_NOTE)
-        elif not (1 < self.p < self.q <= self.k + 1):
+        elif not self.exponents_in_range():
             self.warnings.append(RANGE_NOTE)
 
     @property
@@ -138,15 +141,6 @@ def _require_positive(h):
                           node=i, value=float(v[i]))
 
 
-def _rhs_fields(spec, h, hf, ft):
-    """f_t * h^(p-1) * rho^(k+1-q) and the shared intermediate powers."""
-    hv = h.values
-    rho2 = hv ** 2 + hf.grad_norm_sq()
-    hp1 = hv ** (spec.p - 1.0)
-    rho_pow = rho2 ** (0.5 * (spec.k + 1.0 - spec.q))
-    return ft.values * hp1 * rho_pow, rho2
-
-
 def residual(spec, h, t, hf=None):
     """Node-wise equation residual at continuation parameter t.
 
@@ -155,9 +149,11 @@ def residual(spec, h, t, hf=None):
     _require_positive(h)
     if hf is None:
         hf = hessian_field(h)
-    ft = homotopy_f(spec, t)
+    hv = h.values
+    rho2 = hv ** 2 + hf.grad_norm_sq()
+    rhs = homotopy_f(spec, t).values * hv ** (spec.p - 1.0) \
+        * rho2 ** (0.5 * (spec.k + 1.0 - spec.q))
     lhs = sigma_k(hf.lam, spec.k)
-    rhs, _ = _rhs_fields(spec, h, hf, ft)
     res = GridFunction(spec.grid, lhs - rhs)
     linf = float(np.max(np.abs(res.values)))
     l2 = math.sqrt(math.fsum(spec.grid.weights * res.values ** 2))
@@ -325,22 +321,22 @@ def assemble_jacobian(spec, h, t, hf=None, weights=None):
 
 
 def ring_blocks(grid, weights):
-    """Longitude-mode blocks of the ring-averaged linearization (n = 2).
+    """Longitude-mode blocks of the ring-averaged linearization.
 
     weights are the linearization_weights at some (h, t) on grid.  Every
-    coefficient is replaced by its mean over each latitude ring, which
-    makes the operator commute with longitude shifts, and the means are
-    combined with the grid's frame_symbols().  Returns the banded blocks
-    in the frame_symbols() layout: entry [o + RING_REACH, j, m] couples
-    ring j to ring j + o in longitude mode m.  When h and f_t are
-    axisymmetric the coefficients are constant along rings and the blocks
-    are the Jacobian's own.
+    coefficient is replaced by its mean over each ring (the circle has
+    one), which makes the operator commute with longitude shifts, and the
+    means are combined with the grid's frame_symbols().  Returns bands in
+    that layout, (width, M, K): [o + width // 2, j, m] couples ring j to
+    ring j + o in longitude mode m.  When h and f_t are axisymmetric
+    the coefficients are constant along rings and the blocks are the
+    Jacobian's own.
     """
-    M, L = grid.shape
     syms = grid.frame_symbols()
-    means = {key: w.reshape(M, L).mean(axis=1)[:, None] for key, w in weights.items()}
+    width, M, _ = syms["hess11"].shape
+    means = {key: w.reshape(M, -1).mean(axis=1)[:, None] for key, w in weights.items()}
     blocks = np.zeros_like(syms["hess11"])
-    blocks[RING_REACH] = means.pop("diag")
+    blocks[width // 2] = means.pop("diag")
     for key, mean in means.items():
         blocks += mean * syms[key]
     return blocks

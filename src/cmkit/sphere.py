@@ -387,12 +387,13 @@ class SphereGrid:
         return self._frame_taps
 
     def frame_symbols(self):
-        """Longitude-Fourier symbols of the frame operators, built once (n=2).
+        """Longitude-Fourier symbols of the frame operators, built once.
 
         On phi = c_s * exp(2 pi i m l / m_lon) in ring s (l the longitude
         index) a frame operator acts as the banded matrix A_m on the c_s.
         A cached dict keyed like frame_taps(), of the conjugate rfft of the
-        taps along d: entry [o + RING_REACH, j, m] is A_m[j, j + o].
+        taps along d: entry [o + RING_REACH, j, m] is A_m[j, j + o]; on
+        the circle, one ring, [0, 0, m] is the symbol of mode m.
         """
         if self._frame_syms is None:
             self._frame_syms = {key: np.conj(np.fft.rfft(taps, axis=-1))
@@ -541,13 +542,14 @@ def laplace_beltrami(h):
     return GridFunction(h.grid, hf.trace() - h.grid.n * h.values)
 
 
-def integrate(gf):
-    """Quadrature sum(weights * values), accumulated deterministically."""
-    return math.fsum(gf.grid.weights * gf.values)
-
-
 def integrate_values(grid, values):
+    """Quadrature sum(weights * values), accumulated deterministically."""
     return math.fsum(grid.weights * values)
+
+
+def integrate(gf):
+    """integrate_values of a GridFunction on its own grid."""
+    return integrate_values(gf.grid, gf.values)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,23 @@ def test_step_size_controls_must_be_positive_and_finite(tmp_path, key):
         assert main(["solve", path]) == 2
 
 
+def test_step_sizes_must_be_ordered(tmp_path, capsys):
+    # dt0 = 0.9 above dt_max = 0.5 used to be accepted: the first step
+    # went to t = 0.9 and only the later ones were capped
+    from cmkit.problem import ProblemSpec
+    from cmkit.sphere import constant_function
+
+    f = constant_function(build_grid(1, m_theta=64), 1.0)
+    for bad in (dict(dt0=0.9, dt_max=0.5), dict(dt0=0.1, dt_min=0.2)):
+        with pytest.raises(ValueError, match="dt_min <= dt0 <= dt_max"):
+            ProblemSpec(n=1, k=1, p=1.5, q=2.0, f=f, **bad)
+        text = "".join(f"continuation.{key} = {value}\n" for key, value in bad.items())
+        path = write_cfg(tmp_path, BASE + text)
+        assert main(["solve", path]) == 2
+        assert "config error" in capsys.readouterr().err
+    ProblemSpec(n=1, k=1, p=1.5, q=2.0, f=f, dt0=0.5, dt_min=0.5, dt_max=0.5)
+
+
 # ---------------------------------------------------------------------------
 # data families
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from cmkit.diagnostics import (
     DiagnosticsReport,
     af_inequality_check,
-    even_basis,
     fit_equality_direction,
     isotropic_experiment,
     isotropic_q_limit,
@@ -21,8 +20,15 @@ from cmkit.diagnostics import (
     run_diagnostics,
 )
 from cmkit.errors import AdmissibilityError
-from cmkit.problem import ProblemSpec, residual
-from cmkit.sphere import GridFunction, build_grid, constant_function, integrate_values
+from cmkit import problem
+from cmkit.problem import LinearizedOperator, ProblemSpec, linearization_weights, residual
+from cmkit.sphere import (
+    GridFunction,
+    build_grid,
+    constant_function,
+    hessian_field,
+    integrate_values,
+)
 
 
 def make_spec(n=2, k=1, p=1.5, q=2.0, f_value=2.0, grid=None, **kw):
@@ -258,12 +264,71 @@ def test_fit_equality_direction_rejects_generic_function():
 # linearized spectrum
 # ---------------------------------------------------------------------------
 
-def test_even_basis_orthonormal_and_even():
-    g = build_grid(2, m_lat=8, m_lon=8)
-    B = even_basis(g)
-    assert B.shape == (g.node_count, g.node_count // 2)
-    assert_allclose(B.T @ B, np.eye(B.shape[1]), atol=1e-14)
-    assert np.array_equal(B[g.antipodal_perm], B)
+def _spectrum_grid(shape):
+    if len(shape) == 1:
+        return build_grid(1, m_theta=shape[0])
+    return build_grid(2, m_lat=shape[0], m_lon=shape[1])
+
+
+@pytest.mark.parametrize("shape, k", [((256,), 1), ((8, 16), 1), ((8, 16), 2), ((9, 16), 1),
+                                      ((9, 16), 2), ((24, 48), 1), ((24, 48), 2)])
+def test_spectrum_matches_dense_even_restriction(shape, k):
+    # reference: the dense Jacobian at h = 1, t = 0 restricted to the
+    # orthonormal even basis (e_i + e_a(i)) / sqrt(2) over antipodal pairs;
+    # 9x16 has a self-paired equator ring
+    g = _spectrum_grid(shape)
+    spec = make_spec(n=g.n, k=k, p=1.5, q=k + 0.5, grid=g)
+    h = constant_function(g, 1.0)
+    J = LinearizedOperator(g, linearization_weights(spec, h, 0.0, hessian_field(h))).toarray()
+    perm = g.antipodal_perm
+    first = np.flatnonzero(np.arange(g.node_count) < perm)
+    col = np.arange(first.size)
+    B = np.zeros((g.node_count, first.size))
+    B[first, col] = B[perm[first], col] = math.sqrt(0.5)
+    ref = np.sort(np.linalg.eigvals(B.T @ J @ B).real)[::-1]
+    ev = l0_spectrum(spec)
+    assert ev.shape == ref.shape == (g.node_count // 2,)
+    assert np.max(np.abs(ev - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _leading_even_degrees(spec):
+    # binom(n,k)(q-p) - binom(n-1,k-1) l(l+n-1) for l = 0, 2, 4, 6, once per
+    # even harmonic of degree l: 2l+1 on S^2, 2 on S^1 (1 for l = 0)
+    n, k = spec.n, spec.k
+    return np.concatenate([
+        np.full(2 * deg + 1 if n == 2 else (1 if deg == 0 else 2),
+                math.comb(n, k) * (spec.q - spec.p)
+                - math.comb(n - 1, k - 1) * deg * (deg + n - 1))
+        for deg in (0, 2, 4, 6)])
+
+
+def test_spectrum_leading_even_degrees_circle():
+    spec = make_spec(n=1, k=1, p=1.5, q=2.0, grid=build_grid(1, m_theta=256))
+    expect = _leading_even_degrees(spec)
+    assert_allclose(l0_spectrum(spec)[:expect.size], expect, rtol=1e-12)
+
+
+@pytest.mark.parametrize("k, p, q", [(1, 1.5, 2.0), (2, 1.5, 2.5)])
+def test_spectrum_leading_even_degrees_converge_at_second_order(k, p, q):
+    errors = []
+    for m_lat in (12, 24, 48):
+        spec = make_spec(n=2, k=k, p=p, q=q, grid=build_grid(2, m_lat=m_lat, m_lon=2 * m_lat))
+        expect = _leading_even_degrees(spec)
+        errors.append(np.max(np.abs(l0_spectrum(spec)[:expect.size] - expect)))
+    ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+    assert all(3.5 <= r <= 4.5 for r in ratios), (errors, ratios)
+
+
+def test_spectrum_builds_no_dense_jacobian(monkeypatch):
+    calls = []
+    for owner, name in ((problem, "assemble_jacobian"), (LinearizedOperator, "toarray")):
+        def spy(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, spy)
+    ev = l0_spectrum(make_spec(n=2, k=2, p=1.5, q=2.5))
+    assert calls == []
+    assert ev.size == 16 * 32 // 2
 
 
 def test_spectrum_top_eigenvalue_and_count():

@@ -22,7 +22,7 @@ from .continuation import continue_path
 from .errors import AdmissibilityError, ConfigError, DomainError, SingularJacobianError
 from .geometry import reconstruct_body, write_obj, write_polyline
 from .problem import residual
-from .sphere import build_grid, read_grid_function, write_grid_function
+from .sphere import build_grid, format_rows, read_grid_function, write_grid_function
 
 
 # OpenBLAS thread setters, by the symbol names its builds export
@@ -176,8 +176,7 @@ def _cmd_spectrum(cfg):
     out = ensure_out_dir(cfg)
     with open(os.path.join(out, "spectrum.csv"), "w") as fh:
         fh.write("eigenvalue\n")
-        for ev in eigs:
-            fh.write(f"{ev:.17g}\n")
+        fh.write(format_rows("%.17g", eigs[:, None]))
     payload = {
         "top": float(eigs[0]),
         "top_analytic": diag.l0_top_eigenvalue_analytic(spec),

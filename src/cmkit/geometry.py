@@ -11,7 +11,7 @@ to rounding.
 import numpy as np
 
 from .errors import AdmissibilityError
-from .sphere import hessian_field
+from .sphere import format_rows, hessian_field
 
 
 class BodyMesh:
@@ -180,14 +180,12 @@ def write_obj(mesh, path):
     quads split into two triangles, faces as v//vn."""
     if mesh.grid.n != 2:
         raise ValueError("OBJ export is for n = 2; use write_polyline for n = 1")
+    # 1-based quad a, b, c, d -> triangles a, b, c and a, c, d
+    tris = (mesh.faces + 1)[:, [0, 0, 1, 1, 2, 2, 0, 0, 2, 2, 3, 3]]
     with open(path, "w") as fh:
-        for v in mesh.vertices:
-            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
-        for nrm in mesh.normals:
-            fh.write(f"vn {nrm[0]:.17g} {nrm[1]:.17g} {nrm[2]:.17g}\n")
-        for a, b, c, d in mesh.faces + 1:  # 1-based
-            fh.write(f"f {a}//{a} {b}//{b} {c}//{c}\n")
-            fh.write(f"f {a}//{a} {c}//{c} {d}//{d}\n")
+        fh.write(format_rows("v %.17g %.17g %.17g", mesh.vertices))
+        fh.write(format_rows("vn %.17g %.17g %.17g", mesh.normals))
+        fh.write(format_rows("f %d//%d %d//%d %d//%d\nf %d//%d %d//%d %d//%d", tris))
 
 
 def write_polyline(mesh, path):
@@ -196,5 +194,4 @@ def write_polyline(mesh, path):
         raise ValueError("polyline export is for n = 1")
     with open(path, "w") as fh:
         fh.write("x,y\n")
-        for v in mesh.vertices:
-            fh.write(f"{v[0]:.17g},{v[1]:.17g}\n")
+        fh.write(format_rows("%.17g,%.17g", mesh.vertices))

@@ -182,12 +182,9 @@ def solve_linear(J, rhs, blocks=None):
             lu, piv_idx = sla.lu_factor(J)
         piv = np.abs(np.diag(lu))
         if piv.min() < PIVOT_RTOL * scale:
-            # name the offending direction: right singular vector of the
-            # smallest singular value
-            _, svals, VT = np.linalg.svd(J)
             raise SingularJacobianError(
                 f"pivot {piv.min():.3e} below 1e-13 * |J| = {PIVOT_RTOL * scale:.3e}",
-                direction=VT[-1])
+                matrix=J)
         solve = partial(sla.lu_solve, (lu, piv_idx))
         x = solve(rhs)
         be, r = backward(x)

@@ -221,8 +221,11 @@ class LinearizedOperator:
 
     J.v (n = 2) is one pass of the frame fields of v, as in hessian_field,
     with the weights folded in; its longitude derivatives use rfft/irfft
-    with the symbols of the longitude kernels.  norm_inf() (exact) and
-    toarray() come from the frame taps, ring by ring; nnz counts weights.
+    with the symbols of the longitude kernels.  norm_inf() is exact and
+    O(N log m_lon): it sums each row's absolute values from the same
+    folded coefficients, the latitude taps and the parity of the two
+    longitude kernel rows.  toarray() comes from the frame taps, ring by
+    ring; nnz counts weights.
     """
 
     def __init__(self, grid, weights):
@@ -274,8 +277,52 @@ class LinearizedOperator:
             cols = np.flatnonzero(T[j].any(axis=0))
             yield j, cols, W[j] @ T[j][:, cols]
 
+    def _abs_row_sums(self):
+        # sum_c |J[r, c]| per node r, from the coefficients of dot.  On its
+        # own ring, row (j, i) holds a0 at column (j, i) plus ctt * row2 +
+        # bs * row1 read from i on; the grid's sorted kernel ratios sum its
+        # columns in pairs (d, m_lon - d).  A latitude tap onto another ring
+        # adds a point a plus b * row1, both read from its column.  The tap
+        # across the pole, one per pole ring, lands on the node's own ring
+        # at shift m_lon / 2, so those two rings' own columns are summed in
+        # full.
+        g = self.grid
+        row1, row2 = g._lon_rows
+        L = row1.size
+        half = L // 2
+        if g.n == 1:
+            w = self.weights
+            a0, ctt, bs = w["diag"] + w["hess11"], w["hess11"], w["grad1"]
+        else:
+            (c0, c11, c1, ctt), coef_t = self._coef
+            c12, ct = coef_t or (0.0, 0.0)
+            w1, w2 = g._lat_w1, g._lat_w2
+            a0 = c0 - c11 * w2.sum(axis=0) - c1 * w1.sum(axis=0)
+            bs = ct - c12 * w1.sum(axis=0)
+        act, bct = np.abs(ctt), np.abs(bs)
+        tau = np.divide(act, bct, where=bct > 0, out=np.full_like(act, np.inf))
+        j = np.searchsorted(g._lon_ratio, tau, side="right")
+        sums = (np.abs(a0 + ctt * row2[0] + bs * row1[0])
+                + np.abs(ctt * row2[half] + bs * row1[half])
+                + 2.0 * (act * g._lon_c2_head[j] + bct * g._lon_c1_tail[j]))
+        if g.n == 2:
+            a = c11 * w2 + c1 * w1
+            b = c12 * w1
+            taps = np.abs(a + b * row1[0]) + np.abs(b) * np.abs(row1[1:]).sum()
+            shift = g._lat_src[:, :, 0] % L
+            for t, r in zip(*np.nonzero(shift)):
+                own = ctt[r, :, None] * row2 + bs[r, :, None] * row1 \
+                    + b[t, r, :, None] * np.roll(row1, shift[t, r])
+                own[:, 0] += a0[r]
+                own[:, shift[t, r]] += a[t, r]
+                sums[r] = np.abs(own).sum(axis=1)
+                taps[t, r] = 0.0
+            sums += taps.sum(axis=0)
+        return sums.ravel()
+
     def norm_inf(self):
-        return float(np.max([np.abs(P, out=P).sum(axis=1).max() for _, _, P in self._ring_rows()]))
+        """The exact infinity norm of J, its largest absolute row sum."""
+        return float(self._abs_row_sums().max())
 
     def toarray(self):
         width, M, L = self.grid.frame_taps()["hess11"].shape

@@ -186,6 +186,18 @@ class SphereGrid:
         rows[:, 0] = -rows.sum(axis=1)
         self._lon_rows = rows
         self._lon_syms = np.conj(np.fft.rfft(rows, axis=-1))
+        # for the abs-sum of a row a*rows[1] + b*rows[0] over 0 < d < m/2:
+        # rows[1] is even and rows[0] odd in d, so the columns d and m - d
+        # sum to 2 max(|a c2[d]|, |b c1[d]|).  With d sorted by
+        # ratio = |c1/c2|, the first j of them take the c2 side when
+        # ratio[j - 1] <= |a/b| < ratio[j]; c2_head[j] sums |c2| over those,
+        # c1_tail[j] |c1| over the rest.
+        r1, r2 = np.abs(self._lon_c1), np.abs(self._lon_c2)
+        ratio = r1 / r2
+        order = np.argsort(ratio)
+        self._lon_ratio = ratio[order]
+        self._lon_c2_head = np.concatenate([[0.0], np.cumsum(r2[order])])
+        self._lon_c1_tail = np.concatenate([np.cumsum(r1[order][::-1])[::-1], [0.0]])
 
     def _build_lat_stencils(self):
         # difference-form stencils as tap arrays, one row per latitude ring
@@ -593,21 +605,24 @@ def apply_symmetry(h, kind, steps=0):
 # serialization
 # ---------------------------------------------------------------------------
 
+def format_rows(template, rows):
+    """rows (a 2-d array) formatted by the %-template, one line per row,
+    in a single % call."""
+    return ((template + "\n") * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def write_grid_function(gf, path):
     """CSV with header lat,lon,value (n=2) or theta,value (n=1), node order,
     17 significant digits."""
     g = gf.grid
+    if g.n == 1:
+        header, cols = "theta,value", (g.thetas, gf.values)
+    else:
+        M, L = g.shape
+        header, cols = "lat,lon,value", (np.repeat(g.lats, L), np.tile(g.lons, M), gf.values)
     with open(path, "w") as fh:
-        if g.n == 1:
-            fh.write("theta,value\n")
-            for th, v in zip(g.thetas, gf.values):
-                fh.write(f"{th:.17g},{v:.17g}\n")
-        else:
-            fh.write("lat,lon,value\n")
-            vals = gf.field
-            for j in range(g.m_lat):
-                for i in range(g.m_lon):
-                    fh.write(f"{g.lats[j]:.17g},{g.lons[i]:.17g},{vals[j, i]:.17g}\n")
+        fh.write(header + "\n")
+        fh.write(format_rows(",".join(["%.17g"] * len(cols)), np.column_stack(cols)))
 
 
 def read_grid_function(grid, path):

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 
 from cmkit.cli import main
 from cmkit.config import build_f, build_problem, parse_config
+from cmkit.diagnostics import l0_spectrum
 from cmkit.errors import ConfigError
 from cmkit.sphere import build_grid, read_grid_function
 
@@ -255,6 +256,10 @@ def test_spectrum_command(tmp_path, capsys):
     assert abs(payload["top"] - payload["top_analytic"]) <= 0.01 * abs(payload["top_analytic"])
     eigs = np.loadtxt(os.path.join(tmp_path, "out", "spectrum.csv"), skiprows=1)
     assert np.all(np.diff(eigs) <= 0)
+    # byte for byte the earlier per-row writer's file
+    ref = "eigenvalue\n" + "".join(
+        f"{ev:.17g}\n" for ev in l0_spectrum(build_problem(parse_config(path))[1]))
+    assert Path(tmp_path, "out", "spectrum.csv").read_text() == ref
 
 
 def test_isotropic_command(tmp_path, capsys):

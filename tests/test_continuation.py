@@ -206,3 +206,24 @@ def test_path_through_varying_data_records_monotone_t(g1):
     # homotopy endpoints consistent with the recorded path
     f1 = homotopy_f(spec, 1.0)
     assert np.array_equal(f1.values, spec.f.values)
+
+
+def test_declined_circle_point_runs_no_full_svd(monkeypatch):
+    # k = 1, q = p + 1: the Jacobian at h = 1 is singular along the odd
+    # translation modes, so every attempt fails its pivot check and the
+    # point is declined; the near-null direction is never read, so no
+    # N x N singular value decomposition runs
+    g = build_grid(1, m_theta=256)
+    u = g.coords[:, 0]
+    spec = ProblemSpec(n=1, k=1, p=1.5, q=2.5, f=GridFunction(g, (1.0 + 0.5 * u ** 2) ** -1.5))
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    tr = continue_path(spec)
+    assert not tr.success and "pivot" in tr.message
+    assert (g.node_count, g.node_count) not in shapes

@@ -184,6 +184,46 @@ def test_polyline_round_trip_bitwise(tmp_path):
     assert np.array_equal(arr, mesh.vertices)
 
 
+def _write_obj_per_row(mesh, path):
+    # the earlier writer, kept as the reference: one f-string per record
+    with open(path, "w") as fh:
+        for v in mesh.vertices:
+            fh.write(f"v {v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
+        for nrm in mesh.normals:
+            fh.write(f"vn {nrm[0]:.17g} {nrm[1]:.17g} {nrm[2]:.17g}\n")
+        for a, b, c, d in mesh.faces + 1:
+            fh.write(f"f {a}//{a} {b}//{b} {c}//{c}\n")
+            fh.write(f"f {a}//{a} {c}//{c} {d}//{d}\n")
+
+
+def _write_polyline_per_row(mesh, path):
+    with open(path, "w") as fh:
+        fh.write("x,y\n")
+        for v in mesh.vertices:
+            fh.write(f"{v[0]:.17g},{v[1]:.17g}\n")
+
+
+# signed zeros, values that need all 17 digits, the extreme magnitudes
+AWKWARD = (-0.0, 0.0, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0, 5e-324, -1.7976931348623157e308, 1e16)
+
+
+@pytest.mark.parametrize("n,kw", [(1, dict(m_theta=64)), (2, dict(m_lat=9, m_lon=16)),
+                                  (2, dict(m_lat=32, m_lon=64))])
+def test_mesh_writers_match_per_row_writers(tmp_path, n, kw):
+    g = build_grid(n, **kw)
+    mesh = reconstruct_body(legendre_body(g))
+    mesh.vertices.flat[:len(AWKWARD)] = AWKWARD
+    mesh.normals = mesh.normals.copy()
+    mesh.normals.flat[-len(AWKWARD):] = AWKWARD
+    write, reference = (write_polyline, _write_polyline_per_row) if n == 1 else \
+        (write_obj, _write_obj_per_row)
+    write(mesh, os.path.join(tmp_path, "new"))
+    reference(mesh, os.path.join(tmp_path, "ref"))
+    with open(os.path.join(tmp_path, "new"), "rb") as new, \
+            open(os.path.join(tmp_path, "ref"), "rb") as ref:
+        assert new.read() == ref.read()
+
+
 def test_mesh_writers_check_dimension(tmp_path):
     g1 = build_grid(1, m_theta=64)
     g2 = build_grid(2, m_lat=16, m_lon=32)

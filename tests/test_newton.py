@@ -229,6 +229,25 @@ def test_matrix_free_newton_step_builds_no_matrix(monkeypatch):
     assert all(max(A.shape) < N for A in built)
 
 
+def test_tilted_path_never_forms_dense_rows(monkeypatch):
+    # norm_inf() comes from the weights and the kernels alone: a tilted
+    # 16x32 continuation forms no dense Jacobian row
+    from cmkit.continuation import continue_path
+
+    formed, norms = [], []
+    norm_inf = LinearizedOperator.norm_inf
+
+    def counting_norm(self):
+        norms.append(self)
+        return norm_inf(self)
+
+    monkeypatch.setattr(LinearizedOperator, "_ring_rows", lambda self: formed.append(self))
+    monkeypatch.setattr(LinearizedOperator, "norm_inf", counting_norm)
+    spec, _, _, _ = _sphere_case(2, 0.4, m_lat=16)
+    tr = continue_path(spec)
+    assert tr.success and norms and not formed
+
+
 # ---------------------------------------------------------------------------
 # newton_solve
 # ---------------------------------------------------------------------------

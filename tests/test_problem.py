@@ -435,6 +435,45 @@ def test_matrix_free_jacobian_matches_csr_assembly(shape, k, tilt):
         assert zero == set()
 
 
+def _dense_abs_row_sums(J):
+    # the reference: abs row sums of the dense rows toarray() places; read
+    # ring by ring from those same rows above 4096 nodes, where the N x N
+    # array would take 512 MB
+    if J.shape[0] <= 4096:
+        return np.abs(J.toarray()).sum(axis=1)
+    return np.concatenate([np.abs(P).sum(axis=1) for _, _, P in J._ring_rows()])
+
+
+NORM_CASES = [((64,), 1, 0.0), ((256,), 1, 0.0)] + [
+    (shape, k, tilt) for shape in ((9, 16), (16, 32), (17, 32), (33, 64), (64, 128))
+    for k in (1, 2) for tilt in (0.0, 0.4)]
+
+
+@pytest.mark.parametrize("shape,k,tilt", NORM_CASES,
+                         ids=["x".join(map(str, s)) + f"-{k}-{t}" for s, k, t in NORM_CASES])
+def test_norm_inf_matches_dense_row_sums(shape, k, tilt):
+    # every abs row sum, and their max norm_inf(), against the dense rows:
+    # at a polar or tilted iterate, and with random-sign weights, whose
+    # ratios |v_tt / v_t coefficient| fall on both sides of every paired
+    # max and reach both pole rings
+    from cmkit.problem import LinearizedOperator, linearization_weights
+    from cmkit.sphere import hessian_field
+
+    if len(shape) == 1:
+        g = build_grid(1, m_theta=shape[0])
+    else:
+        g = build_grid(2, m_lat=shape[0], m_lon=shape[1])
+    spec, h = _tilted_iterate(g, k, tilt)
+    weights = linearization_weights(spec, h, 0.5, hessian_field(h))
+    rng = np.random.default_rng(len(shape) * 100 + k)
+    signed = {key: rng.standard_normal(w.size) for key, w in weights.items()}
+    for w in (weights, signed):
+        J = LinearizedOperator(g, w)
+        ref = _dense_abs_row_sums(J)
+        assert np.max(np.abs(J._abs_row_sums() - ref) / ref) <= 1e-14
+        assert abs(J.norm_inf() - ref.max()) <= 1e-14 * ref.max()
+
+
 @pytest.mark.parametrize("shape,k", [((64,), 1), ((512,), 1), ((8, 16), 1), ((8, 16), 2),
                                      ((9, 16), 1), ((9, 16), 2)],
                          ids=["c64-1", "c512-1", "8x16-1", "8x16-2", "9x16-1", "9x16-2"])

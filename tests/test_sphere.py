@@ -579,3 +579,37 @@ def test_csv_grid_mismatch(tmp_path, g2):
     other = build_grid(2, m_lat=32, m_lon=66)
     with pytest.raises(ValueError):
         read_grid_function(other, p)
+
+
+def _write_grid_function_per_row(gf, path):
+    # the earlier writer, kept as the reference: one f-string per node
+    g = gf.grid
+    with open(path, "w") as fh:
+        if g.n == 1:
+            fh.write("theta,value\n")
+            for th, v in zip(g.thetas, gf.values):
+                fh.write(f"{th:.17g},{v:.17g}\n")
+        else:
+            fh.write("lat,lon,value\n")
+            vals = gf.field
+            for j in range(g.m_lat):
+                for i in range(g.m_lon):
+                    fh.write(f"{g.lats[j]:.17g},{g.lons[i]:.17g},{vals[j, i]:.17g}\n")
+
+
+# signed zeros, values that need all 17 digits, the extreme magnitudes
+AWKWARD = (-0.0, 0.0, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0, 5e-324, 1.7976931348623157e308, 1e16)
+
+
+@pytest.mark.parametrize("shape", [(64,), (9, 16), (32, 64)],
+                         ids=lambda s: "x".join(map(str, s)))
+def test_write_grid_function_matches_per_row_writer(tmp_path, shape):
+    if len(shape) == 1:
+        g = build_grid(1, m_theta=shape[0])
+    else:
+        g = build_grid(2, m_lat=shape[0], m_lon=shape[1])
+    v = _random_field(g, 3).values
+    v[:len(AWKWARD)] = AWKWARD
+    write_grid_function(GridFunction(g, v), tmp_path / "new.csv")
+    _write_grid_function_per_row(GridFunction(g, v), tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -110,6 +110,9 @@ def _solve_report(cfg, spec, trace):
         "steps": max(len(trace.steps) - 1, 0),
         "wall_time": trace.wall_time,
         "residual": {"linf": rep.linf, "l2": rep.l2},
+        # work of the accepted steps in trace.jsonl
+        "counters": {key: sum(row[key] for row in trace.steps)
+                     for key in ("newton_iterations", "krylov_iterations")},
         "f1": trace.f1_report,
         "diagnostics": _diagnostics_payload(spec, trace.h),
     }

@@ -11,8 +11,26 @@ Keyes, JCP 2004), right-preconditioned with the ring-averaged Jacobian:
 with every coefficient replaced by its ring mean, a real FFT in longitude
 splits the operator into m_lon/2 + 1 banded blocks, one per Fourier mode
 (problem.ring_blocks), whose exact inverse is the preconditioner.  For
-axisymmetric iterates and data it is J^-1.  A step whose GMRES misses its
-target raises SingularJacobianError, and continuation halves its step.
+axisymmetric iterates and data it is J^-1.
+
+The GMRES step is inexact (Dembo, Eisenstat & Steihaug 1982): it only has
+to bring |J delta + F|_inf below eta_k |F|_inf, where the forcing term
+eta_k follows Eisenstat & Walker's choice 2 (SIAM J. Sci. Comput. 17,
+1996) with Kelley's safeguards (Iterative Methods for Linear and
+Nonlinear Equations, 1995, section 6.3), all in the sup norm of the
+stopping test:
+
+    eta_0 = ETA_MAX
+    eta_A = FORCING_GAMMA * (|F_k| / |F_k-1|)^2
+    eta_B = eta_A                             if FORCING_GAMMA eta_k-1^2 <= 0.1
+          = max(eta_A, FORCING_GAMMA eta_k-1^2) otherwise
+    eta_k = min(ETA_MAX, max(eta_B, 0.5 tol_newton / |F_k|))
+
+Far from the solution a step is solved loosely; near it eta_k shrinks
+with the square of the residual ratio, which keeps the quadratic tail.
+Convergence is still decided by the nonlinear residual against
+tol_newton.  A step whose GMRES misses its target raises
+SingularJacobianError, and continuation halves its step.
 """
 
 import math
@@ -44,6 +62,8 @@ MARGIN_FLOOR = 1e-10  # Gamma_k margin kept strictly off the cone boundary
 PIVOT_RTOL = 1e-13  # smallest pivot allowed, relative to norm(J, inf)
 KRYLOV_TARGET = 1e-16  # estimated normwise backward error GMRES stops at
 KRYLOV_MAX_ITER = 40  # GMRES iterations before the step counts as failed
+FORCING_GAMMA = 0.9  # Eisenstat-Walker choice 2: eta_A = gamma (|F_k|/|F_k-1|)^2
+ETA_MAX = 0.1  # largest forcing term, and the first one
 
 
 @dataclass
@@ -56,6 +76,7 @@ class NewtonResult:
     min_b_eig: float  # smallest eigenvalue of b(h) over the nodes
     step_history: list = field(default_factory=list)  # (alpha, residual linf)
     message: str = ""
+    krylov_iterations: int = 0  # GMRES iterations over all Newton steps
 
 
 def _ring_preconditioner(blocks, scale):
@@ -92,18 +113,19 @@ def _ring_preconditioner(blocks, scale):
     return apply
 
 
-def _gmres(matvec, rhs, precond, scale):
+def _gmres(matvec, rhs, precond, scale, eta=0.0):
     """Right-preconditioned GMRES for J x = rhs (Saad & Schultz 1986).
 
-    Stops when the Arnoldi estimate of the normwise backward error,
-    |rhs - J x|_2 / (scale * |x|_inf + |rhs|_inf), meets KRYLOV_TARGET.
-    The estimate bounds the max-norm backward error that solve_linear
-    checks, and unlike the computed residual it has no rounding floor:
-    that floor is near the unit roundoff on some Jacobians, so a tight
-    target on the computed residual would often be missed by luck.
-    Returns x; raises SingularJacobianError when KRYLOV_MAX_ITER
-    iterations do not reach the target or J P^-1 is numerically singular
-    on the Krylov space.
+    Stops when the Arnoldi estimate of |rhs - J x|_2 meets the larger of
+    KRYLOV_TARGET * (scale * |x|_inf + |rhs|_inf), a normwise backward
+    error, and eta * |rhs|_inf, the forcing term of an inexact Newton
+    step.  The 2-norm estimate bounds the max-norm residual that
+    solve_linear checks, and unlike the computed residual it has no
+    rounding floor: that floor is near the unit roundoff on some
+    Jacobians, so a tight target on the computed residual would often be
+    missed by luck.  Returns (x, iterations); raises SingularJacobianError
+    when KRYLOV_MAX_ITER iterations do not reach the target or J P^-1 is
+    numerically singular on the Krylov space.
     """
     m = KRYLOV_MAX_ITER
     V = np.empty((m + 1, rhs.size))
@@ -115,7 +137,7 @@ def _gmres(matvec, rhs, precond, scale):
     bnorm = np.max(np.abs(rhs))
     g[0] = np.linalg.norm(rhs)
     if g[0] == 0.0:
-        return np.zeros(rhs.size)
+        return np.zeros(rhs.size), 0
     V[0] = rhs / g[0]
     for k in range(m):
         Z[k] = precond(V[k])
@@ -141,27 +163,34 @@ def _gmres(matvec, rhs, precond, scale):
         g[k] *= cs[k]
         Rk = R[:k + 1, :k + 1]
         x = sla.solve_triangular(Rk, g[:k + 1]) @ Z[:k + 1]
-        if abs(g[k + 1]) <= KRYLOV_TARGET * (scale * np.max(np.abs(x)) + bnorm):
+        target = max(KRYLOV_TARGET * (scale * np.max(np.abs(x)) + bnorm), eta * bnorm)
+        if abs(g[k + 1]) <= target:
             # J P^-1 on the Krylov space: a singular J makes it singular,
             # while on a good preconditioner its condition is near 1
             svals = np.linalg.svd(Rk, compute_uv=False)
             if svals[-1] >= PIVOT_RTOL * svals[0]:
-                return x
+                return x, k + 1
             break
     raise SingularJacobianError(
-        f"GMRES missed backward error {KRYLOV_TARGET:g} after {k + 1} iterations")
+        f"GMRES missed backward error {KRYLOV_TARGET:g} and forcing term "
+        f"eta = {eta:.3g} after {k + 1} iterations")
 
 
-def solve_linear(J, rhs, blocks=None):
-    """Solve J x = rhs and verify the backward error of x.
+def solve_linear(J, rhs, blocks=None, eta=0.0, stats=None):
+    """Solve J x = rhs and verify x.
 
     A dense J is factored by LAPACK LU with partial pivoting and one
-    refinement step if needed.  A problem.LinearizedOperator is solved by
-    GMRES, preconditioned with the inverse of blocks (problem.ring_blocks
-    of J's weights when not given), to KRYLOV_TARGET within
-    KRYLOV_MAX_ITER iterations.  A pivot below PIVOT_RTOL * norm(J, inf), a
-    missed target or a backward error above 1e-10 raises
-    SingularJacobianError; a non-finite J raises ValueError first.
+    refinement step if needed; it ignores eta.  A problem.LinearizedOperator
+    is solved by GMRES, preconditioned with the inverse of blocks
+    (problem.ring_blocks of J's weights when not given), to KRYLOV_TARGET
+    or to the forcing term eta within KRYLOV_MAX_ITER iterations.  x is
+    accepted when its normwise backward error is at most 1e-10 or, on the
+    matrix-free path, when |J x - rhs|_inf <= eta * |rhs|_inf.  With
+    eta = 0 the step is solved to KRYLOV_TARGET.  A pivot below
+    PIVOT_RTOL * norm(J, inf), a missed target or an x that meets neither
+    bound raises SingularJacobianError; a non-finite J raises ValueError
+    first.  stats, when given, is a dict whose "krylov_iterations" entry
+    grows by the GMRES iterations spent (none on the dense path).
     """
     rhs = np.asarray(rhs, dtype=float)
     dense = not isinstance(J, LinearizedOperator)
@@ -169,10 +198,11 @@ def solve_linear(J, rhs, blocks=None):
     scale = np.max(np.abs(J).sum(axis=1)) if dense else J.norm_inf()
     if not np.isfinite(scale):
         raise ValueError("Jacobian has non-finite entries")
+    bnorm = np.max(np.abs(rhs))
 
     def backward(xv):
         r = J.dot(xv) - rhs
-        denom = scale * np.max(np.abs(xv)) + np.max(np.abs(rhs)) + 1e-300
+        denom = scale * np.max(np.abs(xv)) + bnorm + 1e-300
         return np.max(np.abs(r)) / denom, r
 
     if dense:
@@ -191,30 +221,48 @@ def solve_linear(J, rhs, blocks=None):
         if not (be <= 1e-10):
             x = x - solve(r)
             be, _ = backward(x)
+        forced = False  # LU ignores eta
     else:
         if blocks is None:
             blocks = ring_blocks(J.grid, J.weights)
-        x = _gmres(J.dot, rhs, _ring_preconditioner(blocks, scale), scale)
-        be, _ = backward(x)
-    if not (be <= 1e-10):
+        x, iterations = _gmres(J.dot, rhs, _ring_preconditioner(blocks, scale),
+                               scale, eta)
+        if stats is not None:
+            stats["krylov_iterations"] += iterations
+        be, r = backward(x)
+        forced = np.max(np.abs(r)) <= eta * bnorm
+    if not (be <= 1e-10 or forced):
+        forcing = "" if dense else f" and |J x - rhs| misses eta = {eta:.3g} * |rhs|"
         raise SingularJacobianError(
-            f"backward error {be:.3e} does not meet 1e-10; "
+            f"backward error {be:.3e} does not meet 1e-10{forcing}; "
             "matrix effectively singular")
     return x
 
 
-def _newton_step(spec, h, t, hf, res):
-    """Solve J(h) delta = -res, with hf = hessian_field(h) from the caller."""
-    return solve_linear(assemble_jacobian(spec, h, t, hf), -res)
+def _newton_step(spec, h, t, hf, res, eta, stats):
+    """Solve J(h) delta = -res to the forcing term eta, with
+    hf = hessian_field(h) from the caller; GMRES iterations go to stats."""
+    return solve_linear(assemble_jacobian(spec, h, t, hf), -res, eta=eta, stats=stats)
 
 
-def _result(spec, h, hf, rep, iterations, history, message=""):
+def _forcing_term(eta_prev, linf, linf_prev, tol):
+    """Next forcing term from the last one and the residuals |F_k|,
+    |F_k-1|: Eisenstat-Walker choice 2 with Kelley's safeguards."""
+    eta = FORCING_GAMMA * (linf / linf_prev) ** 2
+    floor = FORCING_GAMMA * eta_prev ** 2
+    if floor > 0.1:
+        eta = max(eta, floor)
+    return min(ETA_MAX, max(eta, 0.5 * tol / linf))
+
+
+def _result(spec, h, hf, rep, iterations, history, stats, message=""):
     return NewtonResult(
         h=h, converged=rep.linf <= spec.tol_newton, iterations=iterations,
         final_linf=rep.linf,
         min_admissibility_margin=float(np.min(admissibility_margin(spec, h, hf))),
         min_b_eig=float(np.min(hf.lam[:, 0])),
-        step_history=history, message=message)
+        step_history=history, message=message,
+        krylov_iterations=stats["krylov_iterations"])
 
 
 def newton_solve(spec, h0, t):
@@ -222,7 +270,8 @@ def newton_solve(spec, h0, t):
 
     b(h) is evaluated once per iterate: one hessian_field per line-search
     candidate feeds its margin check, its residual, the next Jacobian and
-    the result's margin and min_b_eig.
+    the result's margin and min_b_eig.  Each Newton step is solved to
+    the forcing term of the module docstring.
     """
     v = h0.values
     if np.any(v <= 0):
@@ -244,11 +293,15 @@ def newton_solve(spec, h0, t):
 
     rep = residual(spec, h, t, hf)
     history = []
+    stats = {"krylov_iterations": 0}
+    eta = ETA_MAX
     for it in range(spec.max_newton):
         if rep.linf <= spec.tol_newton:
-            return _result(spec, h, hf, rep, it, history)
+            return _result(spec, h, hf, rep, it, history, stats)
+        if it > 0:
+            eta = _forcing_term(eta, rep.linf, prev_linf, spec.tol_newton)
 
-        delta = _newton_step(spec, h, t, hf, rep.residual.values)
+        delta = _newton_step(spec, h, t, hf, rep.residual.values, eta, stats)
 
         alpha = 1.0
         accepted = None
@@ -264,14 +317,15 @@ def newton_solve(spec, h0, t):
                         break
             alpha *= 0.5
         if accepted is None:
-            return _result(spec, h, hf, rep, it, history,
+            return _result(spec, h, hf, rep, it, history, stats,
                            message=f"line search failed at alpha < {ALPHA_MIN:g} "
                                    f"(residual stuck at {rep.linf:.3e})")
+        prev_linf = rep.linf
         h, hf, rep = accepted
         history.append((alpha, rep.linf))
 
     converged = rep.linf <= spec.tol_newton
-    return _result(spec, h, hf, rep, spec.max_newton, history,
+    return _result(spec, h, hf, rep, spec.max_newton, history, stats,
                    message="" if converged else
                    f"no convergence in {spec.max_newton} iterations "
                    f"(residual {rep.linf:.3e})")

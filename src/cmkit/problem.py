@@ -130,7 +130,12 @@ def homotopy_f(spec, t):
 class ResidualReport:
     residual: GridFunction
     linf: float
-    l2: float  # quadrature-weighted
+
+    @cached_property
+    def l2(self):
+        """Quadrature-weighted 2-norm, summed on first read."""
+        res = self.residual
+        return math.sqrt(math.fsum(res.grid.weights * res.values ** 2))
 
 
 def _require_positive(h):
@@ -155,9 +160,7 @@ def residual(spec, h, t, hf=None):
         * rho2 ** (0.5 * (spec.k + 1.0 - spec.q))
     lhs = sigma_k(hf.lam, spec.k)
     res = GridFunction(spec.grid, lhs - rhs)
-    linf = float(np.max(np.abs(res.values)))
-    l2 = math.sqrt(math.fsum(spec.grid.weights * res.values ** 2))
-    return ResidualReport(residual=res, linf=linf, l2=l2)
+    return ResidualReport(residual=res, linf=float(np.max(np.abs(res.values))))
 
 
 def admissibility_margin(spec, h, hf=None):

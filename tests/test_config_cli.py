@@ -181,6 +181,25 @@ def test_solve_round_body(tmp_path):
     assert [row["t"] for row in rows] == [0.0, 1.0]
 
 
+def test_solve_report_counts_newton_and_krylov_work(tmp_path):
+    # a tilted quadratic 16x32 solve: the counters sum the accepted steps
+    # of trace.jsonl, and every Newton step spent 1..KRYLOV_MAX_ITER GMRES
+    # iterations
+    from cmkit.newton import KRYLOV_MAX_ITER
+
+    path = write_cfg(tmp_path, BASE.replace(
+        "f.kind = constant\nf.value = 2.0\n",
+        "f.kind = quadratic\nf.a = 0.5\nf.axis = 0.6,0,0.8\n"))
+    assert main(["solve", path]) == 0
+    out = os.path.join(tmp_path, "out")
+    counters = json.loads(Path(out, "report.json").read_text())["counters"]
+    rows = [json.loads(line)
+            for line in Path(out, "trace.jsonl").read_text().splitlines()]
+    assert counters["newton_iterations"] == sum(row["newton_iterations"] for row in rows) > 0
+    assert counters["newton_iterations"] <= counters["krylov_iterations"] \
+        <= KRYLOV_MAX_ITER * counters["newton_iterations"]
+
+
 def test_verify_solution_round_trip(tmp_path):
     path = write_cfg(tmp_path, BASE)
     assert main(["solve", path]) == 0

@@ -151,7 +151,9 @@ def test_solve_linear_raises_when_krylov_misses_target(monkeypatch):
 def test_krylov_miss_halves_the_continuation_step(monkeypatch):
     # a tilted 16x32 path on which no Newton step can meet the Krylov
     # target: every attempt raises SingularJacobianError and continuation
-    # halves dt until it underflows
+    # halves dt until it underflows.  ETA_MAX = 0 keeps every forcing term
+    # at 0, so the target is the exact-step one that one GMRES iteration
+    # cannot meet; a loose forcing term could be met.
     from cmkit import continuation
 
     spec, _, _, _ = _sphere_case(2, 0.4, m_lat=16)
@@ -164,6 +166,7 @@ def test_krylov_miss_halves_the_continuation_step(monkeypatch):
     solve = continuation.newton_solve
     monkeypatch.setattr(continuation, "newton_solve", spy)
     monkeypatch.setattr(newton, "KRYLOV_MAX_ITER", 1)
+    monkeypatch.setattr(newton, "ETA_MAX", 0.0)
     trace = continuation.continue_path(spec)
     assert not trace.success
     assert "GMRES missed" in trace.message
@@ -171,6 +174,142 @@ def test_krylov_miss_halves_the_continuation_step(monkeypatch):
     while expect[-1] / 2 >= spec.dt_min:
         expect.append(expect[-1] / 2)
     assert attempts == expect
+
+
+def _path_work(trace):
+    """(Newton, GMRES) iterations over the accepted steps of a trace."""
+    return (sum(row["newton_iterations"] for row in trace.steps),
+            sum(row["krylov_iterations"] for row in trace.steps))
+
+
+@pytest.mark.parametrize("m_lat", [16, 32])
+def test_forcing_terms_halve_krylov_work(monkeypatch, m_lat):
+    # tilted k = 2 paths: the inexact Newton steps spend at most half the
+    # GMRES iterations of exact steps (ETA_MAX = 0), and land on the same
+    # solution
+    from cmkit.continuation import continue_path
+
+    spec, _, _, _ = _sphere_case(2, 0.4, m_lat=m_lat)
+    inexact = continue_path(spec)
+    monkeypatch.setattr(newton, "ETA_MAX", 0.0)
+    exact = continue_path(spec)
+    assert inexact.success and exact.success
+    newton_its, krylov_its = _path_work(inexact)
+    exact_newton_its, exact_krylov_its = _path_work(exact)
+    assert 0 < krylov_its <= exact_krylov_its / 2
+    assert newton_its <= exact_newton_its
+    assert np.max(np.abs(inexact.h.values - exact.h.values)) <= 1e-9
+
+
+def _circle_jacobian():
+    g = build_grid(1, m_theta=64)
+    c = g.coords[:, 0]
+    spec = ProblemSpec(n=1, k=1, p=1.5, q=2.0, f=GridFunction(g, 1.0 + 0.3 * c ** 2))
+    return assemble_jacobian(spec, GridFunction(g, 1.0 + 0.05 * c ** 2), 0.5)
+
+
+@pytest.mark.parametrize("case", ["polar", "dense", "circle"])
+def test_forcing_term_leaves_exact_paths_bitwise(case):
+    # LAPACK LU (circle, 8x16) ignores eta, and on axisymmetric data the
+    # ring preconditioner is J^-1, so one GMRES iteration meets even the
+    # exact target
+    if case == "circle":
+        J = _circle_jacobian()
+    else:
+        J, _ = _sphere_jacobian(2, 0.0, m_lat=8 if case == "dense" else 32)
+    assert isinstance(J, LinearizedOperator) == (case == "polar")
+    rhs = np.sin(np.arange(J.shape[0]))
+    stats = {"krylov_iterations": 0}
+    x = solve_linear(J, rhs)
+    for eta in (1e-6, 0.1, 0.5):
+        assert np.array_equal(solve_linear(J, rhs, eta=eta, stats=stats), x)
+    assert stats["krylov_iterations"] == (3 if case == "polar" else 0)
+
+
+@pytest.mark.parametrize("eta", [1e-8, 1e-4, 0.1])
+def test_solve_linear_meets_forcing_term(eta):
+    # tilted data on 32x64: x meets |J x - rhs|_inf <= eta |rhs|_inf, in
+    # fewer GMRES iterations than the exact step
+    J, blocks = _sphere_jacobian(2, 1.0, 2.0)
+    rhs = np.sin(np.arange(J.shape[0]))
+    loose, exact = {"krylov_iterations": 0}, {"krylov_iterations": 0}
+    x = solve_linear(J, rhs, blocks, eta=eta, stats=loose)
+    solve_linear(J, rhs, blocks, stats=exact)
+    assert np.max(np.abs(J.dot(x) - rhs)) <= eta * np.max(np.abs(rhs))
+    assert 0 < loose["krylov_iterations"] < exact["krylov_iterations"]
+
+
+def test_solve_linear_rejects_x_that_misses_forcing_term(monkeypatch):
+    # a GMRES answer whose residual is about 2.5 eta |rhs|: the exact step
+    # scaled by 1 - 2.5 eta meets neither the forcing term nor the
+    # backward-error bound
+    J, blocks = _sphere_jacobian(2, 1.0, 2.0)
+    rhs = np.sin(np.arange(J.shape[0]))
+    eta = 0.1
+    shrink = 1.0 - 2.5 * eta
+    x = solve_linear(J, rhs, blocks)
+    gmres = newton._gmres
+
+    def short_step(matvec, rhs, precond, scale, eta):
+        return shrink * gmres(matvec, rhs, precond, scale)[0], 1
+
+    monkeypatch.setattr(newton, "_gmres", short_step)
+    with pytest.raises(SingularJacobianError, match="misses eta = 0.1"):
+        solve_linear(J, rhs, blocks, eta=eta)
+    # the same answer with a looser forcing term is accepted
+    assert np.array_equal(solve_linear(J, rhs, blocks, eta=3 * eta), shrink * x)
+
+
+def test_dense_lu_ignores_forcing_term(monkeypatch):
+    # an LU answer whose refined residual is rhs / 16 is rejected on the
+    # dense path, even under a forcing term it would meet
+    lu_solve = newton.sla.lu_solve
+    monkeypatch.setattr(newton.sla, "lu_solve", lambda *args: 0.75 * lu_solve(*args))
+    with pytest.raises(SingularJacobianError, match="does not meet 1e-10; matrix"):
+        solve_linear(2.0 * np.eye(4), np.ones(4), eta=0.5)
+
+
+def test_gmres_miss_names_forcing_term_and_iterations(monkeypatch):
+    J, blocks = _sphere_jacobian(2, 1.0, 2.0)
+    rhs = np.sin(np.arange(J.shape[0]))
+    monkeypatch.setattr(newton, "KRYLOV_MAX_ITER", 2)
+    with pytest.raises(SingularJacobianError,
+                       match=r"GMRES missed .* eta = 1e-08 after 2 iterations"):
+        solve_linear(J, rhs, blocks, eta=1e-8)
+
+
+def test_newton_result_counts_krylov_iterations(monkeypatch, g1):
+    # the matrix-free path counts every GMRES iteration of every step; the
+    # dense LU path runs none
+    counted = []
+    gmres = newton._gmres
+
+    def spy(*args):
+        counted.append(gmres(*args))
+        return counted[-1]
+
+    monkeypatch.setattr(newton, "_gmres", spy)
+    spec, h, _, _ = _sphere_case(2, 0.4, m_lat=16)
+    res = newton_solve(spec, h, 0.5)
+    assert res.converged and len(counted) == res.iterations
+    assert res.krylov_iterations == sum(its for _, its in counted) > res.iterations
+    spec = ProblemSpec(n=1, k=1, p=2.0, q=2.5, f=constant_function(g1, 0.8))
+    res = newton_solve(spec, constant_function(g1, 1.1), 1.0)
+    assert res.converged and res.iterations > 0 and res.krylov_iterations == 0
+
+
+def test_forcing_term_follows_eisenstat_walker_choice_2(monkeypatch):
+    tol, gamma = 1e-10, newton.FORCING_GAMMA
+    # choice 2: gamma (|F_k| / |F_k-1|)^2, capped at ETA_MAX
+    assert newton._forcing_term(0.1, 1e-3, 1e-2, tol) == gamma * (1e-3 / 1e-2) ** 2
+    assert newton._forcing_term(0.1, 0.9, 1.0, tol) == newton.ETA_MAX
+    # near tol_newton the forcing term stays at 0.5 tol / |F_k|
+    assert newton._forcing_term(0.1, 1e-9, 1e-5, tol) == 0.5 * tol / 1e-9
+    # gamma eta_k-1^2 is a floor only above 0.1, which needs a cap above
+    # sqrt(0.1 / gamma)
+    monkeypatch.setattr(newton, "ETA_MAX", 0.9)
+    assert newton._forcing_term(0.5, 1e-3, 1.0, tol) == gamma * 0.5 ** 2
+    assert newton._forcing_term(0.3, 1e-3, 1.0, tol) == gamma * 1e-6
 
 
 def test_solve_linear_singular_sparse_with_blocks():

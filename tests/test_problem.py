@@ -130,6 +130,23 @@ def test_residual_unit_sphere_exact(g1, g2):
             assert rep.l2 == 0.0
 
 
+def test_residual_l2_is_summed_on_first_read(monkeypatch, g2):
+    # residual() sums no squares; l2 is the weighted fsum, bitwise, and is
+    # computed once
+    spec = ProblemSpec(n=2, k=2, p=1.5, q=2.5, f=constant_function(g2, 1.3))
+    h = GridFunction(g2, 1.0 + 0.1 * g2.coords[:, 2] ** 2)
+    sums = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda x: sums.append(1) or fsum(x))
+    rep = residual(spec, h, 0.7)
+    assert sums == []
+    r = rep.residual.values
+    expect = math.sqrt(fsum(g2.weights * r ** 2))
+    assert rep.l2 == expect > 0.0
+    assert rep.l2 == expect
+    assert len(sums) == 1
+
+
 def test_residual_constant_closed_form(g2):
     # h = r, f = c: residual is binom r^k - c r^(p-1) r^(k+1-q) node-wise
     r, c = 1.3, 2.2

@@ -1,9 +1,5 @@
 """Exception types shared across the package."""
 
-from functools import cached_property
-
-import numpy as np
-
 
 class DomainError(ValueError):
     """A field violates a pointwise domain requirement (e.g. h <= 0 at a node)."""
@@ -28,21 +24,9 @@ class UnsupportedParameterError(ValueError):
 
 
 class SingularJacobianError(RuntimeError):
-    """Linearization is numerically singular; may carry a near-null direction.
-
-    Raised with the dense matrix, direction is the right singular vector of
-    its smallest singular value, computed on first read; otherwise None.
-    """
-
-    def __init__(self, message, matrix=None):
-        super().__init__(message)
-        self._matrix = matrix
-
-    @cached_property
-    def direction(self):
-        if self._matrix is None:
-            return None
-        return np.linalg.svd(self._matrix)[2][-1]
+    """The Newton step failed: a preconditioner pivot below the pivot
+    floor, a GMRES miss, or a step that meets neither the backward-error
+    bound nor the forcing term."""
 
 
 class ConfigError(ValueError):

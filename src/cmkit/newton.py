@@ -5,26 +5,26 @@ Safeguards per step: positivity of the iterate, Gamma_k admissibility of
 b(iterate), residual decrease (Armijo-like on the sup norm), and an exact
 evenness projection.
 
-The Newton step: dense Jacobians (circle, small grids) are factored by
-LAPACK LU.  The matrix-free sphere Jacobian is solved by GMRES (Knoll &
-Keyes, JCP 2004), right-preconditioned with the ring-averaged Jacobian:
-with every coefficient replaced by its ring mean, a real FFT in longitude
+The Newton step: the matrix-free Jacobian (problem.LinearizedOperator, on
+the circle and on every sphere grid) is solved by GMRES (Knoll & Keyes,
+JCP 2004), right-preconditioned with the ring-averaged Jacobian: with
+every coefficient replaced by its ring mean, a real FFT in longitude
 splits the operator into m_lon/2 + 1 banded blocks, one per Fourier mode
 (problem.ring_blocks), whose exact inverse is the preconditioner.  For
-axisymmetric iterates and data it is J^-1.
+axisymmetric iterates and data it is J^-1.  The blocks are factored by a
+banded LU with partial pivoting (LAPACK gbtrf's scheme) in numpy,
+vectorized over the modes; no solve imports scipy.
 
 The GMRES step is inexact (Dembo, Eisenstat & Steihaug 1982): it only has
 to bring |J delta + F|_inf below eta_k |F|_inf, where the forcing term
 eta_k follows Eisenstat & Walker's choice 2 (SIAM J. Sci. Comput. 17,
-1996) with Kelley's safeguards (Iterative Methods for Linear and
-Nonlinear Equations, 1995, section 6.3), all in the sup norm of the
-stopping test:
+1996) with Kelley's safeguard against oversolving near the solution
+(Iterative Methods for Linear and Nonlinear Equations, 1995, section
+6.3), all in the sup norm of the stopping test:
 
     eta_0 = ETA_MAX
-    eta_A = FORCING_GAMMA * (|F_k| / |F_k-1|)^2
-    eta_B = eta_A                             if FORCING_GAMMA eta_k-1^2 <= 0.1
-          = max(eta_A, FORCING_GAMMA eta_k-1^2) otherwise
-    eta_k = min(ETA_MAX, max(eta_B, 0.5 tol_newton / |F_k|))
+    eta_k = min(ETA_MAX, max(FORCING_GAMMA (|F_k| / |F_k-1|)^2,
+                             0.5 tol_newton / |F_k|))
 
 Far from the solution a step is solved loosely; near it eta_k shrinks
 with the square of the residual ratio, which keeps the quadratic tail.
@@ -34,23 +34,12 @@ SingularJacobianError, and continuation halves its step.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import sparse
-from scipy.sparse import linalg as spla
 
 from .errors import AdmissibilityError, DomainError, SingularJacobianError
-from .problem import (
-    LinearizedOperator,
-    admissibility_margin,
-    assemble_jacobian,
-    residual,
-    ring_blocks,
-)
+from .problem import admissibility_margin, assemble_jacobian, residual, ring_blocks
 from .sphere import GridFunction, even_project, hessian_field, odd_defect
 
 # line-search controls
@@ -64,6 +53,7 @@ KRYLOV_TARGET = 1e-16  # estimated normwise backward error GMRES stops at
 KRYLOV_MAX_ITER = 40  # GMRES iterations before the step counts as failed
 FORCING_GAMMA = 0.9  # Eisenstat-Walker choice 2: eta_A = gamma (|F_k|/|F_k-1|)^2
 ETA_MAX = 0.1  # largest forcing term, and the first one
+RING_BLOCK = 8  # rings per batched matmul in the preconditioner's substitutions
 
 
 @dataclass
@@ -79,37 +69,137 @@ class NewtonResult:
     krylov_iterations: int = 0  # GMRES iterations over all Newton steps
 
 
+def _band_lu(blocks, rows):
+    """Banded LU with partial pivoting of every mode's block at once.
+
+    blocks is the (width, M, K) output of problem.ring_blocks; the blocks
+    are factored with identity rows M .. rows - 1 appended.  Column j has
+    kl = width // 2 entries below the diagonal; as in LAPACK's gbtrf its
+    pivot is the largest of rows j .. j + kl, swapped into row j, and the
+    swaps give U 2 kl superdiagonals.  Returns U as (rows, K, width) with
+    [j, :, c] = U[j, j + c], the multipliers (rows, kl, K) of the rows
+    under each pivot and the pivot offsets (rows, K): row j was swapped
+    with row j + offset.  A zero pivot leaves non-finite entries behind
+    it; the caller checks the pivots.
+    """
+    width, M, K = blocks.shape
+    kl = width // 2
+    # a[r] holds row r from column r - kl on until the elimination reaches
+    # it, then from the current pivot column on: a[j:j + kl + 1, :, c] is
+    # column j + c of the pivot candidates.  The last column stays 0, so
+    # each update shifts the remaining rows one column left.
+    a = np.zeros((rows + kl, K, width + 1), complex)
+    a[:M, :, :width] = blocks.transpose(1, 2, 0)
+    a[M:rows, :, kl] = 1.0
+    for r in range(kl):  # the first rows already start at the first pivot
+        a[r, :, :width - kl + r] = a[r, :, kl - r:width].copy()
+        a[r, :, width - kl + r:] = 0.0
+    low = np.empty((rows, kl, K), complex)
+    piv = np.empty((rows, K), np.intp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(rows):
+            w = a[j:j + kl + 1]
+            p = piv[j] = np.abs(w[:, :, 0]).argmax(axis=0)
+            swap = np.flatnonzero(p)
+            if swap.size:
+                down = p[swap]
+                top = w[down, swap]
+                w[down, swap] = w[0, swap]
+                w[0, swap] = top
+            l = np.divide(w[1:, :, 0], w[0, :, 0], out=low[j])
+            a[j + 1:j + kl + 1, :, :-1] = w[1:, :, 1:] - l[:, :, None] * w[:1, :, 1:]
+    return a[:rows, :, :width], low, piv
+
+
+def _forward_blocks(low, piv, b):
+    """The forward substitution of _band_lu, b rows at a time.
+
+    Returns F (rows // b, K, b + kl, b + kl): F[i, k] maps the entries
+    i b .. i b + b + kl - 1 of mode k to the same entries after the swaps
+    and eliminations of pivots i b .. i b + b - 1; the first b are then
+    final, the last kl go on to block i + 1.
+    """
+    rows, kl, K = low.shape
+    nb = rows // b
+    n = b + kl
+    B = nb * K
+    # (block, mode) last, so each step is one vector operation per row
+    low = low.reshape(nb, b, kl, K).transpose(1, 2, 0, 3).reshape(b, kl, B)
+    piv = piv.reshape(nb, b, K).transpose(1, 0, 2).reshape(b, B)
+    F = np.zeros((n, n, B), complex)
+    F[np.arange(n), np.arange(n)] = 1.0
+    for i in range(b):
+        swap = np.flatnonzero(piv[i])
+        if swap.size:
+            down = i + piv[i, swap]
+            top = F[down, :, swap]
+            F[down, :, swap] = F[i, :, swap]
+            F[i, :, swap] = top
+        c = i + kl + 1  # rows i .. i + kl are 0 from column c on
+        F[i + 1:c, :c] -= low[i][:, None] * F[i, :c]
+    return np.ascontiguousarray(F.transpose(2, 0, 1)).reshape(nb, K, n, n)
+
+
+def _backward_blocks(U, b):
+    """The back substitution with U from _band_lu, b rows at a time.
+
+    Returns G (rows // b, K, b, b + ku), ku = 2 kl: G[i, k] maps the
+    entries i b .. i b + b - 1 of mode k after the forward substitution,
+    followed by the solution's entries i b + b .. i b + b + ku - 1, to the
+    solution's entries i b .. i b + b - 1.
+    """
+    rows, K, width = U.shape
+    nb = rows // b
+    m = b + width - 1
+    B = nb * K
+    U = U.reshape(nb, b, K, width).transpose(1, 3, 0, 2).reshape(b, width, B)
+    d = 1.0 / U[:, 0]
+    w = -U[:, 1:] * d[:, None]
+    # row r of G gives x_r = d_r y_r + sum_c w_rc x_r+c; beyond the block
+    # x passes through, so those terms are the entries w_rc themselves
+    G = np.zeros((b, m, B), complex)
+    G[np.arange(b), np.arange(b)] = d
+    r, c = np.nonzero(np.arange(b)[:, None] + np.arange(1, width) >= b)
+    G[r, r + c + 1] = w[r, c]
+    for i in range(b - 2, -1, -1):
+        for c in range(1, min(width, b - i)):  # row i + c is 0 before column i + c
+            G[i, i + c:] += w[i, c - 1] * G[i + c, i + c:]
+    return np.ascontiguousarray(G.transpose(2, 0, 1)).reshape(nb, K, b, m)
+
+
 def _ring_preconditioner(blocks, scale):
     """Inverse of the ring-averaged Jacobian, one longitude mode at a time.
 
-    blocks is the output of problem.ring_blocks.  Factors the banded
-    block of every mode once, with SuperLU on their block-diagonal sum in
-    natural order, and returns v -> P^-1 v (rfft along longitude, the
-    block solves, irfft).  Raises SingularJacobianError when a pivot falls
-    below PIVOT_RTOL * |J| (scale).
+    blocks is the output of problem.ring_blocks.  Factors the banded block
+    of every mode with _band_lu and returns v -> P^-1 v: rfft along
+    longitude, the substitutions RING_BLOCK rings at a time, one batched
+    matmul per block of rings and sweep, and irfft.  Raises
+    SingularJacobianError when a pivot falls below PIVOT_RTOL * |J|
+    (scale).
     """
     width, M, K = blocks.shape
     L = 2 * (K - 1)
-    offs = np.arange(width) - width // 2
-    # mode-major numbering m * M + j; keep the band entries inside a block
-    o_idx, j = np.nonzero((np.arange(M) + offs[:, None] >= 0)
-                          & (np.arange(M) + offs[:, None] < M))
-    rows = (np.arange(K)[:, None] * M + j).ravel()
-    cols = rows + np.tile(offs[o_idx], K)
-    P = sparse.csc_array((blocks[o_idx, j].T.ravel(), (rows, cols)),
-                         shape=(K * M, K * M))
-    try:
-        lu = spla.splu(P, permc_spec="NATURAL")
-    except RuntimeError:  # exactly singular
-        lu = None
-    if lu is None or np.abs(lu.U.diagonal()).min() < PIVOT_RTOL * scale:
+    kl = width // 2
+    b = min(RING_BLOCK, M)
+    nb = -(-M // b)
+    U, low, piv = _band_lu(blocks, nb * b)
+    if not np.abs(U[:M, :, 0]).min() >= PIVOT_RTOL * scale:  # NaN fails too
         raise SingularJacobianError(
             f"ring preconditioner pivot below 1e-13 * |J| = {PIVOT_RTOL * scale:.3e}")
+    F = _forward_blocks(low, piv, b)
+    G = _backward_blocks(U, b)
+    n, m = b + kl, b + 2 * kl
 
     def apply(v):
-        V = np.fft.rfft(v.reshape(M, L), axis=1)
-        X = lu.solve(np.ascontiguousarray(V.T).ravel()).reshape(K, M)
-        return np.fft.irfft(X.T, n=L, axis=1).ravel()
+        # the last blocks reach kl (forward) and 2 kl (backward) entries past
+        # the padded rings; those stay finite and meet zero coefficients
+        z = np.zeros((K, nb * b + 2 * kl), complex)
+        z[:, :M] = np.fft.rfft(v.reshape(M, L), axis=1).T
+        for i in range(nb):
+            z[:, i * b:i * b + n] = (F[i] @ z[:, i * b:i * b + n, None])[..., 0]
+        for i in range(nb - 1, -1, -1):
+            z[:, i * b:i * b + b] = (G[i] @ z[:, i * b:i * b + m, None])[..., 0]
+        return np.fft.irfft(z[:, :M].T, n=L, axis=1).ravel()
     return apply
 
 
@@ -162,7 +252,7 @@ def _gmres(matvec, rhs, precond, scale, eta=0.0):
         g[k + 1] = -sn[k] * g[k]
         g[k] *= cs[k]
         Rk = R[:k + 1, :k + 1]
-        x = sla.solve_triangular(Rk, g[:k + 1]) @ Z[:k + 1]
+        x = np.linalg.solve(Rk, g[:k + 1]) @ Z[:k + 1]
         target = max(KRYLOV_TARGET * (scale * np.max(np.abs(x)) + bnorm), eta * bnorm)
         if abs(g[k + 1]) <= target:
             # J P^-1 on the Krylov space: a singular J makes it singular,
@@ -177,65 +267,34 @@ def _gmres(matvec, rhs, precond, scale, eta=0.0):
 
 
 def solve_linear(J, rhs, blocks=None, eta=0.0, stats=None):
-    """Solve J x = rhs and verify x.
+    """Solve J x = rhs, J a problem.LinearizedOperator, and verify x.
 
-    A dense J is factored by LAPACK LU with partial pivoting and one
-    refinement step if needed; it ignores eta.  A problem.LinearizedOperator
-    is solved by GMRES, preconditioned with the inverse of blocks
-    (problem.ring_blocks of J's weights when not given), to KRYLOV_TARGET
-    or to the forcing term eta within KRYLOV_MAX_ITER iterations.  x is
-    accepted when its normwise backward error is at most 1e-10 or, on the
-    matrix-free path, when |J x - rhs|_inf <= eta * |rhs|_inf.  With
-    eta = 0 the step is solved to KRYLOV_TARGET.  A pivot below
-    PIVOT_RTOL * norm(J, inf), a missed target or an x that meets neither
-    bound raises SingularJacobianError; a non-finite J raises ValueError
-    first.  stats, when given, is a dict whose "krylov_iterations" entry
-    grows by the GMRES iterations spent (none on the dense path).
+    GMRES, preconditioned with the inverse of blocks (problem.ring_blocks
+    of J's weights when not given), runs to KRYLOV_TARGET or to the
+    forcing term eta within KRYLOV_MAX_ITER iterations.  x is accepted
+    when its normwise backward error is at most 1e-10 or when
+    |J x - rhs|_inf <= eta * |rhs|_inf.  With eta = 0 the step is solved
+    to KRYLOV_TARGET.  A pivot below PIVOT_RTOL * norm(J, inf), a missed
+    target or an x that meets neither bound raises SingularJacobianError;
+    a non-finite J raises ValueError first.  stats, when given, is a dict
+    whose "krylov_iterations" entry grows by the GMRES iterations spent.
     """
     rhs = np.asarray(rhs, dtype=float)
-    dense = not isinstance(J, LinearizedOperator)
-    J = np.asarray(J, dtype=float) if dense else J
-    scale = np.max(np.abs(J).sum(axis=1)) if dense else J.norm_inf()
+    scale = J.norm_inf()
     if not np.isfinite(scale):
         raise ValueError("Jacobian has non-finite entries")
+    if blocks is None:
+        blocks = ring_blocks(J.grid, J.weights)
+    x, iterations = _gmres(J.dot, rhs, _ring_preconditioner(blocks, scale), scale, eta)
+    if stats is not None:
+        stats["krylov_iterations"] += iterations
+    r = np.max(np.abs(J.dot(x) - rhs))
     bnorm = np.max(np.abs(rhs))
-
-    def backward(xv):
-        r = J.dot(xv) - rhs
-        denom = scale * np.max(np.abs(xv)) + bnorm + 1e-300
-        return np.max(np.abs(r)) / denom, r
-
-    if dense:
-        with warnings.catch_warnings():
-            # singularity is detected by the pivot check below
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu, piv_idx = sla.lu_factor(J)
-        piv = np.abs(np.diag(lu))
-        if piv.min() < PIVOT_RTOL * scale:
-            raise SingularJacobianError(
-                f"pivot {piv.min():.3e} below 1e-13 * |J| = {PIVOT_RTOL * scale:.3e}",
-                matrix=J)
-        solve = partial(sla.lu_solve, (lu, piv_idx))
-        x = solve(rhs)
-        be, r = backward(x)
-        if not (be <= 1e-10):
-            x = x - solve(r)
-            be, _ = backward(x)
-        forced = False  # LU ignores eta
-    else:
-        if blocks is None:
-            blocks = ring_blocks(J.grid, J.weights)
-        x, iterations = _gmres(J.dot, rhs, _ring_preconditioner(blocks, scale),
-                               scale, eta)
-        if stats is not None:
-            stats["krylov_iterations"] += iterations
-        be, r = backward(x)
-        forced = np.max(np.abs(r)) <= eta * bnorm
-    if not (be <= 1e-10 or forced):
-        forcing = "" if dense else f" and |J x - rhs| misses eta = {eta:.3g} * |rhs|"
+    be = r / (scale * np.max(np.abs(x)) + bnorm + 1e-300)
+    if not (be <= 1e-10 or r <= eta * bnorm):
         raise SingularJacobianError(
-            f"backward error {be:.3e} does not meet 1e-10{forcing}; "
-            "matrix effectively singular")
+            f"backward error {be:.3e} does not meet 1e-10 and |J x - rhs| misses "
+            f"eta = {eta:.3g} * |rhs|; matrix effectively singular")
     return x
 
 
@@ -245,13 +304,11 @@ def _newton_step(spec, h, t, hf, res, eta, stats):
     return solve_linear(assemble_jacobian(spec, h, t, hf), -res, eta=eta, stats=stats)
 
 
-def _forcing_term(eta_prev, linf, linf_prev, tol):
-    """Next forcing term from the last one and the residuals |F_k|,
-    |F_k-1|: Eisenstat-Walker choice 2 with Kelley's safeguards."""
+def _forcing_term(linf, linf_prev, tol):
+    """Next forcing term from the residuals |F_k| and |F_k-1|:
+    Eisenstat-Walker choice 2, kept at most ETA_MAX and at least
+    0.5 tol / |F_k|."""
     eta = FORCING_GAMMA * (linf / linf_prev) ** 2
-    floor = FORCING_GAMMA * eta_prev ** 2
-    if floor > 0.1:
-        eta = max(eta, floor)
     return min(ETA_MAX, max(eta, 0.5 * tol / linf))
 
 
@@ -299,7 +356,7 @@ def newton_solve(spec, h0, t):
         if rep.linf <= spec.tol_newton:
             return _result(spec, h, hf, rep, it, history, stats)
         if it > 0:
-            eta = _forcing_term(eta, rep.linf, prev_linf, spec.tol_newton)
+            eta = _forcing_term(rep.linf, prev_linf, spec.tol_newton)
 
         delta = _newton_step(spec, h, t, hf, rep.residual.values, eta, stats)
 

@@ -11,7 +11,7 @@ from the constant binom(n, k) at t = 0 to the user's f at t = 1 along
     f_t = [ (1-t) * binom(n,k)^(-1/(k+p-1)) + t * f^(-1/(k+p-1)) ]^(-(k+p-1)).
 
 residual() evaluates the left minus right side, assemble_jacobian() its
-linearization in h, a LinearizedOperator or its dense matrix.
+linearization in h, a matrix-free LinearizedOperator on every grid.
 ring_blocks() gives the longitude-mode blocks of the ring-averaged
 linearization: the Newton preconditioner, and at h = 1 the exact operator.
 """
@@ -224,11 +224,11 @@ class LinearizedOperator:
 
     J.v (n = 2) is one pass of the frame fields of v, as in hessian_field,
     with the weights folded in; its longitude derivatives use rfft/irfft
-    with the symbols of the longitude kernels.  norm_inf() is exact and
-    O(N log m_lon): it sums each row's absolute values from the same
-    folded coefficients, the latitude taps and the parity of the two
-    longitude kernel rows.  toarray() comes from the frame taps, ring by
-    ring; nnz counts weights.
+    with the symbols of the longitude kernels, as do both derivatives on
+    the circle.  norm_inf() is exact and O(N log m_lon): it sums each
+    row's absolute values from the same folded coefficients, the latitude
+    taps and the parity of the two longitude kernel rows.  toarray() comes
+    from the frame taps, ring by ring; nnz counts weights.
     """
 
     def __init__(self, grid, weights):
@@ -251,6 +251,10 @@ class LinearizedOperator:
 
     def dot(self, v):
         g = self.grid
+        if g.n == 1:
+            w = self.weights
+            d1, d2 = np.fft.irfft(np.fft.rfft(v) * g._lon_syms, n=v.size)
+            return (w["diag"] + w["hess11"]) * v + w["hess11"] * d2 + w["grad1"] * d1
         M, L = g.shape
         (c0, c11, c1, ctt), coef_t = self._coef
         F = np.reshape(v, (M, L))
@@ -345,12 +349,11 @@ def assemble_jacobian(spec, h, t, hf=None, weights=None):
                    + (k+1-q) h^(p-1) rho^(k-1-q) (h phi + <grad h, grad phi>) ]
 
     hf is hessian_field(h) and weights linearization_weights(spec, h, t,
-    hf), each computed here when not given.  Returned as a dense matrix on
-    the circle, whose spectral Jacobian is a full matrix, and for N <= 256
-    nodes, where LAPACK LU is fastest; otherwise as a LinearizedOperator,
-    which newton.solve_linear solves by preconditioned GMRES.  Requires
-    b(h) in Gamma_k at every node so the sigma_k^{ij} weights carry the
-    right sign, and finite weights.
+    hf), each computed here when not given.  Returned as a
+    LinearizedOperator, which newton.solve_linear solves by preconditioned
+    GMRES; its toarray() is the dense matrix.  Requires b(h) in Gamma_k at
+    every node so the sigma_k^{ij} weights carry the right sign, and
+    finite weights.
     """
     _require_positive(h)
     if hf is None:
@@ -361,13 +364,11 @@ def assemble_jacobian(spec, h, t, hf=None, weights=None):
         raise AdmissibilityError(
             "b(h) leaves Gamma_k", node=i, margin=float(margin[i]))
 
-    g = spec.grid
     if weights is None:
         weights = linearization_weights(spec, h, t, hf)
     if not all(np.all(np.isfinite(w)) for w in weights.values()):
         raise ValueError("Jacobian has non-finite entries")
-    J = LinearizedOperator(g, weights)
-    return J.toarray() if g.n == 1 or g.node_count <= 256 else J
+    return LinearizedOperator(spec.grid, weights)
 
 
 def ring_blocks(grid, weights):

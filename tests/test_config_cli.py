@@ -396,6 +396,43 @@ def test_thread_cap_sets_blas_threads():
     assert "CMK_THREADS" not in out.stderr
 
 
+# runs cmkit solves in a fresh interpreter and lists the scipy modules loaded
+NO_SCIPY_PROBE = """
+import json, sys
+from cmkit import cli
+codes = [cli.main(["solve", path]) for path in sys.argv[1:]]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_solves_import_no_scipy(tmp_path):
+    # the circle, 8x16 and a tilted 16x32 solve, each through cli.main in
+    # one fresh process: none of them imports scipy
+    import cmkit
+
+    paths = []
+    for name, grid, data in (
+            ("circle", "grid.m_theta = 32\n", "f.kind = constant\nf.value = 2.0\n"),
+            ("small", "grid.m_lat = 8\ngrid.m_lon = 16\n",
+             "f.kind = quadratic\nf.a = 0.5\n"),
+            ("tilted", "grid.m_lat = 16\ngrid.m_lon = 32\n",
+             "f.kind = quadratic\nf.a = 0.5\nf.axis = 0.6,0,0.8\n")):
+        n = 1 if name == "circle" else 2
+        out = os.path.join(tmp_path, name)
+        text = f"n = {n}\nk = 1\np = 1.5\nq = 2.0\n{grid}{data}out.dir = {out}\n"
+        paths.append(write_cfg(tmp_path, text, name=f"{name}.cfg"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cmkit.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE, *paths], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0, 0, 0], "scipy": []}
+    for name in ("circle", "small", "tilted"):
+        assert json.loads(Path(tmp_path, name, "report.json").read_text())["success"]
+
+
 def test_mapped_openblas_reads_whole_pathnames(tmp_path):
     from cmkit import cli
 

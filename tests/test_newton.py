@@ -33,38 +33,51 @@ def g1():
 # linear solver
 # ---------------------------------------------------------------------------
 
+def _circle_operator(m_theta, hess11, grad1, diag):
+    """The operator diag + hess11 (d^2/dtheta^2 + 1) + grad1 d/dtheta on
+    an m_theta circle, from per-node (or scalar) weights."""
+    g = build_grid(1, m_theta=m_theta)
+    weights = {"hess11": hess11, "grad1": grad1, "diag": diag}
+    return LinearizedOperator(g, {key: np.broadcast_to(np.asarray(w, dtype=float),
+                                                       (m_theta,)).copy()
+                                  for key, w in weights.items()})
+
+
 def test_solve_linear_trivial():
-    rhs = np.array([1.0, -2.0, 3.0])
-    assert_allclose(solve_linear(np.eye(3), rhs), rhs, rtol=1e-14)
-    assert_allclose(solve_linear(2 * np.eye(3), rhs), rhs / 2, rtol=1e-14)
+    rhs = np.array([1.0, -2.0, 3.0, 0.5, -0.25, 4.0, 1.5, -3.0])
+    assert_allclose(solve_linear(_circle_operator(8, 0.0, 0.0, 1.0), rhs), rhs, rtol=1e-14)
+    assert_allclose(solve_linear(_circle_operator(8, 0.0, 0.0, 2.0), rhs), rhs / 2,
+                    rtol=1e-14)
 
 
 def test_solve_linear_backward_error():
+    # variable coefficients on an 80-node circle: the ring preconditioner
+    # inverts their means only, and GMRES makes up the rest
     rng = np.random.default_rng(1)
-    J = rng.standard_normal((80, 80)) + 9 * np.eye(80)
+    J = _circle_operator(80, 1.0 + 0.2 * rng.standard_normal(80),
+                         rng.standard_normal(80), -9.0 + rng.standard_normal(80))
     rhs = rng.standard_normal(80)
     x = solve_linear(J, rhs)
-    scale = np.max(np.abs(J).sum(axis=1))
-    be = np.max(np.abs(J @ x - rhs)) / (scale * np.max(np.abs(x))
+    A = J.toarray()
+    scale = np.max(np.abs(A).sum(axis=1))
+    be = np.max(np.abs(A @ x - rhs)) / (scale * np.max(np.abs(x))
                                         + np.max(np.abs(rhs)))
     assert be <= 1e-10
 
 
 def test_solve_linear_singular():
-    J = np.eye(5)
-    J[3, 3] = 0.0
-    with pytest.raises(SingularJacobianError) as exc:
-        solve_linear(J, np.ones(5))
-    # the near-null direction is e_3
-    d = np.abs(exc.value.direction)
-    assert d is not None and np.argmax(d) == 3
+    # d^2/dtheta^2 + 1 annihilates cos and sin: mode 1 has no pivot
+    J = _circle_operator(16, 1.0, 0.0, 0.0)
+    assert np.max(np.abs(J.toarray() @ np.cos(J.grid.thetas))) <= 1e-12
+    with pytest.raises(SingularJacobianError, match="pivot"):
+        solve_linear(J, np.ones(16))
 
 
-def _sphere_case(k, tilt, a=0.5, m_lat=32):
+def _sphere_case(k, tilt, a=0.5, m_lat=32, m_lon=None):
     """Spec, iterate, Hessian field and linearization weights at t = 0.5 on
-    an m_lat x 2m_lat grid, for quadratic data and iterate about an axis
-    tilted from the pole."""
-    g = build_grid(2, m_lat=m_lat, m_lon=2 * m_lat)
+    an m_lat x m_lon grid (m_lon = 2 m_lat by default), for quadratic data
+    and iterate about an axis tilted from the pole."""
+    g = build_grid(2, m_lat=m_lat, m_lon=m_lon or 2 * m_lat)
     u = g.coords @ np.array([math.sin(tilt), 0.0, math.cos(tilt)])
     p, q = 1.5, 1.0 + k
     f = GridFunction(g, (1.0 + a * u ** 2) ** (-(k + p - 1.0)))
@@ -74,9 +87,9 @@ def _sphere_case(k, tilt, a=0.5, m_lat=32):
     return spec, h, hf, linearization_weights(spec, h, 0.5, hf)
 
 
-def _sphere_jacobian(k, tilt, a=0.5, m_lat=32):
+def _sphere_jacobian(k, tilt, a=0.5, m_lat=32, m_lon=None):
     """The matrix-free Jacobian of _sphere_case and its ring blocks."""
-    spec, h, hf, weights = _sphere_case(k, tilt, a, m_lat)
+    spec, h, hf, weights = _sphere_case(k, tilt, a, m_lat, m_lon)
     return assemble_jacobian(spec, h, 0.5, hf, weights), ring_blocks(spec.grid, weights)
 
 
@@ -134,6 +147,38 @@ def test_ring_preconditioner_inverts_polar_jacobian(k):
     precond = newton._ring_preconditioner(blocks, J.norm_inf())
     x = np.cos(0.7 * np.arange(J.shape[0])) + 0.3
     assert np.max(np.abs(precond(J.dot(x)) - x)) <= 1e-12 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("shape", [(9, 16), (16, 32), (64, 128)],
+                         ids=["9x16", "16x32", "64x128"])
+def test_ring_preconditioner_matches_dense_mode_solves(shape):
+    # the banded LU against np.linalg.solve of every mode's dense block,
+    # on tilted k = 2 data, where partial pivoting swaps rows
+    J, blocks = _sphere_jacobian(2, 0.4, m_lat=shape[0], m_lon=shape[1])
+    width, M, K = blocks.shape
+    R = width // 2
+    A = np.zeros((K, M, M), complex)
+    for o in range(width):
+        j = np.arange(max(0, R - o), min(M, M + R - o))
+        A[:, j, j + o - R] = blocks[o, j].T
+    v = np.cos(0.37 * np.arange(J.shape[0])) + 0.2
+    V = np.fft.rfft(v.reshape(M, -1), axis=1)
+    X = np.linalg.solve(A, V.T[:, :, None])[..., 0].T
+    ref = np.fft.irfft(X, n=shape[1], axis=1).ravel()
+    x = newton._ring_preconditioner(blocks, J.norm_inf())(v)
+    assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    _, _, piv = newton._band_lu(blocks, M)
+    assert np.count_nonzero(piv) > 0
+
+
+def test_ring_preconditioner_raises_on_a_zero_pivot():
+    # column 4 of mode 3 zeroed: no candidate row can pivot it
+    J, blocks = _sphere_jacobian(2, 0.4, m_lat=9, m_lon=16)
+    R = blocks.shape[0] // 2
+    for o in range(blocks.shape[0]):
+        blocks[o, 4 - o + R, 3] = 0.0
+    with pytest.raises(SingularJacobianError, match="pivot"):
+        newton._ring_preconditioner(blocks, J.norm_inf())
 
 
 def test_solve_linear_raises_when_krylov_misses_target(monkeypatch):
@@ -201,29 +246,30 @@ def test_forcing_terms_halve_krylov_work(monkeypatch, m_lat):
     assert np.max(np.abs(inexact.h.values - exact.h.values)) <= 1e-9
 
 
-def _circle_jacobian():
-    g = build_grid(1, m_theta=64)
-    c = g.coords[:, 0]
-    spec = ProblemSpec(n=1, k=1, p=1.5, q=2.0, f=GridFunction(g, 1.0 + 0.3 * c ** 2))
-    return assemble_jacobian(spec, GridFunction(g, 1.0 + 0.05 * c ** 2), 0.5)
-
-
 @pytest.mark.parametrize("case", ["polar", "dense", "circle"])
 def test_forcing_term_leaves_exact_paths_bitwise(case):
-    # LAPACK LU (circle, 8x16) ignores eta, and on axisymmetric data the
-    # ring preconditioner is J^-1, so one GMRES iteration meets even the
-    # exact target
+    # where the ring preconditioner is J^-1 (axisymmetric data on 32x64
+    # and on 8x16, once a dense LU grid; constant data and iterate on the
+    # circle) one GMRES iteration meets every forcing term, so every eta
+    # gives the same step.  The exact target (eta = 0) may take a second
+    # iteration below the rounding level of the first; where it takes one,
+    # the steps agree bitwise.
     if case == "circle":
-        J = _circle_jacobian()
+        g = build_grid(1, m_theta=64)
+        spec = ProblemSpec(n=1, k=1, p=1.5, q=2.0, f=constant_function(g, 1.3))
+        J = assemble_jacobian(spec, constant_function(g, 1.1), 0.5)
     else:
         J, _ = _sphere_jacobian(2, 0.0, m_lat=8 if case == "dense" else 32)
-    assert isinstance(J, LinearizedOperator) == (case == "polar")
+    assert isinstance(J, LinearizedOperator)
     rhs = np.sin(np.arange(J.shape[0]))
-    stats = {"krylov_iterations": 0}
-    x = solve_linear(J, rhs)
-    for eta in (1e-6, 0.1, 0.5):
-        assert np.array_equal(solve_linear(J, rhs, eta=eta, stats=stats), x)
-    assert stats["krylov_iterations"] == (3 if case == "polar" else 0)
+    stats, exact = {"krylov_iterations": 0}, {"krylov_iterations": 0}
+    x = solve_linear(J, rhs, stats=exact)
+    steps = [solve_linear(J, rhs, eta=eta, stats=stats) for eta in (1e-6, 0.1, 0.5)]
+    assert all(np.array_equal(step, steps[0]) for step in steps)
+    assert stats["krylov_iterations"] == 3 and exact["krylov_iterations"] <= 2
+    assert np.max(np.abs(steps[0] - x)) <= 1e-13 * np.max(np.abs(x))
+    if exact["krylov_iterations"] == 1:
+        assert np.array_equal(steps[0], x)
 
 
 @pytest.mark.parametrize("eta", [1e-8, 1e-4, 0.1])
@@ -260,15 +306,6 @@ def test_solve_linear_rejects_x_that_misses_forcing_term(monkeypatch):
     assert np.array_equal(solve_linear(J, rhs, blocks, eta=3 * eta), shrink * x)
 
 
-def test_dense_lu_ignores_forcing_term(monkeypatch):
-    # an LU answer whose refined residual is rhs / 16 is rejected on the
-    # dense path, even under a forcing term it would meet
-    lu_solve = newton.sla.lu_solve
-    monkeypatch.setattr(newton.sla, "lu_solve", lambda *args: 0.75 * lu_solve(*args))
-    with pytest.raises(SingularJacobianError, match="does not meet 1e-10; matrix"):
-        solve_linear(2.0 * np.eye(4), np.ones(4), eta=0.5)
-
-
 def test_gmres_miss_names_forcing_term_and_iterations(monkeypatch):
     J, blocks = _sphere_jacobian(2, 1.0, 2.0)
     rhs = np.sin(np.arange(J.shape[0]))
@@ -279,8 +316,8 @@ def test_gmres_miss_names_forcing_term_and_iterations(monkeypatch):
 
 
 def test_newton_result_counts_krylov_iterations(monkeypatch, g1):
-    # the matrix-free path counts every GMRES iteration of every step; the
-    # dense LU path runs none
+    # every GMRES iteration of every step is counted, on the sphere and on
+    # the circle
     counted = []
     gmres = newton._gmres
 
@@ -293,23 +330,20 @@ def test_newton_result_counts_krylov_iterations(monkeypatch, g1):
     res = newton_solve(spec, h, 0.5)
     assert res.converged and len(counted) == res.iterations
     assert res.krylov_iterations == sum(its for _, its in counted) > res.iterations
+    counted.clear()
     spec = ProblemSpec(n=1, k=1, p=2.0, q=2.5, f=constant_function(g1, 0.8))
     res = newton_solve(spec, constant_function(g1, 1.1), 1.0)
-    assert res.converged and res.iterations > 0 and res.krylov_iterations == 0
+    assert res.converged and res.iterations > 0 and len(counted) == res.iterations
+    assert res.krylov_iterations == sum(its for _, its in counted) >= res.iterations
 
 
-def test_forcing_term_follows_eisenstat_walker_choice_2(monkeypatch):
+def test_forcing_term_follows_eisenstat_walker_choice_2():
     tol, gamma = 1e-10, newton.FORCING_GAMMA
     # choice 2: gamma (|F_k| / |F_k-1|)^2, capped at ETA_MAX
-    assert newton._forcing_term(0.1, 1e-3, 1e-2, tol) == gamma * (1e-3 / 1e-2) ** 2
-    assert newton._forcing_term(0.1, 0.9, 1.0, tol) == newton.ETA_MAX
+    assert newton._forcing_term(1e-3, 1e-2, tol) == gamma * (1e-3 / 1e-2) ** 2
+    assert newton._forcing_term(0.9, 1.0, tol) == newton.ETA_MAX
     # near tol_newton the forcing term stays at 0.5 tol / |F_k|
-    assert newton._forcing_term(0.1, 1e-9, 1e-5, tol) == 0.5 * tol / 1e-9
-    # gamma eta_k-1^2 is a floor only above 0.1, which needs a cap above
-    # sqrt(0.1 / gamma)
-    monkeypatch.setattr(newton, "ETA_MAX", 0.9)
-    assert newton._forcing_term(0.5, 1e-3, 1.0, tol) == gamma * 0.5 ** 2
-    assert newton._forcing_term(0.3, 1e-3, 1.0, tol) == gamma * 1e-6
+    assert newton._forcing_term(1e-9, 1e-5, tol) == 0.5 * tol / 1e-9
 
 
 def test_solve_linear_singular_sparse_with_blocks():
@@ -325,27 +359,28 @@ def test_solve_linear_singular_sparse_with_blocks():
 @pytest.mark.parametrize("m_lat", [8, 16])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_weight_is_rejected_before_any_solve_work(monkeypatch, m_lat, bad):
-    # dense (8x16) and matrix-free (16x32) branches: a non-finite weight is
-    # reported before any factorization or Krylov work, and so is a dense
-    # Jacobian with a non-finite entry
+    # 8x16 (once the dense branch) and 16x32: a non-finite weight is
+    # reported before any factorization or Krylov work, and so is an
+    # operator built with a non-finite weight, here on the circle
     def no_work(*args):
         raise AssertionError("solve started on a non-finite Jacobian")
 
     monkeypatch.setattr(newton, "_gmres", no_work)
-    monkeypatch.setattr(newton.sla, "lu_factor", no_work)
+    monkeypatch.setattr(newton, "_ring_preconditioner", no_work)
     spec, h, hf, weights = _sphere_case(2, 0.4, m_lat=m_lat)
     weights["hess22"][17] = bad
     with pytest.raises(ValueError, match="non-finite"):
         solve_linear(assemble_jacobian(spec, h, 0.5, hf, weights), np.ones(h.values.size))
-    J = np.eye(5)
-    J[2, 3] = bad
+    diag = np.ones(8)
+    diag[3] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        solve_linear(J, np.ones(5))
+        solve_linear(_circle_operator(8, 1.0, 0.0, diag), np.ones(8))
 
 
-def test_matrix_free_newton_step_builds_no_matrix(monkeypatch):
-    # a Newton solve on a tilted 16x32 grid (N = 512 > 256) builds no
-    # operator matrix and no N x N sparse matrix
+def test_matrix_free_newton_step_builds_no_matrix(monkeypatch, g1):
+    # Newton solves on the circle, on 8x16 and on a tilted 16x32 grid
+    # build no operator matrix, no dense Jacobian and no sparse matrix:
+    # the preconditioner is factored in numpy
     from scipy.sparse import _base
 
     built = []
@@ -358,14 +393,22 @@ def test_matrix_free_newton_step_builds_no_matrix(monkeypatch):
     def no_matrices(self):
         raise AssertionError("operator_matrices called")
 
-    spec, h, _, _ = _sphere_case(2, 0.4, m_lat=16)
+    def no_dense(self):
+        raise AssertionError("dense Jacobian formed")
+
     monkeypatch.setattr(_base._spbase, "__init__", spy)
-    monkeypatch.setattr(type(spec.grid), "operator_matrices", no_matrices)
-    res = newton_solve(spec, h, 0.5)
-    assert res.converged and res.iterations >= 1
-    assert built  # the spy sees the preconditioner's factorization
-    N = spec.grid.node_count
-    assert all(max(A.shape) < N for A in built)
+    monkeypatch.setattr(type(g1), "operator_matrices", no_matrices)
+    monkeypatch.setattr(LinearizedOperator, "toarray", no_dense)
+    u = g1.coords[:, 0]
+    circle = ProblemSpec(n=1, k=1, p=1.5, q=2.0, f=GridFunction(g1, 1.0 + 0.3 * u ** 2))
+    cases = [(circle, GridFunction(g1, 1.0 + 0.05 * u ** 2))]
+    for m_lat in (8, 16):
+        spec, h, _, _ = _sphere_case(2, 0.4, m_lat=m_lat)
+        cases.append((spec, h))
+    for spec, h in cases:
+        res = newton_solve(spec, h, 0.5)
+        assert res.converged and res.iterations >= 1 and res.krylov_iterations >= 1
+    assert not built
 
 
 def test_tilted_path_never_forms_dense_rows(monkeypatch):

@@ -495,9 +495,10 @@ def test_norm_inf_matches_dense_row_sums(shape, k, tilt):
                                      ((9, 16), 1), ((9, 16), 2)],
                          ids=["c64-1", "c512-1", "8x16-1", "8x16-2", "9x16-1", "9x16-2"])
 def test_dense_jacobian_matches_csr_assembly(shape, k):
-    # the dense Jacobians formed from the frame taps against the earlier
-    # CSR assembly, on the circle and on small sphere grids
-    from cmkit.problem import linearization_weights
+    # the matrix-free Jacobians on the circle and on small sphere grids
+    # against the earlier CSR assembly: toarray(), formed from the frame
+    # taps, and J.v
+    from cmkit.problem import LinearizedOperator, linearization_weights
     from cmkit.sphere import hessian_field
 
     if len(shape) == 1:
@@ -508,16 +509,21 @@ def test_dense_jacobian_matches_csr_assembly(shape, k):
     ref = _csr_jacobian(_csr_frame_operators(g),
                         linearization_weights(spec, h, 0.5, hessian_field(h))).toarray()
     J = assemble_jacobian(spec, h, 0.5)
-    assert isinstance(J, np.ndarray)
-    assert np.max(np.abs(J - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert isinstance(J, LinearizedOperator)
+    assert np.max(np.abs(J.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
+    scale = np.max(np.abs(ref).sum(axis=1))
+    v = np.random.default_rng(7).standard_normal(g.node_count)
+    assert np.max(np.abs(J.dot(v) - ref @ v)) <= 1e-14 * scale * np.max(np.abs(v))
 
 
-@pytest.mark.parametrize("n,shape,dense", [
+@pytest.mark.parametrize("n,shape,was_dense", [
     (1, (512,), True), (2, (8, 16), True), (2, (8, 32), True),
     (2, (12, 24), False), (2, (16, 32), False)])
-def test_jacobian_representation(n, shape, dense):
-    # dense on the circle (a full spectral matrix) and for N <= 256 nodes,
-    # a matrix-free operator otherwise
+def test_jacobian_representation(n, shape, was_dense):
+    # a matrix-free operator on every grid; the circle and the grids of at
+    # most 256 nodes, once dense matrices factored by LAPACK LU, are
+    # solved by GMRES to the backward error the LU step was held to
+    from cmkit.newton import solve_linear
     from cmkit.problem import LinearizedOperator
 
     if n == 1:
@@ -526,13 +532,16 @@ def test_jacobian_representation(n, shape, dense):
         g = build_grid(2, m_lat=shape[0], m_lon=shape[1])
     spec = ProblemSpec(n=n, k=1, p=1.5, q=2.0, f=constant_function(g, 1.0))
     J = assemble_jacobian(spec, constant_function(g, 1.0), 0.0)
-    if dense:
-        assert isinstance(J, np.ndarray)
-    else:
-        assert isinstance(J, LinearizedOperator)
-        assert J.shape == (g.node_count,) * 2 and J.nnz > 0
-        v = np.cos(np.arange(g.node_count))
-        assert_allclose(J.dot(v), J.toarray() @ v, rtol=0, atol=1e-13 * J.norm_inf())
+    assert isinstance(J, LinearizedOperator)
+    assert J.shape == (g.node_count,) * 2 and J.nnz > 0
+    v = np.cos(np.arange(g.node_count))
+    assert_allclose(J.dot(v), J.toarray() @ v, rtol=0, atol=1e-13 * J.norm_inf())
+    if was_dense:
+        x = solve_linear(J, v)
+        A = J.toarray()
+        scale = np.max(np.abs(A).sum(axis=1))
+        assert np.max(np.abs(A @ x - v)) <= 1e-10 * (scale * np.max(np.abs(x))
+                                                     + np.max(np.abs(v)))
 
 
 # ---------------------------------------------------------------------------

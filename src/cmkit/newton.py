@@ -11,9 +11,13 @@ JCP 2004), right-preconditioned with the ring-averaged Jacobian: with
 every coefficient replaced by its ring mean, a real FFT in longitude
 splits the operator into m_lon/2 + 1 banded blocks, one per Fourier mode
 (problem.ring_blocks), whose exact inverse is the preconditioner.  For
-axisymmetric iterates and data it is J^-1.  The blocks are factored by a
-banded LU with partial pivoting (LAPACK gbtrf's scheme) in numpy,
-vectorized over the modes; no solve imports scipy.
+axisymmetric iterates and data it is J^-1.  Even iterates and data give
+the same ring means on rings j and M-1-j, so each block commutes with
+that reflection and splits into a symmetric and an antisymmetric block
+on half the rings.  Those are factored by a banded LU with partial
+pivoting (LAPACK gbtrf's scheme) in numpy, vectorized over modes and
+parities; no solve imports scipy.  A step is declined when a pivot of
+these blocks, not of J itself, falls below PIVOT_RTOL * |J|.
 
 The GMRES step is inexact (Dembo, Eisenstat & Steihaug 1982): it only has
 to bring |J delta + F|_inf below eta_k |F|_inf, where the forcing term
@@ -53,7 +57,7 @@ KRYLOV_TARGET = 1e-16  # estimated normwise backward error GMRES stops at
 KRYLOV_MAX_ITER = 40  # GMRES iterations before the step counts as failed
 FORCING_GAMMA = 0.9  # Eisenstat-Walker choice 2: eta_A = gamma (|F_k|/|F_k-1|)^2
 ETA_MAX = 0.1  # largest forcing term, and the first one
-RING_BLOCK = 8  # rings per batched matmul in the preconditioner's substitutions
+RING_BLOCK = 8  # ring pairs per batched matmul in the preconditioner's substitutions
 
 
 @dataclass
@@ -69,15 +73,52 @@ class NewtonResult:
     krylov_iterations: int = 0  # GMRES iterations over all Newton steps
 
 
-def _band_lu(blocks, rows):
-    """Banded LU with partial pivoting of every mode's block at once.
+def _fold(blocks):
+    """Split every mode's block into its symmetric and antisymmetric part.
 
-    blocks is the (width, M, K) output of problem.ring_blocks; the blocks
-    are factored with identity rows M .. rows - 1 appended.  Column j has
-    kl = width // 2 entries below the diagonal; as in LAPACK's gbtrf its
-    pivot is the largest of rows j .. j + kl, swapped into row j, and the
-    swaps give U 2 kl superdiagonals.  Returns U as (rows, K, width) with
-    [j, :, c] = U[j, j + c], the multipliers (rows, kl, K) of the rows
+    blocks is the (width, M, K) output of problem.ring_blocks.  With R the
+    reflection of ring j to ring M-1-j, A + R A R maps vectors with
+    c_(M-1-j) = +-c_j into themselves; on the first H = ceil(M/2) rings
+    it acts as a banded block whose couplings past the fold land on the
+    mirrored rings, with sign +-.  Returns those blocks in the same
+    layout, (width, H, 2K): the symmetric parts of the K modes, then the
+    antisymmetric parts.  On odd M the antisymmetric part has c = 0 on
+    the middle ring, which gets an identity row.  For even iterates and
+    data A = R A R up to rounding, so this is twice A on each part.
+    """
+    width, M, K = blocks.shape
+    R = width // 2
+    H = (M + 1) // 2
+    top = blocks[:, :H] + blocks[::-1, ::-1, :][:, :H]
+    out = np.empty((width, H, 2, K), complex)
+    out[:, :, 0] = top
+    out[:, :, 1] = top
+    # coupling [R + o, j] of ring j to ring j + o >= H lands on its mirror,
+    # ring M-1-j-o < H, at offset M-1-2j-o from ring j
+    reach = np.arange(H)[:, None] + np.arange(-R, R + 1)
+    jj, oo = np.nonzero((reach >= H) & (reach < M))
+    fold = M - 1 - 2 * jj - oo + 2 * R
+    out[oo, jj] = 0.0
+    out[fold, jj, 0] += top[oo, jj]
+    out[fold, jj, 1] -= top[oo, jj]
+    if M % 2:
+        mid = H - 1
+        out[:, mid, 1] = 0.0
+        out[R, mid, 1] = 1.0
+        above = np.arange(max(0, mid - R), mid)
+        out[R + mid - above, above, 1] = 0.0
+    return out.reshape(width, H, 2 * K)
+
+
+def _band_lu(blocks, rows):
+    """Banded LU with partial pivoting of every block at once.
+
+    blocks is (width, M, K) in the layout of problem.ring_blocks; the
+    blocks are factored with identity rows M .. rows - 1 appended.  Column
+    j has kl = width // 2 entries below the diagonal; as in LAPACK's gbtrf
+    its pivot is the largest of rows j .. j + kl, swapped into row j, and
+    the swaps give U 2 kl superdiagonals.  Returns U as (rows, width, K)
+    with [j, c] = U[j, j + c], the multipliers (rows, kl, K) of the rows
     under each pivot and the pivot offsets (rows, K): row j was swapped
     with row j + offset.  A zero pivot leaves non-finite entries behind
     it; the caller checks the pivots.
@@ -85,121 +126,171 @@ def _band_lu(blocks, rows):
     width, M, K = blocks.shape
     kl = width // 2
     # a[r] holds row r from column r - kl on until the elimination reaches
-    # it, then from the current pivot column on: a[j:j + kl + 1, :, c] is
+    # it, then from the current pivot column on: a[j:j + kl + 1, c] is
     # column j + c of the pivot candidates.  The last column stays 0, so
     # each update shifts the remaining rows one column left.
-    a = np.zeros((rows + kl, K, width + 1), complex)
-    a[:M, :, :width] = blocks.transpose(1, 2, 0)
-    a[M:rows, :, kl] = 1.0
+    a = np.zeros((rows + kl, width + 1, K), complex)
+    a[:M, :width] = blocks.transpose(1, 0, 2)
+    a[M:rows, kl] = 1.0
     for r in range(kl):  # the first rows already start at the first pivot
-        a[r, :, :width - kl + r] = a[r, :, kl - r:width].copy()
-        a[r, :, width - kl + r:] = 0.0
-    low = np.empty((rows, kl, K), complex)
+        a[r, :width - kl + r] = a[r, kl - r:width].copy()
+        a[r, width - kl + r:] = 0.0
+    low = np.empty((rows, kl, 1, K), complex)
     piv = np.empty((rows, K), np.intp)
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(rows):
             w = a[j:j + kl + 1]
-            p = piv[j] = np.abs(w[:, :, 0]).argmax(axis=0)
+            p = piv[j] = np.abs(w[:, 0]).argmax(axis=0)
             swap = np.flatnonzero(p)
             if swap.size:
                 down = p[swap]
-                top = w[down, swap]
-                w[down, swap] = w[0, swap]
-                w[0, swap] = top
-            l = np.divide(w[1:, :, 0], w[0, :, 0], out=low[j])
-            a[j + 1:j + kl + 1, :, :-1] = w[1:, :, 1:] - l[:, :, None] * w[:1, :, 1:]
-    return a[:rows, :, :width], low, piv
+                top = w[down, :, swap]
+                w[down, :, swap] = w[0, :, swap]
+                w[0, :, swap] = top
+            l = np.divide(w[1:, :1], w[0, 0], out=low[j])
+            a[j + 1:j + kl + 1, :-1] = w[1:, 1:] - l * w[0, 1:]
+    return a[:rows, :width], low[:, :, 0], piv
 
 
-def _forward_blocks(low, piv, b):
+def _forward_steps(low, piv, b):
     """The forward substitution of _band_lu, b rows at a time.
 
-    Returns F (rows // b, K, b + kl, b + kl): F[i, k] maps the entries
-    i b .. i b + b + kl - 1 of mode k to the same entries after the swaps
-    and eliminations of pivots i b .. i b + b - 1; the first b are then
-    final, the last kl go on to block i + 1.
+    Returns F (rows // b, b + kl, b + kl, K): F[i, ..., k] maps the
+    entries i b .. i b + b + kl - 1 of block k to the same entries after
+    the swaps and eliminations of pivots i b .. i b + b - 1; the first b
+    are then final, the last kl go on to block i + 1.
     """
     rows, kl, K = low.shape
     nb = rows // b
     n = b + kl
-    B = nb * K
-    # (block, mode) last, so each step is one vector operation per row
-    low = low.reshape(nb, b, kl, K).transpose(1, 2, 0, 3).reshape(b, kl, B)
-    piv = piv.reshape(nb, b, K).transpose(1, 0, 2).reshape(b, B)
-    F = np.zeros((n, n, B), complex)
-    F[np.arange(n), np.arange(n)] = 1.0
+    low = low.reshape(nb, b, kl, K)
+    piv = piv.reshape(nb, b, K)
+    F = np.zeros((nb, n, n, K), complex)
+    F[:, np.arange(n), np.arange(n)] = 1.0
     for i in range(b):
-        swap = np.flatnonzero(piv[i])
-        if swap.size:
-            down = i + piv[i, swap]
-            top = F[down, :, swap]
-            F[down, :, swap] = F[i, :, swap]
-            F[i, :, swap] = top
+        block, mode = np.nonzero(piv[:, i])
+        if block.size:
+            down = i + piv[block, i, mode]
+            top = F[block, down, :, mode]
+            F[block, down, :, mode] = F[block, i, :, mode]
+            F[block, i, :, mode] = top
         c = i + kl + 1  # rows i .. i + kl are 0 from column c on
-        F[i + 1:c, :c] -= low[i][:, None] * F[i, :c]
-    return np.ascontiguousarray(F.transpose(2, 0, 1)).reshape(nb, K, n, n)
+        F[:, i + 1:c, :c] -= low[:, i, :, None] * F[:, i, None, :c]
+    return F
 
 
-def _backward_blocks(U, b):
+def _backward_steps(U, b):
     """The back substitution with U from _band_lu, b rows at a time.
 
-    Returns G (rows // b, K, b, b + ku), ku = 2 kl: G[i, k] maps the
-    entries i b .. i b + b - 1 of mode k after the forward substitution,
-    followed by the solution's entries i b + b .. i b + b + ku - 1, to the
-    solution's entries i b .. i b + b - 1.
+    Returns G (rows // b, b, b + ku, K), ku = width - 1: G[i, ..., k] maps
+    the entries i b .. i b + b - 1 of block k after the forward
+    substitution, followed by the solution's entries i b + b .. i b + b +
+    ku - 1, to the solution's entries i b .. i b + b - 1.
     """
-    rows, K, width = U.shape
+    rows, width, K = U.shape
     nb = rows // b
-    m = b + width - 1
-    B = nb * K
-    U = U.reshape(nb, b, K, width).transpose(1, 3, 0, 2).reshape(b, width, B)
-    d = 1.0 / U[:, 0]
-    w = -U[:, 1:] * d[:, None]
+    U = U.reshape(nb, b, width, K)
+    d = 1.0 / U[:, :, 0]
+    w = -U[:, :, 1:] * d[:, :, None]
     # row r of G gives x_r = d_r y_r + sum_c w_rc x_r+c; beyond the block
     # x passes through, so those terms are the entries w_rc themselves
-    G = np.zeros((b, m, B), complex)
-    G[np.arange(b), np.arange(b)] = d
+    G = np.zeros((nb, b, b + width - 1, K), complex)
+    G[:, np.arange(b), np.arange(b)] = d
     r, c = np.nonzero(np.arange(b)[:, None] + np.arange(1, width) >= b)
-    G[r, r + c + 1] = w[r, c]
+    G[:, r, r + c + 1] = w[:, r, c]
     for i in range(b - 2, -1, -1):
         for c in range(1, min(width, b - i)):  # row i + c is 0 before column i + c
-            G[i, i + c:] += w[i, c - 1] * G[i + c, i + c:]
-    return np.ascontiguousarray(G.transpose(2, 0, 1)).reshape(nb, K, b, m)
+            G[:, i, i + c:] += w[:, i, c - 1, None] * G[:, i + c, i + c:]
+    return G
+
+
+def _contract(A, B):
+    """A @ B for every block and mode: A (..., r, q, K), B (..., q, c, K)."""
+    C = A[..., 0, None, :] * B[..., 0, None, :, :]
+    for q in range(1, A.shape[-2]):
+        C += A[..., q, None, :] * B[..., q, None, :, :]
+    return C
+
+
+def _substitution_blocks(U, low, piv, b):
+    """The maps of _forward_steps and _backward_steps for blocks of b
+    rings, as (rows // b, K, ...) stacks of matrices for matmul.
+
+    For even b >= 8 the steps run on half blocks, and each block's map is
+    the product of its two halves' maps: fewer, smaller steps than b rows
+    of elimination on the larger blocks.
+    """
+    if b < 8 or b % 2:
+        return (np.ascontiguousarray(_forward_steps(low, piv, b).transpose(0, 3, 1, 2)),
+                np.ascontiguousarray(_backward_steps(U, b).transpose(0, 3, 1, 2)))
+    rows, kl, K = low.shape
+    ku = 2 * kl
+    h = b // 2
+    n = h + kl  # the half blocks' forward size
+    mat = (0, 3, 1, 2)  # (block, row, column, mode) -> (block, mode, row, column)
+    half = _forward_steps(low, piv, h)
+    top, bottom = half[0::2], half[1::2]
+    # bottom acts on entries h .. b + kl - 1, the first kl of which come
+    # out of top's last rows
+    F = np.zeros((rows // b, K, b + kl, b + kl), complex)
+    F[..., :h, :n] = top[:, :h].transpose(mat)
+    F[..., h:, n:] = bottom[:, :, kl:].transpose(mat)
+    F[..., h:, :n] = _contract(bottom[:, :, :kl], top[:, h:]).transpose(mat)
+    half = _backward_steps(U, h)
+    top, bottom = half[0::2], half[1::2]
+    # top needs the solution's entries h .. h + ku - 1, which bottom gives
+    # (ku <= h, as RING_REACH <= 2)
+    G = np.zeros((rows // b, K, b, b + ku), complex)
+    G[..., h:, h:] = bottom.transpose(mat)
+    G[..., :h, :h] = top[:, :, :h].transpose(mat)
+    G[..., :h, h:] = _contract(top[:, :, h:], bottom[:, :ku]).transpose(mat)
+    return F, G
 
 
 def _ring_preconditioner(blocks, scale):
     """Inverse of the ring-averaged Jacobian, one longitude mode at a time.
 
-    blocks is the output of problem.ring_blocks.  Factors the banded block
-    of every mode with _band_lu and returns v -> P^-1 v: rfft along
-    longitude, the substitutions RING_BLOCK rings at a time, one batched
-    matmul per block of rings and sweep, and irfft.  Raises
-    SingularJacobianError when a pivot falls below PIVOT_RTOL * |J|
-    (scale).
+    blocks is the output of problem.ring_blocks.  Folds every mode's block
+    into its symmetric and antisymmetric part with _fold, factors those
+    with _band_lu and returns v -> P^-1 v: rfft along longitude, the sum
+    and difference of rings j and M-1-j, the substitutions RING_BLOCK
+    rings at a time (one batched matmul per block of rings and sweep),
+    and back.  Raises SingularJacobianError when a pivot falls below
+    PIVOT_RTOL * |J| (scale).
     """
     width, M, K = blocks.shape
     L = 2 * (K - 1)
     kl = width // 2
-    b = min(RING_BLOCK, M)
-    nb = -(-M // b)
-    U, low, piv = _band_lu(blocks, nb * b)
-    if not np.abs(U[:M, :, 0]).min() >= PIVOT_RTOL * scale:  # NaN fails too
+    H = (M + 1) // 2
+    b = min(RING_BLOCK, H)
+    nb = -(-H // b)
+    U, low, piv = _band_lu(_fold(blocks), nb * b)
+    pivots = np.abs(U[:H, 0])
+    if M % 2:
+        pivots[H - 1, K:] = np.inf  # the identity row of the middle ring
+    # the folded blocks are twice A's parts, and so are their pivots
+    if not pivots.min() >= 2.0 * PIVOT_RTOL * scale:  # NaN fails too
         raise SingularJacobianError(
             f"ring preconditioner pivot below 1e-13 * |J| = {PIVOT_RTOL * scale:.3e}")
-    F = _forward_blocks(low, piv, b)
-    G = _backward_blocks(U, b)
+    F, G = _substitution_blocks(U, low, piv, b)
     n, m = b + kl, b + 2 * kl
 
     def apply(v):
         # the last blocks reach kl (forward) and 2 kl (backward) entries past
         # the padded rings; those stay finite and meet zero coefficients
-        z = np.zeros((K, nb * b + 2 * kl), complex)
-        z[:, :M] = np.fft.rfft(v.reshape(M, L), axis=1).T
+        V = np.fft.rfft(v.reshape(M, L), axis=1)
+        z = np.zeros((2 * K, nb * b + 2 * kl, 1), complex)
+        # sums and differences are twice the parts, as the blocks are
+        np.add(V[:H], V[::-1][:H], out=z[:K, :H, 0].T)
+        np.subtract(V[:H], V[::-1][:H], out=z[K:, :H, 0].T)
         for i in range(nb):
-            z[:, i * b:i * b + n] = (F[i] @ z[:, i * b:i * b + n, None])[..., 0]
+            z[:, i * b:i * b + n] = F[i] @ z[:, i * b:i * b + n]
         for i in range(nb - 1, -1, -1):
-            z[:, i * b:i * b + b] = (G[i] @ z[:, i * b:i * b + m, None])[..., 0]
-        return np.fft.irfft(z[:, :M].T, n=L, axis=1).ravel()
+            z[:, i * b:i * b + b] = G[i] @ z[:, i * b:i * b + m]
+        x = np.empty((M, K), complex)
+        np.add(z[:K, :H, 0].T, z[K:, :H, 0].T, out=x[:H])
+        np.subtract(z[:K, :H, 0].T, z[K:, :H, 0].T, out=x[::-1][:H])
+        return np.fft.irfft(x, n=L, axis=1).ravel()
     return apply
 
 
@@ -276,8 +367,12 @@ def solve_linear(J, rhs, blocks=None, eta=0.0, stats=None):
     |J x - rhs|_inf <= eta * |rhs|_inf.  With eta = 0 the step is solved
     to KRYLOV_TARGET.  A pivot below PIVOT_RTOL * norm(J, inf), a missed
     target or an x that meets neither bound raises SingularJacobianError;
-    a non-finite J raises ValueError first.  stats, when given, is a dict
-    whose "krylov_iterations" entry grows by the GMRES iterations spent.
+    a non-finite J raises ValueError first.  The pivots are those of the
+    preconditioner, the ring-averaged operator, on every grid and on the
+    circle: where the coefficients vary along the rings a step is
+    declined when that average is singular, whatever J's own pivots.
+    stats, when given, is a dict whose "krylov_iterations" entry grows by
+    the GMRES iterations spent.
     """
     rhs = np.asarray(rhs, dtype=float)
     scale = J.norm_inf()

@@ -255,8 +255,10 @@ def _ring_preconditioner(blocks, scale):
     with _band_lu and returns v -> P^-1 v: rfft along longitude, the sum
     and difference of rings j and M-1-j, the substitutions RING_BLOCK
     rings at a time (one batched matmul per block of rings and sweep),
-    and back.  Raises SingularJacobianError when a pivot falls below
-    PIVOT_RTOL * |J| (scale).
+    and back.  The function keeps its work arrays between calls, so one
+    preconditioner serves one caller at a time.  Raises
+    SingularJacobianError when a pivot falls below PIVOT_RTOL * |J|
+    (scale).
     """
     width, M, K = blocks.shape
     L = 2 * (K - 1)
@@ -274,22 +276,28 @@ def _ring_preconditioner(blocks, scale):
             f"ring preconditioner pivot below 1e-13 * |J| = {PIVOT_RTOL * scale:.3e}")
     F, G = _substitution_blocks(U, low, piv, b)
     n, m = b + kl, b + 2 * kl
+    # one work array per preconditioner, with its views made once; its
+    # rows past the H ring pairs (padding, and the kl and 2 kl entries the
+    # last blocks reach) meet zero coefficients and must be finite
+    z = np.empty((2 * K, nb * b + 2 * kl, 1), complex)
+    x = np.empty((M, K), complex)
+    symmetric, antisymmetric = z[:K, :H, 0].T, z[K:, :H, 0].T
+    forward = [(F[i], z[:, i * b:i * b + n]) for i in range(nb)]
+    backward = [(G[i], z[:, i * b:i * b + m], z[:, i * b:i * b + b])
+                for i in range(nb - 1, -1, -1)]
 
     def apply(v):
-        # the last blocks reach kl (forward) and 2 kl (backward) entries past
-        # the padded rings; those stay finite and meet zero coefficients
         V = np.fft.rfft(v.reshape(M, L), axis=1)
-        z = np.zeros((2 * K, nb * b + 2 * kl, 1), complex)
         # sums and differences are twice the parts, as the blocks are
-        np.add(V[:H], V[::-1][:H], out=z[:K, :H, 0].T)
-        np.subtract(V[:H], V[::-1][:H], out=z[K:, :H, 0].T)
-        for i in range(nb):
-            z[:, i * b:i * b + n] = F[i] @ z[:, i * b:i * b + n]
-        for i in range(nb - 1, -1, -1):
-            z[:, i * b:i * b + b] = G[i] @ z[:, i * b:i * b + m]
-        x = np.empty((M, K), complex)
-        np.add(z[:K, :H, 0].T, z[K:, :H, 0].T, out=x[:H])
-        np.subtract(z[:K, :H, 0].T, z[K:, :H, 0].T, out=x[::-1][:H])
+        np.add(V[:H], V[::-1][:H], out=symmetric)
+        np.subtract(V[:H], V[::-1][:H], out=antisymmetric)
+        z[:, H:] = 0.0
+        for Fi, zi in forward:
+            zi[...] = Fi @ zi
+        for Gi, zi, zo in backward:
+            zo[...] = Gi @ zi
+        np.add(symmetric, antisymmetric, out=x[:H])
+        np.subtract(symmetric, antisymmetric, out=x[::-1][:H])
         return np.fft.irfft(x, n=L, axis=1).ravel()
     return apply
 

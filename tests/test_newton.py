@@ -178,8 +178,12 @@ def test_ring_preconditioner_matches_dense_mode_solves(shape):
     V = np.fft.rfft(v.reshape(M, -1), axis=1)
     X = np.linalg.solve(A, V.T[:, :, None])[..., 0].T
     ref = np.fft.irfft(X, n=shape[1], axis=1).ravel()
-    x = newton._ring_preconditioner(blocks, J.norm_inf())(v)
+    precond = newton._ring_preconditioner(blocks, J.norm_inf())
+    x = precond(v)
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # its work array keeps nothing from one application to the next
+    precond(np.full_like(v, np.nan))
+    assert np.array_equal(precond(v), x)
     # the LU runs on the folded blocks, half the rings each
     _, _, piv = newton._band_lu(newton._fold(blocks), (M + 1) // 2)
     assert np.count_nonzero(piv) > 0

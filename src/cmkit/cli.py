@@ -112,7 +112,8 @@ def _solve_report(cfg, spec, trace):
         "residual": {"linf": rep.linf, "l2": rep.l2},
         # work of the accepted steps in trace.jsonl
         "counters": {key: sum(row[key] for row in trace.steps)
-                     for key in ("newton_iterations", "krylov_iterations")},
+                     for key in ("newton_iterations", "krylov_iterations",
+                                 "preconditioner_builds")},
         "f1": trace.f1_report,
         "diagnostics": _diagnostics_payload(spec, trace.h),
     }

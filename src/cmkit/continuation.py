@@ -39,19 +39,20 @@ class SolveTrace:
                 fh.write(json.dumps({k: row[k] for k in TRACE_KEYS}) + "\n")
 
 
-def _trace_row(h, t, iters, linf, min_b_eig, krylov_iters=0):
+def _trace_row(h, t, iters, linf, min_b_eig, krylov_iters=0, builds=0):
     """One accepted step: the TRACE_KEYS written to trace.jsonl, plus the
-    step's GMRES iteration count, which stays in memory."""
+    step's GMRES iterations and preconditioner builds, which stay in
+    memory."""
     R = float(np.max(h.values))
     r = float(np.min(h.values))
     return {"t": t, "newton_iterations": iters, "residual": linf,
             "min_b_eig": min_b_eig, "R": R, "r": r, "ratio": R / r,
-            "krylov_iterations": krylov_iters}
+            "krylov_iterations": krylov_iters, "preconditioner_builds": builds}
 
 
 def _newton_row(res, t):
     return _trace_row(res.h, t, res.iterations, res.final_linf, res.min_b_eig,
-                      res.krylov_iterations)
+                      res.krylov_iterations, res.preconditioner_builds)
 
 
 def predictor(prev, t_next):

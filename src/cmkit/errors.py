@@ -26,7 +26,12 @@ class UnsupportedParameterError(ValueError):
 class SingularJacobianError(RuntimeError):
     """The Newton step failed: a preconditioner pivot below the pivot
     floor, a GMRES miss, or a step that meets neither the backward-error
-    bound nor the forcing term."""
+    bound nor the forcing term.  iterations counts the GMRES iterations
+    of a miss."""
+
+    def __init__(self, message, iterations=0):
+        super().__init__(message)
+        self.iterations = iterations
 
 
 class ConfigError(ValueError):

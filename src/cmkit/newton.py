@@ -19,6 +19,15 @@ pivoting (LAPACK gbtrf's scheme) in numpy, vectorized over modes and
 parities; no solve imports scipy.  A step is declined when a pivot of
 these blocks, not of J itself, falls below PIVOT_RTOL * |J|.
 
+The preconditioner is lagged (Knoll & Keyes, section 3; the chord idea
+applied to P, Kelley, Solving Nonlinear Equations with Newton's Method,
+2003): each newton_solve call builds P from the J of its first Newton
+step and reuses it for the later steps, while |J|_inf is recomputed for
+every J.  When GMRES with that P misses its target or its x fails the
+backward-error check, P is rebuilt from the current J and the step is
+solved once more, so only a fresh P declines a step, and every build
+runs the pivot check.
+
 The GMRES step is inexact (Dembo, Eisenstat & Steihaug 1982): it only has
 to bring |J delta + F|_inf below eta_k |F|_inf, where the forcing term
 eta_k follows Eisenstat & Walker's choice 2 (SIAM J. Sci. Comput. 17,
@@ -33,7 +42,7 @@ eta_k follows Eisenstat & Walker's choice 2 (SIAM J. Sci. Comput. 17,
 Far from the solution a step is solved loosely; near it eta_k shrinks
 with the square of the residual ratio, which keeps the quadratic tail.
 Convergence is still decided by the nonlinear residual against
-tol_newton.  A step whose GMRES misses its target raises
+tol_newton.  A step whose GMRES misses its target with a fresh P raises
 SingularJacobianError, and continuation halves its step.
 """
 
@@ -71,6 +80,7 @@ class NewtonResult:
     step_history: list = field(default_factory=list)  # (alpha, residual linf)
     message: str = ""
     krylov_iterations: int = 0  # GMRES iterations over all Newton steps
+    preconditioner_builds: int = 0  # ring preconditioners built, rebuilds included
 
 
 def _fold(blocks):
@@ -256,7 +266,9 @@ def _ring_preconditioner(blocks, scale):
     and difference of rings j and M-1-j, the substitutions RING_BLOCK
     rings at a time (one batched matmul per block of rings and sweep),
     and back.  The function keeps its work arrays between calls, so one
-    preconditioner serves one caller at a time.  Raises
+    preconditioner serves one newton_solve at a time, which builds it at
+    its first Newton step and again only when a step misses with it
+    (solve_linear).  Raises
     SingularJacobianError when a pivot falls below PIVOT_RTOL * |J|
     (scale).
     """
@@ -312,9 +324,10 @@ def _gmres(matvec, rhs, precond, scale, eta=0.0):
     solve_linear checks, and unlike the computed residual it has no
     rounding floor: that floor is near the unit roundoff on some
     Jacobians, so a tight target on the computed residual would often be
-    missed by luck.  Returns (x, iterations); raises SingularJacobianError
-    when KRYLOV_MAX_ITER iterations do not reach the target or J P^-1 is
-    numerically singular on the Krylov space.
+    missed by luck.  Returns (x, iterations); raises SingularJacobianError,
+    with the iterations spent, when KRYLOV_MAX_ITER iterations do not
+    reach the target or J P^-1 is numerically singular on the Krylov
+    space.
     """
     m = KRYLOV_MAX_ITER
     V = np.empty((m + 1, rhs.size))
@@ -362,10 +375,14 @@ def _gmres(matvec, rhs, precond, scale, eta=0.0):
             break
     raise SingularJacobianError(
         f"GMRES missed backward error {KRYLOV_TARGET:g} and forcing term "
-        f"eta = {eta:.3g} after {k + 1} iterations")
+        f"eta = {eta:.3g} after {k + 1} iterations", iterations=k + 1)
 
 
-def solve_linear(J, rhs, blocks=None, eta=0.0, stats=None):
+def _count(stats, key, n):
+    stats[key] = stats.get(key, 0) + n
+
+
+def solve_linear(J, rhs, blocks=None, eta=0.0, stats=None, held=None):
     """Solve J x = rhs, J a problem.LinearizedOperator, and verify x.
 
     GMRES, preconditioned with the inverse of blocks (problem.ring_blocks
@@ -379,18 +396,44 @@ def solve_linear(J, rhs, blocks=None, eta=0.0, stats=None):
     preconditioner, the ring-averaged operator, on every grid and on the
     circle: where the coefficients vary along the rings a step is
     declined when that average is singular, whatever J's own pivots.
-    stats, when given, is a dict whose "krylov_iterations" entry grows by
-    the GMRES iterations spent.
+
+    held, when given, is a dict that keeps the preconditioner from one
+    call to the next; newton_solve passes one per call.  Its P, built for
+    an earlier J, is tried first (norm(J, inf) is J's own); when that
+    attempt misses the target or fails the SVD or backward-error check,
+    P is rebuilt from blocks, stored in held and the step solved once
+    more, so only a fresh P raises.  Without a held P it is built at
+    once.  stats, when given, is a dict whose "krylov_iterations" and
+    "preconditioner_builds" entries grow by the GMRES iterations spent,
+    those of a missed attempt included, and the preconditioners built.
     """
     rhs = np.asarray(rhs, dtype=float)
     scale = J.norm_inf()
     if not np.isfinite(scale):
         raise ValueError("Jacobian has non-finite entries")
+    stats = {} if stats is None else stats
+    held = {} if held is None else held
+    if "precond" in held:
+        try:
+            return _preconditioned_solve(J, rhs, held["precond"], scale, eta, stats)
+        except SingularJacobianError:
+            pass  # P is stale for this J
     if blocks is None:
         blocks = ring_blocks(J.grid, J.weights)
-    x, iterations = _gmres(J.dot, rhs, _ring_preconditioner(blocks, scale), scale, eta)
-    if stats is not None:
-        stats["krylov_iterations"] += iterations
+    _count(stats, "preconditioner_builds", 1)
+    held["precond"] = _ring_preconditioner(blocks, scale)
+    return _preconditioned_solve(J, rhs, held["precond"], scale, eta, stats)
+
+
+def _preconditioned_solve(J, rhs, precond, scale, eta, stats):
+    """One GMRES solve of J x = rhs with precond and the check of x, for
+    solve_linear."""
+    try:
+        x, iterations = _gmres(J.dot, rhs, precond, scale, eta)
+    except SingularJacobianError as exc:
+        _count(stats, "krylov_iterations", exc.iterations)
+        raise
+    _count(stats, "krylov_iterations", iterations)
     r = np.max(np.abs(J.dot(x) - rhs))
     bnorm = np.max(np.abs(rhs))
     be = r / (scale * np.max(np.abs(x)) + bnorm + 1e-300)
@@ -401,10 +444,12 @@ def solve_linear(J, rhs, blocks=None, eta=0.0, stats=None):
     return x
 
 
-def _newton_step(spec, h, t, hf, res, eta, stats):
+def _newton_step(spec, h, t, hf, margin, res, eta, stats, held):
     """Solve J(h) delta = -res to the forcing term eta, with
-    hf = hessian_field(h) from the caller; GMRES iterations go to stats."""
-    return solve_linear(assemble_jacobian(spec, h, t, hf), -res, eta=eta, stats=stats)
+    hf = hessian_field(h) and its Gamma_k margin from the caller; the
+    preconditioner comes from and goes to held, the work to stats."""
+    J = assemble_jacobian(spec, h, t, hf, margin=margin)
+    return solve_linear(J, -res, eta=eta, stats=stats, held=held)
 
 
 def _forcing_term(linf, linf_prev, tol):
@@ -415,23 +460,25 @@ def _forcing_term(linf, linf_prev, tol):
     return min(ETA_MAX, max(eta, 0.5 * tol / linf))
 
 
-def _result(spec, h, hf, rep, iterations, history, stats, message=""):
+def _result(spec, h, hf, margin, rep, iterations, history, stats, message=""):
     return NewtonResult(
         h=h, converged=rep.linf <= spec.tol_newton, iterations=iterations,
-        final_linf=rep.linf,
-        min_admissibility_margin=float(np.min(admissibility_margin(spec, h, hf))),
+        final_linf=rep.linf, min_admissibility_margin=float(np.min(margin)),
         min_b_eig=float(np.min(hf.lam[:, 0])),
         step_history=history, message=message,
-        krylov_iterations=stats["krylov_iterations"])
+        krylov_iterations=stats["krylov_iterations"],
+        preconditioner_builds=stats["preconditioner_builds"])
 
 
 def newton_solve(spec, h0, t):
     """Run the damped Newton iteration from h0 at continuation parameter t.
 
-    b(h) is evaluated once per iterate: one hessian_field per line-search
-    candidate feeds its margin check, its residual, the next Jacobian and
-    the result's margin and min_b_eig.  Each Newton step is solved to
-    the forcing term of the module docstring.
+    b(h) is evaluated once per iterate: one hessian_field and one Gamma_k
+    margin per line-search candidate feed its margin check, its
+    residual, the next Jacobian and the result's margin and min_b_eig.
+    Each Newton step is solved to the forcing term of the module
+    docstring, with the ring preconditioner built at the first step and
+    reused, or rebuilt on a miss, at the later ones (solve_linear).
     """
     v = h0.values
     if np.any(v <= 0):
@@ -450,18 +497,20 @@ def newton_solve(spec, h0, t):
         i = int(np.argmin(margin0))
         raise AdmissibilityError("initial iterate is not k-admissible",
                                  node=i, margin=float(margin0[i]))
+    margin = margin0 if hf0 is hf else admissibility_margin(spec, h, hf)
 
     rep = residual(spec, h, t, hf)
     history = []
-    stats = {"krylov_iterations": 0}
+    stats = {"krylov_iterations": 0, "preconditioner_builds": 0}
+    held = {}  # the ring preconditioner of this call's Newton steps
     eta = ETA_MAX
     for it in range(spec.max_newton):
         if rep.linf <= spec.tol_newton:
-            return _result(spec, h, hf, rep, it, history, stats)
+            return _result(spec, h, hf, margin, rep, it, history, stats)
         if it > 0:
             eta = _forcing_term(rep.linf, prev_linf, spec.tol_newton)
 
-        delta = _newton_step(spec, h, t, hf, rep.residual.values, eta, stats)
+        delta = _newton_step(spec, h, t, hf, margin, rep.residual.values, eta, stats, held)
 
         alpha = 1.0
         accepted = None
@@ -469,23 +518,23 @@ def newton_solve(spec, h0, t):
             cand = even_project(GridFunction(spec.grid, h.values + alpha * delta))
             if np.all(cand.values > 0):
                 cand_hf = hessian_field(cand)
-                margin = admissibility_margin(spec, cand, cand_hf)
-                if np.min(margin) > MARGIN_FLOOR:
+                cand_margin = admissibility_margin(spec, cand, cand_hf)
+                if np.min(cand_margin) > MARGIN_FLOOR:
                     cand_rep = residual(spec, cand, t, cand_hf)
                     if cand_rep.linf <= (1.0 - DECREASE_SLOPE * alpha) * rep.linf:
-                        accepted = (cand, cand_hf, cand_rep)
+                        accepted = (cand, cand_hf, cand_margin, cand_rep)
                         break
             alpha *= 0.5
         if accepted is None:
-            return _result(spec, h, hf, rep, it, history, stats,
+            return _result(spec, h, hf, margin, rep, it, history, stats,
                            message=f"line search failed at alpha < {ALPHA_MIN:g} "
                                    f"(residual stuck at {rep.linf:.3e})")
         prev_linf = rep.linf
-        h, hf, rep = accepted
+        h, hf, margin, rep = accepted
         history.append((alpha, rep.linf))
 
     converged = rep.linf <= spec.tol_newton
-    return _result(spec, h, hf, rep, spec.max_newton, history, stats,
+    return _result(spec, h, hf, margin, rep, spec.max_newton, history, stats,
                    message="" if converged else
                    f"no convergence in {spec.max_newton} iterations "
                    f"(residual {rep.linf:.3e})")

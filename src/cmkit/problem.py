@@ -341,15 +341,16 @@ class LinearizedOperator:
         return J.reshape(M * L, M * L)
 
 
-def assemble_jacobian(spec, h, t, hf=None, weights=None):
+def assemble_jacobian(spec, h, t, hf=None, weights=None, margin=None):
     """The linearization at (h, t), over flat node values.
 
     phi -> sigma_k^{ij} (hess phi + phi I)_ij
            - f_t [ (p-1) h^(p-2) rho^(k+1-q) phi
                    + (k+1-q) h^(p-1) rho^(k-1-q) (h phi + <grad h, grad phi>) ]
 
-    hf is hessian_field(h) and weights linearization_weights(spec, h, t,
-    hf), each computed here when not given.  Returned as a
+    hf is hessian_field(h), margin admissibility_margin(spec, h, hf) and
+    weights linearization_weights(spec, h, t, hf), each computed here
+    when not given.  Returned as a
     LinearizedOperator, which newton.solve_linear solves by preconditioned
     GMRES; its toarray() is the dense matrix.  Requires b(h) in Gamma_k at
     every node so the sigma_k^{ij} weights carry the right sign, and
@@ -358,8 +359,9 @@ def assemble_jacobian(spec, h, t, hf=None, weights=None):
     _require_positive(h)
     if hf is None:
         hf = hessian_field(h)
-    ok, margin = in_gamma_k(hf.lam, spec.k)
-    if not np.all(ok):
+    if margin is None:
+        _, margin = in_gamma_k(hf.lam, spec.k)
+    if not np.all(margin > 0.0):
         i = int(np.argmin(margin))
         raise AdmissibilityError(
             "b(h) leaves Gamma_k", node=i, margin=float(margin[i]))

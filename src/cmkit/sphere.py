@@ -315,7 +315,8 @@ class SphereGrid:
         'lat2'.  These reproduce the kernel applications up to summation
         order; the latitude ones are built from the kernels' own tap
         arrays.  No solve uses them: they are a reference for the kernels
-        and the frame taps.
+        and the frame taps, and they need scipy, which cmkit's test extra
+        installs.
         """
         from scipy import sparse
 

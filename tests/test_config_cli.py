@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -183,8 +184,9 @@ def test_solve_round_body(tmp_path):
 
 def test_solve_report_counts_newton_and_krylov_work(tmp_path):
     # a tilted quadratic 16x32 solve: the counters sum the accepted steps
-    # of trace.jsonl, and every Newton step spent 1..KRYLOV_MAX_ITER GMRES
-    # iterations
+    # of trace.jsonl, every Newton step spent 1..KRYLOV_MAX_ITER GMRES
+    # iterations, and each corrector built its preconditioner at its first
+    # step and at most once more per later step
     from cmkit.newton import KRYLOV_MAX_ITER
 
     path = write_cfg(tmp_path, BASE.replace(
@@ -198,6 +200,7 @@ def test_solve_report_counts_newton_and_krylov_work(tmp_path):
     assert counters["newton_iterations"] == sum(row["newton_iterations"] for row in rows) > 0
     assert counters["newton_iterations"] <= counters["krylov_iterations"] \
         <= KRYLOV_MAX_ITER * counters["newton_iterations"]
+    assert 0 < counters["preconditioner_builds"] <= counters["newton_iterations"]
 
 
 def test_verify_solution_round_trip(tmp_path):
@@ -431,6 +434,22 @@ def test_solves_import_no_scipy(tmp_path):
     assert result == {"codes": [0, 0, 0], "scipy": []}
     for name in ("circle", "small", "tilted"):
         assert json.loads(Path(tmp_path, name, "report.json").read_text())["success"]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # pyproject.toml read as text (Python 3.10 has no tomllib): the
+    # [project] dependencies name numpy alone, and scipy, which only the
+    # tests use, sits in the test extra
+    text = Path(__file__).resolve().parents[1].joinpath("pyproject.toml").read_text()
+
+    def names(section, key):
+        body = "\n" + text.split(f"\n{section}\n", 1)[1].split("\n[", 1)[0]
+        items = body.split(f"\n{key} = [", 1)[1].split("]", 1)[0]
+        return [re.split(r"[<>=!~ ;\[]", item.strip().strip(",").strip('"'))[0]
+                for item in items.splitlines() if item.strip()]
+
+    assert names("[project]", "dependencies") == ["numpy"]
+    assert "scipy" in names("[project.optional-dependencies]", "test")
 
 
 def test_mapped_openblas_reads_whole_pathnames(tmp_path):

@@ -208,6 +208,44 @@ def test_path_through_varying_data_records_monotone_t(g1):
     assert np.array_equal(f1.values, spec.f.values)
 
 
+def test_declined_circle_point_fails_the_pivot_check_of_every_build(monkeypatch):
+    # k = 1, q = p + 1 on the circle: every corrector builds its
+    # preconditioner at its first Newton step, and every such build runs
+    # the pivot check and fails it, so each attempt is declined with
+    # "pivot" and no GMRES iteration runs
+    from cmkit import continuation, newton
+    from cmkit.errors import SingularJacobianError
+
+    g = build_grid(1, m_theta=256)
+    u = g.coords[:, 0]
+    spec = ProblemSpec(n=1, k=1, p=1.5, q=2.5, f=GridFunction(g, (1.0 + 0.5 * u ** 2) ** -1.5))
+    attempts, builds = [], []
+    solve, build = continuation.newton_solve, newton._ring_preconditioner
+
+    def solve_spy(spec, h, t):
+        attempts.append(t)
+        return solve(spec, h, t)
+
+    def build_spy(blocks, scale):
+        try:
+            build(blocks, scale)
+        except SingularJacobianError as exc:
+            builds.append(str(exc))
+            raise
+        builds.append(None)
+
+    def no_gmres(*args):
+        raise AssertionError("GMRES ran on the declined point")
+
+    monkeypatch.setattr(continuation, "newton_solve", solve_spy)
+    monkeypatch.setattr(newton, "_ring_preconditioner", build_spy)
+    monkeypatch.setattr(newton, "_gmres", no_gmres)
+    tr = continue_path(spec)
+    assert not tr.success and "pivot" in tr.message
+    assert len(builds) == len(attempts) > 1
+    assert all(msg is not None and "pivot" in msg for msg in builds)
+
+
 def test_declined_circle_point_runs_no_full_svd(monkeypatch):
     # k = 1, q = p + 1: the Jacobian at h = 1 is singular along the odd
     # translation modes, so every attempt fails its pivot check and the

@@ -487,6 +487,150 @@ def test_tilted_path_never_forms_dense_rows(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the preconditioner held across Newton steps
+# ---------------------------------------------------------------------------
+
+def _count_builds(monkeypatch):
+    """Spy on _ring_preconditioner; returns the list its builds go to."""
+    builds = []
+    build = newton._ring_preconditioner
+
+    def spy(blocks, scale):
+        builds.append(blocks.shape)
+        return build(blocks, scale)
+
+    monkeypatch.setattr(newton, "_ring_preconditioner", spy)
+    return builds
+
+
+def _build_every_step(monkeypatch):
+    """The reference: every Newton step builds its own preconditioner."""
+    solve = newton.solve_linear
+
+    def unheld(J, rhs, blocks=None, eta=0.0, stats=None, held=None):
+        return solve(J, rhs, blocks, eta, stats)
+
+    monkeypatch.setattr(newton, "solve_linear", unheld)
+
+
+def _relative_gap(a, b):
+    return np.max(np.abs(a.values - b.values)) / np.max(np.abs(b.values))
+
+
+@pytest.mark.parametrize("tilt,m_lat", [(0.0, 32), (0.4, 16)], ids=["polar-32x64", "tilted-16x32"])
+def test_one_preconditioner_build_per_newton_solve(monkeypatch, tilt, m_lat):
+    # k = 2 continuation paths: each corrector builds P once, at its first
+    # Newton step, and the path takes the steps and Newton iterations of a
+    # build per Newton step, to a solution within 1e-11
+    from cmkit import continuation
+
+    spec, _, _, _ = _sphere_case(2, tilt, m_lat=m_lat)
+    builds = _count_builds(monkeypatch)
+    calls = []
+    solve = continuation.newton_solve
+
+    def spy(spec, h, t):
+        before = len(builds)
+        res = solve(spec, h, t)
+        calls.append((res.iterations, len(builds) - before, res.preconditioner_builds))
+        return res
+
+    monkeypatch.setattr(continuation, "newton_solve", spy)
+    held = continuation.continue_path(spec)
+    assert held.success and len(calls) == len(held.steps) - 1
+    assert all(its > 0 and built == counted == 1 for its, built, counted in calls)
+    assert [row["preconditioner_builds"] for row in held.steps[1:]] == [1] * len(calls)
+    calls.clear()
+    _build_every_step(monkeypatch)
+    ref = continuation.continue_path(spec)
+    assert ref.success
+    assert all(built == counted == its for its, built, counted in calls)
+    assert [(row["t"], row["newton_iterations"]) for row in held.steps] \
+        == [(row["t"], row["newton_iterations"]) for row in ref.steps]
+    assert _relative_gap(held.h, ref.h) <= 1e-11
+
+
+def test_stale_preconditioner_miss_rebuilds_once_and_the_step_is_accepted(monkeypatch):
+    # polar 32x64, k = 2: a fresh P is J^-1 and meets any target in one
+    # GMRES iteration, while the P held from an earlier iterate misses the
+    # tighter targets near the solution.  With one iteration allowed,
+    # every miss is followed by exactly one rebuild and the step goes on:
+    # the Newton iterations and the solution are those of a build per step
+    spec, h, _, _ = _sphere_case(2, 0.0)
+    monkeypatch.setattr(newton, "KRYLOV_MAX_ITER", 1)
+    builds = _count_builds(monkeypatch)
+    misses = []
+    gmres = newton._gmres
+
+    def spy(*args):
+        try:
+            return gmres(*args)
+        except SingularJacobianError:
+            misses.append(len(builds))
+            raise
+
+    monkeypatch.setattr(newton, "_gmres", spy)
+    res = newton_solve(spec, h, 0.5)
+    assert res.converged and misses
+    # the i-th miss comes with i builds behind it: each one a held P's
+    assert misses == list(range(1, len(misses) + 1))
+    assert len(builds) == res.preconditioner_builds == 1 + len(misses) <= res.iterations
+    assert res.krylov_iterations == res.iterations + len(misses)
+    misses.clear()
+    _build_every_step(monkeypatch)
+    ref = newton_solve(spec, h, 0.5)
+    assert not misses and ref.iterations == res.iterations
+    assert _relative_gap(res.h, ref.h) <= 1e-11
+
+
+@pytest.mark.parametrize("failure", ["gmres-miss", "backward-error"])
+def test_solve_linear_rebuilds_a_held_preconditioner_that_fails(monkeypatch, failure):
+    # tilted 32x64: the held P misses its target (here it preconditions
+    # nothing, so KRYLOV_MAX_ITER iterations fall short), or its GMRES
+    # answer fails the backward-error check.  solve_linear builds P from
+    # blocks, holds it and returns the fresh solve's step; both attempts'
+    # GMRES iterations are counted
+    J, blocks = _sphere_jacobian(2, 1.0, 2.0)
+    rhs = np.sin(np.arange(J.shape[0]))
+    fresh = {}
+    x = solve_linear(J, rhs, blocks, eta=1e-8, stats=fresh)
+    assert fresh["preconditioner_builds"] == 1
+    if failure == "gmres-miss":
+        stale, wasted = (lambda v: v), newton.KRYLOV_MAX_ITER
+    else:
+        stale, wasted = newton._ring_preconditioner(blocks, J.norm_inf()), 1
+        gmres = newton._gmres
+        answers = iter([lambda *args: (0.5 * gmres(*args)[0], 1), gmres])
+        monkeypatch.setattr(newton, "_gmres", lambda *args: next(answers)(*args))
+    builds = _count_builds(monkeypatch)
+    held, stats = {"precond": stale}, {}
+    assert np.array_equal(solve_linear(J, rhs, blocks, eta=1e-8, stats=stats, held=held), x)
+    assert len(builds) == 1 and held["precond"] is not stale
+    assert stats == {"krylov_iterations": wasted + fresh["krylov_iterations"],
+                     "preconditioner_builds": 1}
+
+
+def test_solve_linear_held_preconditioner_is_reused_and_only_a_fresh_one_raises(monkeypatch):
+    # a held P that meets the target is used as it is; when a rebuilt P
+    # misses too, the step is declined, after one build
+    J, blocks = _sphere_jacobian(2, 1.0, 2.0)
+    rhs = np.sin(np.arange(J.shape[0]))
+    held = {}
+    x = solve_linear(J, rhs, blocks, held=held)
+    precond = held["precond"]
+    builds = _count_builds(monkeypatch)
+    stats = {}
+    assert np.array_equal(solve_linear(J, rhs, blocks, stats=stats, held=held), x)
+    assert not builds and held["precond"] is precond and "preconditioner_builds" not in stats
+    monkeypatch.setattr(newton, "KRYLOV_MAX_ITER", 1)
+    stats = {}
+    with pytest.raises(SingularJacobianError, match="GMRES missed"):
+        solve_linear(J, rhs, blocks, stats=stats, held=held)
+    assert len(builds) == 1
+    assert stats == {"krylov_iterations": 2, "preconditioner_builds": 1}
+
+
+# ---------------------------------------------------------------------------
 # newton_solve
 # ---------------------------------------------------------------------------
 
@@ -564,15 +708,20 @@ def test_nonconvergence_reports_honestly(g2):
 def test_one_hessian_field_per_line_search_candidate(monkeypatch):
     # b(h) is evaluated once for the start iterate and once per positive
     # line-search candidate; the margin check, the residual, the Jacobian
-    # and the result all reuse that field
+    # and the result all reuse that field, and the Jacobian and the result
+    # reuse the margin check's Gamma_k margin
     from cmkit import problem
 
     g = build_grid(2, m_lat=16, m_lon=32)
     u = g.coords @ np.array([math.sin(0.4), 0.0, math.cos(0.4)])
     f = GridFunction(g, (1.0 + 2.0 * u ** 2) ** (-2.5))
     spec = ProblemSpec(n=2, k=2, p=1.5, q=2.5, f=f)
-    counts = {"fields": 0, "in_step": 0, "evaluable": 0}
+    counts = {"fields": 0, "in_step": 0, "evaluable": 0, "margins": 0}
     stepping = []
+
+    def margin_spy(lam, k):
+        counts["margins"] += 1
+        return in_gamma_k(lam, k)
 
     def field_spy(h):
         counts["fields"] += 1
@@ -595,6 +744,8 @@ def test_one_hessian_field_per_line_search_candidate(monkeypatch):
         raise AssertionError("problem evaluated hessian_field itself")
 
     even_project, newton_step = newton.even_project, newton._newton_step
+    in_gamma_k = problem.in_gamma_k
+    monkeypatch.setattr(problem, "in_gamma_k", margin_spy)
     monkeypatch.setattr(newton, "hessian_field", field_spy)
     monkeypatch.setattr(newton, "even_project", project_spy)
     monkeypatch.setattr(newton, "_newton_step", step_spy)
@@ -602,7 +753,7 @@ def test_one_hessian_field_per_line_search_candidate(monkeypatch):
     res = newton_solve(spec, constant_function(g, 1.0), 0.6)
     assert res.converged and res.iterations >= 3
     assert counts["in_step"] == 0
-    assert counts["fields"] == counts["evaluable"] == res.iterations + 1
+    assert counts["fields"] == counts["evaluable"] == counts["margins"] == res.iterations + 1
     assert res.min_b_eig == float(np.min(hessian_field(res.h).lam[:, 0]))
     # a decrease no step can meet: every halving is a rejected candidate
     counts.update(fields=0, evaluable=0)

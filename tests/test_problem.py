@@ -12,6 +12,7 @@ from cmkit.problem import (
     EQUAL_EXPONENT_NOTE,
     RANGE_NOTE,
     ProblemSpec,
+    admissibility_margin,
     assemble_jacobian,
     homotopy_f,
     residual,
@@ -303,6 +304,31 @@ def test_jacobian_requires_admissible(g2):
     with pytest.raises(AdmissibilityError) as exc:
         assemble_jacobian(spec, h, 0.0)
     assert exc.value.margin < 0
+
+
+def test_jacobian_given_margin_raises_the_same_error(g2, monkeypatch):
+    # a caller's margin of b(h) (newton_solve's, from its margin check)
+    # stands in for the one assemble_jacobian would compute: the same
+    # error on the dent, and no second Gamma_k evaluation
+    from cmkit import problem
+
+    spec = ProblemSpec(n=2, k=2, p=1.5, q=2.5, f=constant_function(g2, 1.0))
+    z = g2.coords[:, 2]
+    dent = GridFunction(g2, 1.0 - 0.9 * z ** 2)
+    with pytest.raises(AdmissibilityError) as computed:
+        assemble_jacobian(spec, dent, 0.0)
+    margins = [admissibility_margin(spec, h) for h in (dent, constant_function(g2, 1.1))]
+
+    def no_margin(lam, k):
+        raise AssertionError("assemble_jacobian evaluated Gamma_k itself")
+
+    monkeypatch.setattr(problem, "in_gamma_k", no_margin)
+    with pytest.raises(AdmissibilityError) as given:
+        assemble_jacobian(spec, dent, 0.0, margin=margins[0])
+    assert (str(given.value), given.value.node, given.value.margin) \
+        == (str(computed.value), computed.value.node, computed.value.margin)
+    J = assemble_jacobian(spec, constant_function(g2, 1.1), 0.0, margin=margins[1])
+    assert J.shape == (g2.node_count, g2.node_count)
 
 
 def _per_call_jacobian(spec, h, t):

@@ -9,6 +9,7 @@ parallelism when set.
 
 import argparse
 import ctypes
+import dataclasses
 import itertools
 import json
 import os
@@ -22,7 +23,8 @@ from .continuation import continue_path
 from .errors import AdmissibilityError, ConfigError, DomainError, SingularJacobianError
 from .geometry import reconstruct_body, write_obj, write_polyline
 from .problem import residual
-from .sphere import build_grid, format_rows, read_grid_function, write_grid_function
+from .sphere import (build_grid, format_rows, hessian_field, read_grid_function,
+                     write_grid_function)
 
 
 # OpenBLAS thread setters, by the symbol names its builds export
@@ -92,15 +94,15 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _diagnostics_payload(spec, h):
+def _diagnostics_payload(spec, h, hf, f1=None):
     try:
-        return diag.run_diagnostics(spec, h).to_dict()
+        return diag.run_diagnostics(spec, h, hf=hf, f1=f1).to_dict()
     except (AdmissibilityError, DomainError) as exc:
         return {"error": str(exc)}
 
 
-def _solve_report(cfg, spec, trace):
-    rep = residual(spec, trace.h, 1.0)
+def _solve_report(cfg, spec, trace, hf):
+    rep = residual(spec, trace.h, 1.0, hf)
     payload = {
         "problem": {"n": spec.n, "k": spec.k, "p": spec.p, "q": spec.q,
                     "grid": list(spec.grid.shape), "binom_nk": spec.binom_nk},
@@ -115,7 +117,7 @@ def _solve_report(cfg, spec, trace):
                      for key in ("newton_iterations", "krylov_iterations",
                                  "preconditioner_builds")},
         "f1": trace.f1_report,
-        "diagnostics": _diagnostics_payload(spec, trace.h),
+        "diagnostics": _diagnostics_payload(spec, trace.h, hf, trace.f1_report),
     }
     return payload
 
@@ -126,10 +128,11 @@ def _cmd_solve(cfg):
     out = ensure_out_dir(cfg)
     write_grid_function(trace.h, os.path.join(out, "solution.csv"))
     trace.to_jsonl(os.path.join(out, "trace.jsonl"))
-    payload = _solve_report(cfg, spec, trace)
+    hf = hessian_field(trace.h)  # shared by the report, diagnostics and mesh
+    payload = _solve_report(cfg, spec, trace, hf)
     _write_json(os.path.join(out, "report.json"), payload)
     if cfg.out_mesh:
-        mesh = reconstruct_body(trace.h)
+        mesh = reconstruct_body(trace.h, hf)
         if cfg.n == 2:
             write_obj(mesh, os.path.join(out, "mesh.obj"))
         else:
@@ -146,14 +149,15 @@ def _cmd_verify(cfg, solution_path):
         h = read_grid_function(grid, solution_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read solution '{solution_path}': {exc}") from exc
-    rep = residual(spec, h, 1.0)
+    hf = hessian_field(h)
+    rep = residual(spec, h, 1.0, hf)
     payload = {
         "solution": solution_path,
         "residual": {"linf": rep.linf, "l2": rep.l2},
         "tol_newton": spec.tol_newton,
         "passes": rep.linf <= spec.tol_newton,
         "warnings": list(spec.warnings),
-        "diagnostics": _diagnostics_payload(spec, h),
+        "diagnostics": _diagnostics_payload(spec, h, hf),
     }
     out = ensure_out_dir(cfg)
     _write_json(os.path.join(out, "verify.json"), payload)
@@ -212,13 +216,16 @@ def _cmd_sweep(cfg):
     if not cfg.sweep_p or not cfg.sweep_q:
         raise ConfigError(f"{cfg.path}: sweep needs sweep.p and sweep.q lists")
     out = ensure_out_dir(cfg)
+    # one grid for every point: its cached frame operators do not depend
+    # on (p, q), while f does, through the quadratic family's exponent
+    grid = build_grid(cfg.n, **cfg.grid_args())
     all_ok = True
     path = os.path.join(out, "sweep.jsonl")
     with open(path, "w") as fh:
         for p, q in itertools.product(cfg.sweep_p, cfg.sweep_q):
             point = dict(p=p, q=q)
             try:
-                grid, spec = _point_problem(cfg, p, q)
+                _, spec = build_problem(dataclasses.replace(cfg, p=p, q=q), grid)
                 trace = continue_path(spec)
                 last = trace.steps[-1] if trace.steps else {}
                 point.update(success=trace.success,
@@ -238,11 +245,6 @@ def _cmd_sweep(cfg):
             fh.flush()
     print(json.dumps({"out": path, "all_converged": all_ok}))
     return 0 if all_ok else 1
-
-
-def _point_problem(cfg, p, q):
-    import dataclasses
-    return build_problem(dataclasses.replace(cfg, p=p, q=q))
 
 
 def build_parser():

@@ -228,10 +228,12 @@ def build_h_star(cfg, grid):
     return GridFunction(grid, cfg.h_value * (1.0 + cfg.h_epsilon * proj ** 2))
 
 
-def build_problem(cfg):
+def build_problem(cfg, grid=None):
     """Grid + ProblemSpec from a RunConfig; invalid combinations become
-    ConfigError before any compute."""
-    grid = build_grid(cfg.n, **cfg.grid_args())
+    ConfigError before any compute.  grid is the config's grid, built here
+    when not given."""
+    if grid is None:
+        grid = build_grid(cfg.n, **cfg.grid_args())
     f = build_f(cfg, grid)
     try:
         spec = ProblemSpec(

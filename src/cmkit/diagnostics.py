@@ -70,12 +70,19 @@ def _default_testfn(grid):
     return GridFunction(grid, 0.5 * (3.0 * z ** 2 - 1.0))
 
 
-def run_diagnostics(spec, h):
-    """Measured shape and admissibility quantities of an iterate."""
+def run_diagnostics(spec, h, hf=None, f1=None):
+    """Measured shape and admissibility quantities of an iterate.
+
+    hf is hessian_field(h) and f1 validate_f1(spec), computed here when not
+    given.
+    """
     v = h.values
     if np.any(v <= 0):
         raise ValueError("diagnostics need h > 0")
-    hf = hessian_field(h)
+    if hf is None:
+        hf = hessian_field(h)
+    if f1 is None:
+        f1 = validate_f1(spec)
     R = float(np.max(v))
     r = float(np.min(v))
     min_b_eig = float(np.min(hf.lam[:, 0]))
@@ -96,7 +103,7 @@ def run_diagnostics(spec, h):
 
     ok, _ = in_gamma_k(hf.lam, spec.k)
     if np.all(ok):
-        af = af_inequality_check(h, spec.k, _default_testfn(spec.grid))
+        af = af_inequality_check(h, spec.k, _default_testfn(spec.grid), hf)
     else:
         af = None
         note = (note + "; " if note else "") + \
@@ -106,7 +113,7 @@ def run_diagnostics(spec, h):
         R=R, r=r, ratio=R / r, zeta_max=zeta_max,
         zeta_bound_ratio=zeta_ratio, c2_quantity=c2, min_b_eig=min_b_eig,
         gamma_used=gamma_used,
-        f1_satisfied=validate_f1(spec)["satisfied"],
+        f1_satisfied=f1["satisfied"],
         af_check=af, note=note)
 
 
@@ -114,16 +121,18 @@ def run_diagnostics(spec, h):
 # weighted Poincare-type inequality
 # ---------------------------------------------------------------------------
 
-def af_inequality_check(h, k, testfn):
+def af_inequality_check(h, k, testfn, hf=None):
     """Check k * int(f^2 h sigma_k) <= int(h^2 sigma_k^{ij} grad_i f grad_j f)
     for test functions f with int(f h sigma_k) = 0.
 
     The zero-mean condition is enforced here by subtracting the weighted
     mean (reported).  Equality holds exactly for f = <x/h, v>; the check
-    flags near-equality and certifies it by fitting such a v.
+    flags near-equality and certifies it by fitting such a v.  hf is
+    hessian_field(h), computed here when not given.
     """
     g = h.grid
-    hf = hessian_field(h)
+    if hf is None:
+        hf = hessian_field(h)
     ok, margin = in_gamma_k(hf.lam, k)
     if not np.all(ok):
         i = int(np.argmin(margin))

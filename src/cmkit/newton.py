@@ -37,12 +37,15 @@ eta_k follows Eisenstat & Walker's choice 2 (SIAM J. Sci. Comput. 17,
 
     eta_0 = ETA_MAX
     eta_k = min(ETA_MAX, max(FORCING_GAMMA (|F_k| / |F_k-1|)^2,
-                             0.5 tol_newton / |F_k|))
+                             0.5 tol / |F_k|))
 
 Far from the solution a step is solved loosely; near it eta_k shrinks
 with the square of the residual ratio, which keeps the quadratic tail.
-Convergence is still decided by the nonlinear residual against
-tol_newton.  A step whose GMRES misses its target with a fresh P raises
+Convergence is still decided by the nonlinear residual against tol,
+the call's target: tol_newton unless the caller gives another.
+Continuation gives sqrt(tol_newton) to the steps before t = 1, whose
+iterates only seed the next prediction (continuation module docstring).
+A step whose GMRES misses its target with a fresh P raises
 SingularJacobianError, and continuation halves its step.
 """
 
@@ -460,9 +463,9 @@ def _forcing_term(linf, linf_prev, tol):
     return min(ETA_MAX, max(eta, 0.5 * tol / linf))
 
 
-def _result(spec, h, hf, margin, rep, iterations, history, stats, message=""):
+def _result(h, hf, margin, rep, tol, iterations, history, stats, message=""):
     return NewtonResult(
-        h=h, converged=rep.linf <= spec.tol_newton, iterations=iterations,
+        h=h, converged=rep.linf <= tol, iterations=iterations,
         final_linf=rep.linf, min_admissibility_margin=float(np.min(margin)),
         min_b_eig=float(np.min(hf.lam[:, 0])),
         step_history=history, message=message,
@@ -470,8 +473,9 @@ def _result(spec, h, hf, margin, rep, iterations, history, stats, message=""):
         preconditioner_builds=stats["preconditioner_builds"])
 
 
-def newton_solve(spec, h0, t):
-    """Run the damped Newton iteration from h0 at continuation parameter t.
+def newton_solve(spec, h0, t, tol=None):
+    """Run the damped Newton iteration from h0 at continuation parameter t
+    until |F|_inf <= tol, by default spec.tol_newton.
 
     b(h) is evaluated once per iterate: one hessian_field and one Gamma_k
     margin per line-search candidate feed its margin check, its
@@ -488,6 +492,8 @@ def newton_solve(spec, h0, t):
     if odd_defect(h0) > 1e-12:
         raise ValueError("initial iterate must be even "
                          f"(antipodal defect {odd_defect(h0):.3e})")
+    if tol is None:
+        tol = spec.tol_newton
     h = even_project(h0)
     hf = hessian_field(h)
     # even_project is idempotent, so an even h0 is h bitwise
@@ -505,10 +511,10 @@ def newton_solve(spec, h0, t):
     held = {}  # the ring preconditioner of this call's Newton steps
     eta = ETA_MAX
     for it in range(spec.max_newton):
-        if rep.linf <= spec.tol_newton:
-            return _result(spec, h, hf, margin, rep, it, history, stats)
+        if rep.linf <= tol:
+            return _result(h, hf, margin, rep, tol, it, history, stats)
         if it > 0:
-            eta = _forcing_term(rep.linf, prev_linf, spec.tol_newton)
+            eta = _forcing_term(rep.linf, prev_linf, tol)
 
         delta = _newton_step(spec, h, t, hf, margin, rep.residual.values, eta, stats, held)
 
@@ -526,15 +532,15 @@ def newton_solve(spec, h0, t):
                         break
             alpha *= 0.5
         if accepted is None:
-            return _result(spec, h, hf, margin, rep, it, history, stats,
+            return _result(h, hf, margin, rep, tol, it, history, stats,
                            message=f"line search failed at alpha < {ALPHA_MIN:g} "
-                                   f"(residual stuck at {rep.linf:.3e})")
+                                   f"(residual stuck at {rep.linf:.3e}, target {tol:.3g})")
         prev_linf = rep.linf
         h, hf, margin, rep = accepted
         history.append((alpha, rep.linf))
 
-    converged = rep.linf <= spec.tol_newton
-    return _result(spec, h, hf, margin, rep, spec.max_newton, history, stats,
+    converged = rep.linf <= tol
+    return _result(h, hf, margin, rep, tol, spec.max_newton, history, stats,
                    message="" if converged else
-                   f"no convergence in {spec.max_newton} iterations "
+                   f"no convergence to {tol:.3g} in {spec.max_newton} iterations "
                    f"(residual {rep.linf:.3e})")

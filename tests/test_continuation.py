@@ -118,8 +118,8 @@ def test_trace_rows_take_min_b_eig_from_the_newton_field(monkeypatch, g2):
 
     accepted = []
 
-    def spy(spec, h0, t):
-        res = newton_solve(spec, h0, t)
+    def spy(spec, h0, t, **kwargs):
+        res = newton_solve(spec, h0, t, **kwargs)
         accepted.append(res.h)
         return res
 
@@ -172,16 +172,17 @@ def test_abort_returns_partial_trace(g2):
 
 
 def test_success_after_rejected_step_has_no_error_message(monkeypatch):
-    # on this circle path the corrector raises at t = 0.3 (the predicted
-    # iterate leaves Gamma_1); the retry with half the step succeeds
+    # on this circle path the corrector raises once, at t = 0.25 (the
+    # predicted iterate leaves Gamma_1); the retry with half the step
+    # succeeds
     from cmkit import continuation
 
     errors = []
     newton_solve = continuation.newton_solve
 
-    def recording(*args):
+    def recording(*args, **kwargs):
         try:
-            return newton_solve(*args)
+            return newton_solve(*args, **kwargs)
         except Exception as exc:
             errors.append(exc)
             raise
@@ -191,7 +192,7 @@ def test_success_after_rejected_step_has_no_error_message(monkeypatch):
     u = g.coords[:, 1]
     k, p = 1, 1.5
     spec = ProblemSpec(n=1, k=k, p=p, q=1.8,
-                       f=GridFunction(g, (1 + 4.0 * u ** 2) ** (-(k + p - 1))))
+                       f=GridFunction(g, (1 + 2.0 * u ** 2) ** (-(k + p - 1))))
     tr = continue_path(spec)
     assert errors
     assert tr.success
@@ -222,9 +223,9 @@ def test_declined_circle_point_fails_the_pivot_check_of_every_build(monkeypatch)
     attempts, builds = [], []
     solve, build = continuation.newton_solve, newton._ring_preconditioner
 
-    def solve_spy(spec, h, t):
+    def solve_spy(spec, h, t, **kwargs):
         attempts.append(t)
-        return solve(spec, h, t)
+        return solve(spec, h, t, **kwargs)
 
     def build_spy(blocks, scale):
         try:

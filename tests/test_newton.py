@@ -257,9 +257,9 @@ def test_krylov_miss_halves_the_continuation_step(monkeypatch):
     spec, _, _, _ = _sphere_case(2, 0.4, m_lat=16)
     attempts = []
 
-    def spy(spec, h, t):
+    def spy(spec, h, t, **kwargs):
         attempts.append(t)
-        return solve(spec, h, t)
+        return solve(spec, h, t, **kwargs)
 
     solve = continuation.newton_solve
     monkeypatch.setattr(continuation, "newton_solve", spy)
@@ -400,6 +400,9 @@ def test_forcing_term_follows_eisenstat_walker_choice_2():
     assert newton._forcing_term(0.9, 1.0, tol) == newton.ETA_MAX
     # near tol_newton the forcing term stays at 0.5 tol / |F_k|
     assert newton._forcing_term(1e-9, 1e-5, tol) == 0.5 * tol / 1e-9
+    # the floor follows the target it is given, not tol_newton
+    assert newton._forcing_term(1e-4, 1e-2, 1e-5) == 0.5 * 1e-5 / 1e-4
+    assert newton._forcing_term(1e-4, 1e-2, tol) == gamma * (1e-4 / 1e-2) ** 2
 
 
 def test_solve_linear_singular_sparse_with_blocks():
@@ -529,9 +532,9 @@ def test_one_preconditioner_build_per_newton_solve(monkeypatch, tilt, m_lat):
     calls = []
     solve = continuation.newton_solve
 
-    def spy(spec, h, t):
+    def spy(spec, h, t, **kwargs):
         before = len(builds)
-        res = solve(spec, h, t)
+        res = solve(spec, h, t, **kwargs)
         calls.append((res.iterations, len(builds) - before, res.preconditioner_builds))
         return res
 
@@ -548,6 +551,32 @@ def test_one_preconditioner_build_per_newton_solve(monkeypatch, tilt, m_lat):
     assert [(row["t"], row["newton_iterations"]) for row in held.steps] \
         == [(row["t"], row["newton_iterations"]) for row in ref.steps]
     assert _relative_gap(held.h, ref.h) <= 1e-11
+
+
+@pytest.mark.parametrize("tilt,m_lat", [(0.0, 32), (0.4, 16)], ids=["polar-32x64", "tilted-16x32"])
+def test_path_steps_stop_at_sqrt_tol_and_the_last_at_tol(monkeypatch, tilt, m_lat):
+    # k = 2 continuation paths: the steps before t = 1 stop at
+    # sqrt(tol_newton), the last at tol_newton.  Against a path that
+    # solves every step to tol_newton they take fewer Newton iterations
+    # and land on the same solution
+    from cmkit import continuation
+
+    spec, _, _, _ = _sphere_case(2, tilt, m_lat=m_lat)
+    trace = continuation.continue_path(spec)
+    assert trace.success and trace.steps[-1]["t"] == 1.0
+    assert all(row["residual"] <= math.sqrt(spec.tol_newton) for row in trace.steps[:-1])
+    assert trace.steps[-1]["residual"] <= spec.tol_newton
+    solve = continuation.newton_solve
+
+    def every_step_to_tol(spec, h, t, tol=None):
+        return solve(spec, h, t)
+
+    monkeypatch.setattr(continuation, "newton_solve", every_step_to_tol)
+    ref = continuation.continue_path(spec)
+    assert ref.success
+    assert all(row["residual"] <= spec.tol_newton for row in ref.steps)
+    assert _path_work(trace)[0] < _path_work(ref)[0]
+    assert _relative_gap(trace.h, ref.h) <= 1e-9
 
 
 def test_stale_preconditioner_miss_rebuilds_once_and_the_step_is_accepted(monkeypatch):
@@ -693,6 +722,36 @@ def test_preconditions(g2):
     odd = GridFunction(g2, 1.0 + 0.1 * g2.coords[:, 0])
     with pytest.raises(ValueError):
         newton_solve(spec, odd, 0.0)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_newton_solve_target_defaults_to_tol_newton(monkeypatch, t):
+    # without tol the iteration is bitwise the one with tol = tol_newton,
+    # in its stopping test and in its forcing terms; a looser tol is the
+    # target of both, and the iteration stops above tol_newton
+    spec, h, _, _ = _sphere_case(2, 0.4, m_lat=16)
+    targets = []
+    forcing = newton._forcing_term
+
+    def spy(linf, linf_prev, tol):
+        targets.append(tol)
+        return forcing(linf, linf_prev, tol)
+
+    monkeypatch.setattr(newton, "_forcing_term", spy)
+    res, ref = newton_solve(spec, h, t), newton_solve(spec, h, t, tol=spec.tol_newton)
+    assert set(targets) == {spec.tol_newton}
+    assert res.converged and res.final_linf <= spec.tol_newton
+    assert np.array_equal(res.h.values, ref.h.values)
+    assert (res.iterations, res.final_linf, res.step_history, res.krylov_iterations,
+            res.preconditioner_builds, res.message) \
+        == (ref.iterations, ref.final_linf, ref.step_history, ref.krylov_iterations,
+            ref.preconditioner_builds, ref.message)
+    targets.clear()
+    tol = math.sqrt(spec.tol_newton)
+    loose = newton_solve(spec, h, t, tol=tol)
+    assert set(targets) == {tol}
+    assert loose.converged and spec.tol_newton < loose.final_linf <= tol
+    assert loose.iterations <= res.iterations
 
 
 def test_nonconvergence_reports_honestly(g2):

@@ -26,7 +26,7 @@ from .sphere import (
     write_grid_function,
 )
 from .symfunc import in_gamma_k, newton_maclaurin_gap, sigma_k
-from .problem import ProblemSpec, assemble_jacobian, homotopy_f, residual, validate_f1
+from .problem import ProblemSpec, assemble_jacobian, evaluate, homotopy_f, residual, validate_f1
 from .newton import NewtonResult, newton_solve
 from .continuation import SolveTrace, continue_path
 from .diagnostics import (

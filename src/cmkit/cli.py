@@ -18,13 +18,12 @@ import sys
 import numpy as np
 
 from . import diagnostics as diag
-from .config import build_h_star, build_problem, ensure_out_dir, parse_config
+from .config import build_f, build_h_star, build_problem, ensure_out_dir, parse_config
 from .continuation import continue_path
 from .errors import AdmissibilityError, ConfigError, DomainError, SingularJacobianError
 from .geometry import reconstruct_body, write_obj, write_polyline
-from .problem import residual
-from .sphere import (build_grid, format_rows, hessian_field, read_grid_function,
-                     write_grid_function)
+from .problem import evaluate
+from .sphere import build_grid, format_rows, read_grid_function, write_grid_function
 
 
 # OpenBLAS thread setters, by the symbol names its builds export
@@ -101,9 +100,14 @@ def _diagnostics_payload(spec, h, hf, f1=None):
         return {"error": str(exc)}
 
 
-def _solve_report(cfg, spec, trace, hf):
-    rep = residual(spec, trace.h, 1.0, hf)
-    payload = {
+def _final_evaluation(spec, h):
+    """Report and Hessian field of evaluate(spec, h, 1.0), without its other arrays."""
+    ev = evaluate(spec, h, 1.0)
+    return ev.report, ev.hf
+
+
+def _solve_report(spec, trace, rep, hf):
+    return {
         "problem": {"n": spec.n, "k": spec.k, "p": spec.p, "q": spec.q,
                     "grid": list(spec.grid.shape), "binom_nk": spec.binom_nk},
         "warnings": list(spec.warnings),
@@ -119,17 +123,16 @@ def _solve_report(cfg, spec, trace, hf):
         "f1": trace.f1_report,
         "diagnostics": _diagnostics_payload(spec, trace.h, hf, trace.f1_report),
     }
-    return payload
 
 
 def _cmd_solve(cfg):
-    grid, spec = build_problem(cfg)
+    _, spec = build_problem(cfg)
     trace = continue_path(spec)
     out = ensure_out_dir(cfg)
     write_grid_function(trace.h, os.path.join(out, "solution.csv"))
     trace.to_jsonl(os.path.join(out, "trace.jsonl"))
-    hf = hessian_field(trace.h)  # shared by the report, diagnostics and mesh
-    payload = _solve_report(cfg, spec, trace, hf)
+    rep, hf = _final_evaluation(spec, trace.h)  # for the report, diagnostics and mesh
+    payload = _solve_report(spec, trace, rep, hf)
     _write_json(os.path.join(out, "report.json"), payload)
     if cfg.out_mesh:
         mesh = reconstruct_body(trace.h, hf)
@@ -144,13 +147,12 @@ def _cmd_solve(cfg):
 
 
 def _cmd_verify(cfg, solution_path):
-    grid, spec = build_problem(cfg)
+    _, spec = build_problem(cfg)
     try:
-        h = read_grid_function(grid, solution_path)
+        h = read_grid_function(spec.grid, solution_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read solution '{solution_path}': {exc}") from exc
-    hf = hessian_field(h)
-    rep = residual(spec, h, 1.0, hf)
+    rep, hf = _final_evaluation(spec, h)
     payload = {
         "solution": solution_path,
         "residual": {"linf": rep.linf, "l2": rep.l2},
@@ -179,7 +181,7 @@ def _cmd_manufacture(cfg):
 
 
 def _cmd_spectrum(cfg):
-    grid, spec = build_problem(cfg)
+    _, spec = build_problem(cfg)
     eigs = diag.l0_spectrum(spec)
     out = ensure_out_dir(cfg)
     with open(os.path.join(out, "spectrum.csv"), "w") as fh:
@@ -198,7 +200,7 @@ def _cmd_isotropic(cfg):
     if cfg.f_kind != "constant" or cfg.f_value != 1.0:
         raise ConfigError(f"{cfg.path}: isotropic runs need f.kind = constant "
                           f"and f.value = 1")
-    grid, spec = build_problem(cfg)
+    _, spec = build_problem(cfg)
     result = diag.isotropic_experiment(
         spec, restarts=cfg.isotropic_restarts, seed=cfg.seed,
         amplitude=cfg.isotropic_amplitude)
@@ -215,10 +217,12 @@ def _cmd_isotropic(cfg):
 def _cmd_sweep(cfg):
     if not cfg.sweep_p or not cfg.sweep_q:
         raise ConfigError(f"{cfg.path}: sweep needs sweep.p and sweep.q lists")
-    out = ensure_out_dir(cfg)
     # one grid for every point: its cached frame operators do not depend
-    # on (p, q), while f does, through the quadratic family's exponent
+    # on (p, q), while f does, through the quadratic family's exponent.
+    # Bad f data would fail every point: a config error before the first
     grid = build_grid(cfg.n, **cfg.grid_args())
+    build_f(cfg, grid)
+    out = ensure_out_dir(cfg)
     all_ok = True
     path = os.path.join(out, "sweep.jsonl")
     with open(path, "w") as fh:

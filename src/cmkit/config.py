@@ -76,9 +76,7 @@ class _Raw:
         self.entries = entries  # key -> (line_no, value string)
 
     def fail(self, key, msg):
-        line = self.entries[key][0] if key in self.entries else 0
-        where = f"{self.path}:{line}" if line else self.path
-        raise ConfigError(f"{where}: {msg}")
+        raise _located(self.path, self.entries.get(key, (None,))[0], msg)
 
     def _convert(self, key, conv, what, default):
         if key not in self.entries:
@@ -117,6 +115,11 @@ class _Raw:
 
 
 _REQUIRED = object()
+
+
+def _located(path, line, msg):
+    """ConfigError naming the config file and, when known, the line."""
+    return ConfigError(f"{path}:{line}: {msg}" if line else f"{path}: {msg}")
 
 
 def parse_config(path):
@@ -198,32 +201,47 @@ def _default_axis(n):
     return (0.0, 1.0) if n == 1 else (0.0, 0.0, 1.0)
 
 
-def _unit(axis):
+def _unit(cfg, key, axis):
     v = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(v)
-    if norm == 0:
-        raise ConfigError("axis must be a nonzero vector")
+    if not (np.isfinite(norm) and norm > 0):
+        raise _located(cfg.path, cfg.lines.get(key), f"{key} must be a finite nonzero vector")
     return v / norm
 
 
 def build_f(cfg, grid):
-    """Data function f on the grid from the config's f.* keys."""
+    """Data function f on the grid from the config's f.* keys; data that
+    give no positive, finite f are a ConfigError at the line that set them."""
     if cfg.f_kind == "constant":
-        return GridFunction(grid, np.full(grid.node_count, cfg.f_value))
-    if cfg.f_kind == "quadratic":
+        key, values = "f.value", np.full(grid.node_count, cfg.f_value)
+    elif cfg.f_kind == "quadratic":
         # (1 + a <x,axis>^2)^(-(k+p-1)): respects the structure condition
         # on f for small a through g = f^(-1/(k+p-1)).
-        v = _unit(cfg.f_axis or _default_axis(cfg.n))
-        proj = grid.coords @ v
-        return GridFunction(grid, (1.0 + cfg.f_a * proj ** 2) ** (-(cfg.k + cfg.p - 1)))
-    return read_grid_function(grid, resolve_path(cfg, cfg.f_path))
+        key = "f.a"
+        proj = grid.coords @ _unit(cfg, "f.axis", cfg.f_axis or _default_axis(cfg.n))
+        base = 1.0 + cfg.f_a * proj ** 2
+        if not np.all(base > 0):
+            raise _located(cfg.path, cfg.lines.get(key), f"f.a = {cfg.f_a:g} makes "
+                           f"1 + a <x,axis>^2 = {base.min():.3g} somewhere; f needs it > 0")
+        values = base ** (-(cfg.k + cfg.p - 1))
+    else:
+        key, path = "f.path", resolve_path(cfg, cfg.f_path)
+        try:
+            values = read_grid_function(grid, path).values
+        except (OSError, ValueError) as exc:
+            raise _located(cfg.path, cfg.lines.get(key), f"cannot read f: {exc}") from exc
+    ok = np.isfinite(values) & (values > 0)
+    if not ok.all():
+        raise _located(cfg.path, cfg.lines.get(key),
+                       f"f must be positive and finite, got {values[~ok][0]:g}")
+    return GridFunction(grid, values)
 
 
 def build_h_star(cfg, grid):
     """Target support function from the h.* keys (for manufacture runs)."""
     if cfg.h_kind == "constant":
         return GridFunction(grid, np.full(grid.node_count, cfg.h_value))
-    v = _unit(cfg.h_axis or _default_axis(cfg.n))
+    v = _unit(cfg, "h.axis", cfg.h_axis or _default_axis(cfg.n))
     proj = grid.coords @ v
     return GridFunction(grid, cfg.h_value * (1.0 + cfg.h_epsilon * proj ** 2))
 

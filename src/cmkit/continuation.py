@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import AdmissibilityError, SingularJacobianError
 from .newton import newton_solve
-from .problem import residual, validate_f1
-from .sphere import GridFunction, constant_function, even_project, hessian_field
+from .problem import evaluate, validate_f1
+from .sphere import GridFunction, constant_function, even_project
 
 TRACE_KEYS = ("t", "newton_iterations", "residual", "min_b_eig", "R", "r", "ratio")
 
@@ -88,14 +88,15 @@ def continue_path(spec):
     trace = SolveTrace(f1_report=validate_f1(spec))
 
     h = constant_function(spec.grid, 1.0)
-    hf = hessian_field(h)
-    rep0 = residual(spec, h, 0.0, hf)
-    trace.steps.append(_trace_row(h, 0.0, 0, rep0.linf, float(np.min(hf.lam[:, 0]))))
+    ev = evaluate(spec, h, 0.0)
+    trace.steps.append(_trace_row(h, 0.0, 0, ev.report.linf, float(np.min(ev.hf.lam[:, 0]))))
     trace.h = h
 
-    # one-step shortcut: the current iterate may already solve the target
-    # (exactly so when f is the t = 0 constant)
-    if residual(spec, h, 1.0, hf).linf <= spec.tol_newton:
+    # one-step shortcut: h = 1 may already solve the target, exactly so when
+    # f is the t = 0 constant.  At h = 1 the t = 1 right side is f, bitwise
+    solved = np.max(np.abs(ev.sigma_k - spec.f.values)) <= spec.tol_newton
+    del ev  # else the path would hold its node arrays to the end
+    if solved:
         res = newton_solve(spec, h, 1.0)
         trace.steps.append(_newton_row(res, 1.0))
         trace.h = res.h

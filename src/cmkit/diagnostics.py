@@ -18,8 +18,8 @@ import numpy as np
 from .errors import AdmissibilityError
 from .continuation import continue_path
 from .newton import newton_solve
-from .problem import (ProblemSpec, ellipticity_weights, linearization_weights, residual,
-                      ring_blocks, validate_f1)
+from .problem import (admissibility_margin, ellipticity_weights, evaluate,
+                      linearization_weights, ring_blocks, validate_f1)
 from .sphere import (
     GridFunction,
     constant_function,
@@ -191,8 +191,8 @@ def l0_spectrum(spec):
     the Nyquist mode carry a cosine and a sine and count twice.
     """
     g = spec.grid
-    h = constant_function(g, 1.0)
-    blocks = ring_blocks(g, linearization_weights(spec, h, 0.0, hessian_field(h)))
+    ev = evaluate(spec, constant_function(g, 1.0), 0.0)
+    blocks = ring_blocks(g, linearization_weights(spec, ev))
     width, M, K = blocks.shape
     # the dense block of every mode: A[m, j, j + o - width // 2] = blocks[o, j, m]
     A = sum(blocks[o].T[:, :, None] * np.eye(M, k=o - width // 2) for o in range(width))
@@ -283,11 +283,8 @@ def isotropic_experiment(spec, restarts=0, seed=0, amplitude=0.03):
             h0 = GridFunction(
                 g, r_star * (1.0 + _even_harmonic(g, rng, amplitude)))
             h0 = even_project(h0)
-            if np.all(h0.values > 0):
-                hf = hessian_field(h0)
-                ok, _ = in_gamma_k(hf.lam, spec.k)
-                if np.all(ok):
-                    break
+            if np.all(h0.values > 0) and np.all(admissibility_margin(spec, h0) > 0):
+                break
         else:
             raise RuntimeError("could not sample an admissible perturbed start")
         res = newton_solve(spec, h0, 1.0)

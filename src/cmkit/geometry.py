@@ -108,7 +108,7 @@ def radial_function(h, directions):
         raise AdmissibilityError(
             "radial function needs a strictly convex body (b > 0)",
             margin=float(np.min(hf.lam[:, 0])))
-    mesh = reconstruct_body(h)
+    mesh = reconstruct_body(h, hf)
     X = mesh.vertices
     rad = np.linalg.norm(X, axis=1)
     Xhat = X / rad[:, None]

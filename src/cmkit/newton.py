@@ -55,8 +55,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError, SingularJacobianError
-from .problem import admissibility_margin, assemble_jacobian, residual, ring_blocks
-from .sphere import GridFunction, even_project, hessian_field, odd_defect
+from .problem import assemble_jacobian, evaluate, ring_blocks
+from .sphere import GridFunction, even_project, odd_defect
 
 # line-search controls
 ALPHA_MIN = 1e-6
@@ -381,62 +381,55 @@ def _gmres(matvec, rhs, precond, scale, eta=0.0):
         f"eta = {eta:.3g} after {k + 1} iterations", iterations=k + 1)
 
 
-def _count(stats, key, n):
-    stats[key] = stats.get(key, 0) + n
-
-
-def solve_linear(J, rhs, blocks=None, eta=0.0, stats=None, held=None):
+def solve_linear(J, rhs, eta=0.0, state=None):
     """Solve J x = rhs, J a problem.LinearizedOperator, and verify x.
 
-    GMRES, preconditioned with the inverse of blocks (problem.ring_blocks
-    of J's weights when not given), runs to KRYLOV_TARGET or to the
-    forcing term eta within KRYLOV_MAX_ITER iterations.  x is accepted
-    when its normwise backward error is at most 1e-10 or when
-    |J x - rhs|_inf <= eta * |rhs|_inf.  With eta = 0 the step is solved
-    to KRYLOV_TARGET.  A pivot below PIVOT_RTOL * norm(J, inf), a missed
-    target or an x that meets neither bound raises SingularJacobianError;
-    a non-finite J raises ValueError first.  The pivots are those of the
-    preconditioner, the ring-averaged operator, on every grid and on the
-    circle: where the coefficients vary along the rings a step is
-    declined when that average is singular, whatever J's own pivots.
+    GMRES, preconditioned with the inverse of problem.ring_blocks of J's
+    weights, runs to KRYLOV_TARGET or to the forcing term eta within
+    KRYLOV_MAX_ITER iterations.  x is accepted when its normwise backward
+    error is at most 1e-10 or when |J x - rhs|_inf <= eta * |rhs|_inf.
+    With eta = 0 the step is solved to KRYLOV_TARGET.  A pivot below
+    PIVOT_RTOL * norm(J, inf), a missed target or an x that meets neither
+    bound raises SingularJacobianError; a non-finite J raises ValueError
+    first.  The pivots are those of the preconditioner, the ring-averaged
+    operator, on every grid and on the circle: where the coefficients
+    vary along the rings a step is declined when that average is
+    singular, whatever J's own pivots.
 
-    held, when given, is a dict that keeps the preconditioner from one
-    call to the next; newton_solve passes one per call.  Its P, built for
-    an earlier J, is tried first (norm(J, inf) is J's own); when that
-    attempt misses the target or fails the SVD or backward-error check,
-    P is rebuilt from blocks, stored in held and the step solved once
-    more, so only a fresh P raises.  Without a held P it is built at
-    once.  stats, when given, is a dict whose "krylov_iterations" and
-    "preconditioner_builds" entries grow by the GMRES iterations spent,
-    those of a missed attempt included, and the preconditioners built.
+    state, one dict per newton_solve, carries "precond" from call to call:
+    a P built for an earlier J is tried first (norm(J, inf) is J's own);
+    when it misses the target or fails the SVD or backward-error check,
+    or when there is none, P is built from J, stored and the step solved
+    with it, so only a fresh P raises.  Its "krylov_iterations" and
+    "preconditioner_builds" count the GMRES iterations spent, a missed
+    attempt's included, and the preconditioners built.
     """
     rhs = np.asarray(rhs, dtype=float)
     scale = J.norm_inf()
     if not np.isfinite(scale):
         raise ValueError("Jacobian has non-finite entries")
-    stats = {} if stats is None else stats
-    held = {} if held is None else held
-    if "precond" in held:
+    state = {} if state is None else state
+    for key in ("krylov_iterations", "preconditioner_builds"):
+        state.setdefault(key, 0)
+    if "precond" in state:
         try:
-            return _preconditioned_solve(J, rhs, held["precond"], scale, eta, stats)
+            return _preconditioned_solve(J, rhs, scale, eta, state)
         except SingularJacobianError:
             pass  # P is stale for this J
-    if blocks is None:
-        blocks = ring_blocks(J.grid, J.weights)
-    _count(stats, "preconditioner_builds", 1)
-    held["precond"] = _ring_preconditioner(blocks, scale)
-    return _preconditioned_solve(J, rhs, held["precond"], scale, eta, stats)
+    state["preconditioner_builds"] += 1
+    state["precond"] = _ring_preconditioner(ring_blocks(J.grid, J.weights), scale)
+    return _preconditioned_solve(J, rhs, scale, eta, state)
 
 
-def _preconditioned_solve(J, rhs, precond, scale, eta, stats):
-    """One GMRES solve of J x = rhs with precond and the check of x, for
-    solve_linear."""
+def _preconditioned_solve(J, rhs, scale, eta, state):
+    """One GMRES solve of J x = rhs with state's P and the check of x,
+    for solve_linear."""
     try:
-        x, iterations = _gmres(J.dot, rhs, precond, scale, eta)
+        x, iterations = _gmres(J.dot, rhs, state["precond"], scale, eta)
     except SingularJacobianError as exc:
-        _count(stats, "krylov_iterations", exc.iterations)
+        state["krylov_iterations"] += exc.iterations
         raise
-    _count(stats, "krylov_iterations", iterations)
+    state["krylov_iterations"] += iterations
     r = np.max(np.abs(J.dot(x) - rhs))
     bnorm = np.max(np.abs(rhs))
     be = r / (scale * np.max(np.abs(x)) + bnorm + 1e-300)
@@ -447,14 +440,6 @@ def _preconditioned_solve(J, rhs, precond, scale, eta, stats):
     return x
 
 
-def _newton_step(spec, h, t, hf, margin, res, eta, stats, held):
-    """Solve J(h) delta = -res to the forcing term eta, with
-    hf = hessian_field(h) and its Gamma_k margin from the caller; the
-    preconditioner comes from and goes to held, the work to stats."""
-    J = assemble_jacobian(spec, h, t, hf, margin=margin)
-    return solve_linear(J, -res, eta=eta, stats=stats, held=held)
-
-
 def _forcing_term(linf, linf_prev, tol):
     """Next forcing term from the residuals |F_k| and |F_k-1|:
     Eisenstat-Walker choice 2, kept at most ETA_MAX and at least
@@ -463,26 +448,26 @@ def _forcing_term(linf, linf_prev, tol):
     return min(ETA_MAX, max(eta, 0.5 * tol / linf))
 
 
-def _result(h, hf, margin, rep, tol, iterations, history, stats, message=""):
+def _result(ev, tol, iterations, history, state, message=""):
     return NewtonResult(
-        h=h, converged=rep.linf <= tol, iterations=iterations,
-        final_linf=rep.linf, min_admissibility_margin=float(np.min(margin)),
-        min_b_eig=float(np.min(hf.lam[:, 0])),
+        h=ev.h, converged=ev.report.linf <= tol, iterations=iterations,
+        final_linf=ev.report.linf, min_admissibility_margin=float(np.min(ev.margin)),
+        min_b_eig=float(np.min(ev.hf.lam[:, 0])),
         step_history=history, message=message,
-        krylov_iterations=stats["krylov_iterations"],
-        preconditioner_builds=stats["preconditioner_builds"])
+        krylov_iterations=state["krylov_iterations"],
+        preconditioner_builds=state["preconditioner_builds"])
 
 
 def newton_solve(spec, h0, t, tol=None):
     """Run the damped Newton iteration from h0 at continuation parameter t
     until |F|_inf <= tol, by default spec.tol_newton.
 
-    b(h) is evaluated once per iterate: one hessian_field and one Gamma_k
-    margin per line-search candidate feed its margin check, its
-    residual, the next Jacobian and the result's margin and min_b_eig.
-    Each Newton step is solved to the forcing term of the module
-    docstring, with the ring preconditioner built at the first step and
-    reused, or rebuilt on a miss, at the later ones (solve_linear).
+    Each iterate is evaluated once (problem.evaluate): one Evaluation per
+    line-search candidate feeds its margin check, its residual, the next
+    Jacobian and the result's margin and min_b_eig.  Each Newton step is
+    solved to the forcing term of the module docstring, with the ring
+    preconditioner built at the first step and reused, or rebuilt on a
+    miss, at the later ones (solve_linear).
     """
     v = h0.values
     if np.any(v <= 0):
@@ -494,53 +479,46 @@ def newton_solve(spec, h0, t, tol=None):
                          f"(antipodal defect {odd_defect(h0):.3e})")
     if tol is None:
         tol = spec.tol_newton
-    h = even_project(h0)
-    hf = hessian_field(h)
-    # even_project is idempotent, so an even h0 is h bitwise
-    hf0 = hf if np.array_equal(h.values, v) else hessian_field(h0)
-    margin0 = admissibility_margin(spec, h0, hf0)
-    if np.min(margin0) <= 0:
-        i = int(np.argmin(margin0))
+    ev = evaluate(spec, even_project(h0), t)
+    if np.min(ev.margin) <= 0:
+        i = int(np.argmin(ev.margin))
         raise AdmissibilityError("initial iterate is not k-admissible",
-                                 node=i, margin=float(margin0[i]))
-    margin = margin0 if hf0 is hf else admissibility_margin(spec, h, hf)
+                                 node=i, margin=float(ev.margin[i]))
 
-    rep = residual(spec, h, t, hf)
     history = []
-    stats = {"krylov_iterations": 0, "preconditioner_builds": 0}
-    held = {}  # the ring preconditioner of this call's Newton steps
+    state = {"krylov_iterations": 0, "preconditioner_builds": 0}  # and P, once built
     eta = ETA_MAX
     for it in range(spec.max_newton):
-        if rep.linf <= tol:
-            return _result(h, hf, margin, rep, tol, it, history, stats)
+        linf = ev.report.linf
+        if linf <= tol:
+            return _result(ev, tol, it, history, state)
         if it > 0:
-            eta = _forcing_term(rep.linf, prev_linf, tol)
+            eta = _forcing_term(linf, prev_linf, tol)
 
-        delta = _newton_step(spec, h, t, hf, margin, rep.residual.values, eta, stats, held)
+        # J dies with the step: it holds a dozen node arrays the line search does not need
+        delta = solve_linear(assemble_jacobian(spec, ev), -ev.report.residual.values, eta, state)
 
         alpha = 1.0
         accepted = None
         while alpha >= ALPHA_MIN:
-            cand = even_project(GridFunction(spec.grid, h.values + alpha * delta))
+            cand = even_project(GridFunction(spec.grid, ev.h.values + alpha * delta))
             if np.all(cand.values > 0):
-                cand_hf = hessian_field(cand)
-                cand_margin = admissibility_margin(spec, cand, cand_hf)
-                if np.min(cand_margin) > MARGIN_FLOOR:
-                    cand_rep = residual(spec, cand, t, cand_hf)
-                    if cand_rep.linf <= (1.0 - DECREASE_SLOPE * alpha) * rep.linf:
-                        accepted = (cand, cand_hf, cand_margin, cand_rep)
-                        break
+                cand_ev = evaluate(spec, cand, t)
+                if np.min(cand_ev.margin) > MARGIN_FLOOR \
+                        and cand_ev.report.linf <= (1.0 - DECREASE_SLOPE * alpha) * linf:
+                    accepted = cand_ev
+                    break
             alpha *= 0.5
         if accepted is None:
-            return _result(h, hf, margin, rep, tol, it, history, stats,
+            return _result(ev, tol, it, history, state,
                            message=f"line search failed at alpha < {ALPHA_MIN:g} "
-                                   f"(residual stuck at {rep.linf:.3e}, target {tol:.3g})")
-        prev_linf = rep.linf
-        h, hf, margin, rep = accepted
-        history.append((alpha, rep.linf))
+                                   f"(residual stuck at {linf:.3e}, target {tol:.3g})")
+        prev_linf = linf
+        ev = accepted
+        history.append((alpha, ev.report.linf))
 
-    converged = rep.linf <= tol
-    return _result(h, hf, margin, rep, tol, spec.max_newton, history, stats,
+    converged = ev.report.linf <= tol
+    return _result(ev, tol, spec.max_newton, history, state,
                    message="" if converged else
                    f"no convergence to {tol:.3g} in {spec.max_newton} iterations "
-                   f"(residual {rep.linf:.3e})")
+                   f"(residual {ev.report.linf:.3e})")

@@ -10,10 +10,11 @@ from the constant binom(n, k) at t = 0 to the user's f at t = 1 along
 
     f_t = [ (1-t) * binom(n,k)^(-1/(k+p-1)) + t * f^(-1/(k+p-1)) ]^(-(k+p-1)).
 
-residual() evaluates the left minus right side, assemble_jacobian() its
-linearization in h, a matrix-free LinearizedOperator on every grid.
-ring_blocks() gives the longitude-mode blocks of the ring-averaged
-linearization: the Newton preconditioner, and at h = 1 the exact operator.
+evaluate() computes both sides and their difference, the residual, once
+per iterate; assemble_jacobian() reads its linearization in h from that
+Evaluation, a matrix-free LinearizedOperator on every grid.  ring_blocks()
+gives the longitude-mode blocks of the ring-averaged linearization: the
+Newton preconditioner, and at h = 1 the exact operator.
 """
 
 import math
@@ -23,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError, UnsupportedParameterError
-from .sphere import GridFunction, hessian_field, odd_defect
-from .symfunc import in_gamma_k, sigma_k
+from .sphere import GridFunction, HessianField, hessian_field, odd_defect
+from .symfunc import _prefix_sigmas, in_gamma_k
 
 # exponent ranges with a solvability guarantee; outside them the solver
 # still runs but flags the spec
@@ -138,40 +139,49 @@ class ResidualReport:
         return math.sqrt(math.fsum(res.grid.weights * res.values ** 2))
 
 
-def _require_positive(h):
-    v = h.values
-    if np.any(v <= 0):
-        i = int(np.argmin(v))
-        raise DomainError("h must be positive everywhere",
-                          node=i, value=float(v[i]))
+@dataclass
+class Evaluation:
+    """Iterate h at continuation parameter t, evaluated once: hf =
+    hessian_field(h), the per-node Gamma_k margin (min over i <= k of
+    sigma_i), sigma_k of b(h), rho2 = h^2 + |grad h|^2, the right side rhs
+    = f_t h^(p-1) rho^(k+1-q) and the ResidualReport of sigma_k - rhs."""
+
+    h: GridFunction
+    t: float
+    hf: HessianField
+    margin: np.ndarray
+    sigma_k: np.ndarray
+    rho2: np.ndarray
+    rhs: np.ndarray
+    report: ResidualReport
 
 
-def residual(spec, h, t, hf=None):
-    """Node-wise equation residual at continuation parameter t.
-
-    hf is hessian_field(h), computed here when not given.
-    """
-    _require_positive(h)
-    if hf is None:
-        hf = hessian_field(h)
+def evaluate(spec, h, t):
+    """The Evaluation of h > 0 at t: one hessian_field, and one pass of the
+    elementary symmetric functions for the margin and sigma_k alike."""
     hv = h.values
+    if np.any(hv <= 0):
+        i = int(np.argmin(hv))
+        raise DomainError("h must be positive everywhere", node=i, value=float(hv[i]))
+    hf = hessian_field(h)
+    e = _prefix_sigmas(hf.lam, spec.k)
+    sk = e[:, spec.k].copy()  # a view would keep all k+1 columns alive
     rho2 = hv ** 2 + hf.grad_norm_sq()
     rhs = homotopy_f(spec, t).values * hv ** (spec.p - 1.0) \
         * rho2 ** (0.5 * (spec.k + 1.0 - spec.q))
-    lhs = sigma_k(hf.lam, spec.k)
-    res = GridFunction(spec.grid, lhs - rhs)
-    return ResidualReport(residual=res, linf=float(np.max(np.abs(res.values))))
+    res = sk - rhs
+    report = ResidualReport(GridFunction(spec.grid, res), float(np.max(np.abs(res))))
+    return Evaluation(h, t, hf, e[:, 1:].min(axis=1), sk, rho2, rhs, report)
 
 
-def admissibility_margin(spec, h, hf=None):
-    """Per-node Gamma_k margin of b(h): min over i <= k of sigma_i.
+def residual(spec, h, t):
+    """Node-wise equation residual at t: evaluate(spec, h, t).report."""
+    return evaluate(spec, h, t).report
 
-    hf is hessian_field(h), computed here when not given.
-    """
-    if hf is None:
-        hf = hessian_field(h)
-    _, margin = in_gamma_k(hf.lam, spec.k)
-    return margin
+
+def admissibility_margin(spec, h):
+    """Per-node Gamma_k margin of b(h): min over i <= k of sigma_i."""
+    return in_gamma_k(hessian_field(h).lam, spec.k)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -197,24 +207,22 @@ def ellipticity_weights(hf, k):
             "hess22": c["b11"].ravel()}
 
 
-def linearization_weights(spec, h, t, hf):
-    """Per-node coefficients of the linearization at (h, t).
+def linearization_weights(spec, ev):
+    """Per-node coefficients of the linearization at the Evaluation ev.
 
     The row scale of each frame operator, keyed as in
     SphereGrid.frame_taps() (sigma_k^{ij} from ellipticity_weights
     and the two gradient weights), and 'diag', the zeroth-order term.
+    The right side's derivatives in h and in rho^2 are c1 = (p-1) rhs / h
+    and c2 = (k+1-q) rhs / rho^2, from ev's own rhs and rho2.
     """
-    ft = homotopy_f(spec, t).values
-    hv = h.values
-    rho2 = hv ** 2 + hf.grad_norm_sq()
-    c1 = ft * (spec.p - 1.0) * hv ** (spec.p - 2.0) \
-        * rho2 ** (0.5 * (spec.k + 1.0 - spec.q))
-    c2 = ft * (spec.k + 1.0 - spec.q) * hv ** (spec.p - 1.0) \
-        * rho2 ** (0.5 * (spec.k - 1.0 - spec.q))
+    hv = ev.h.values
+    c1 = (spec.p - 1.0) * ev.rhs / hv
+    c2 = (spec.k + 1.0 - spec.q) * ev.rhs / ev.rho2
 
-    weights = ellipticity_weights(hf, spec.k)
+    weights = ellipticity_weights(ev.hf, spec.k)
     for i in range(spec.grid.n):
-        weights[f"grad{i + 1}"] = -c2 * hf.components[f"g{i + 1}"].ravel()
+        weights[f"grad{i + 1}"] = -c2 * ev.hf.components[f"g{i + 1}"].ravel()
     weights["diag"] = -(c1 + c2 * hv)
     return weights
 
@@ -228,7 +236,8 @@ class LinearizedOperator:
     the circle.  norm_inf() is exact and O(N log m_lon): it sums each
     row's absolute values from the same folded coefficients, the latitude
     taps and the parity of the two longitude kernel rows.  toarray() comes
-    from the frame taps, ring by ring; nnz counts weights.
+    from the frame taps, ring by ring.  nnz counts the weights held, N
+    per key, not the nonzeros of the matrix, which is never formed.
     """
 
     def __init__(self, grid, weights):
@@ -341,33 +350,24 @@ class LinearizedOperator:
         return J.reshape(M * L, M * L)
 
 
-def assemble_jacobian(spec, h, t, hf=None, weights=None, margin=None):
-    """The linearization at (h, t), over flat node values.
+def assemble_jacobian(spec, ev):
+    """The linearization at the Evaluation ev of (h, t), over flat node values.
 
     phi -> sigma_k^{ij} (hess phi + phi I)_ij
            - f_t [ (p-1) h^(p-2) rho^(k+1-q) phi
                    + (k+1-q) h^(p-1) rho^(k-1-q) (h phi + <grad h, grad phi>) ]
 
-    hf is hessian_field(h), margin admissibility_margin(spec, h, hf) and
-    weights linearization_weights(spec, h, t, hf), each computed here
-    when not given.  Returned as a
-    LinearizedOperator, which newton.solve_linear solves by preconditioned
-    GMRES; its toarray() is the dense matrix.  Requires b(h) in Gamma_k at
-    every node so the sigma_k^{ij} weights carry the right sign, and
-    finite weights.
+    Returned as a LinearizedOperator of linearization_weights(spec, ev),
+    which newton.solve_linear solves by preconditioned GMRES; its
+    toarray() is the dense matrix.  Requires b(h) in Gamma_k at every
+    node (ev.margin > 0) so the sigma_k^{ij} weights carry the right
+    sign, and finite weights.
     """
-    _require_positive(h)
-    if hf is None:
-        hf = hessian_field(h)
-    if margin is None:
-        _, margin = in_gamma_k(hf.lam, spec.k)
-    if not np.all(margin > 0.0):
-        i = int(np.argmin(margin))
-        raise AdmissibilityError(
-            "b(h) leaves Gamma_k", node=i, margin=float(margin[i]))
+    if not np.all(ev.margin > 0.0):
+        i = int(np.argmin(ev.margin))
+        raise AdmissibilityError("b(h) leaves Gamma_k", node=i, margin=float(ev.margin[i]))
 
-    if weights is None:
-        weights = linearization_weights(spec, h, t, hf)
+    weights = linearization_weights(spec, ev)
     if not all(np.all(np.isfinite(w)) for w in weights.values()):
         raise ValueError("Jacobian has non-finite entries")
     return LinearizedOperator(spec.grid, weights)

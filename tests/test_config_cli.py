@@ -328,6 +328,52 @@ sweep.q = 2.0, 2.4
         assert_allclose(row["R"], 1.3 ** (1.0 / (row["q"] - row["p"])), rtol=1e-8)
 
 
+# bad f data: (the config lines after BASE's first six, the key at fault,
+# a fragment of the message)
+BAD_F = {
+    "missing-csv": ("f.kind = csv\nf.path = missing.csv\n", "f.path", "not found"),
+    "csv-row-count": ("f.kind = csv\nf.path = small.csv\n", "f.path", "expected 512 rows"),
+    "negative-base": ("f.kind = quadratic\nf.a = -2\n", "f.a", "f.a = -2 makes"),
+    "zero-axis": ("f.kind = quadratic\nf.a = 0.5\nf.axis = 0,0,0\n", "f.axis",
+                  "f.axis must be a finite nonzero vector"),
+    "nan-value": ("f.kind = constant\nf.value = nan\n", "f.value",
+                  "f must be positive and finite, got nan"),
+    "negative-value": ("f.kind = constant\nf.value = -1\n", "f.value",
+                       "f must be positive and finite, got -1"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("case", list(BAD_F))
+def test_bad_f_data_is_a_config_error_at_its_line(tmp_path, capsys, command, case):
+    # f data that give no positive, finite f exit 2 with the file and the
+    # line of the key at fault, and no traceback or warning; a sweep stops
+    # before its first point and writes no sweep.jsonl
+    from cmkit.sphere import constant_function, write_grid_function
+
+    write_grid_function(constant_function(build_grid(2, m_lat=8, m_lon=16), 1.0),
+                        os.path.join(tmp_path, "small.csv"))
+    lines, key, fragment = BAD_F[case]
+    text = "".join(BASE.splitlines(keepends=True)[:6]) + lines
+    if command == "sweep":
+        text += "sweep.p = 1.2, 1.5\nsweep.q = 2.0\n"
+    path = write_cfg(tmp_path, text)
+    line_no = text.splitlines().index(
+        next(line for line in text.splitlines() if line.startswith(key + " "))) + 1
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}:{line_no}: ")
+    assert fragment in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not Path(tmp_path, "out", "sweep.jsonl").exists()
+
+
+def test_zero_h_axis_is_a_config_error_at_its_line(tmp_path, capsys):
+    text = "n = 2\nk = 1\np = 1.5\nq = 2.0\nh.kind = quadratic\nh.axis = 0,0,0\n"
+    assert main(["manufacture", write_cfg(tmp_path, text)]) == 2
+    assert ":6: h.axis must be a finite nonzero vector" in capsys.readouterr().err
+
+
 def test_out_of_theorem_warning_recorded(tmp_path):
     path = write_cfg(tmp_path, """\
 n = 1

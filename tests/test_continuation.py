@@ -113,8 +113,8 @@ def test_trace_invariants_and_bounds(g2):
 def test_trace_rows_take_min_b_eig_from_the_newton_field(monkeypatch, g2):
     # the rows carry the smallest eigenvalue of b at each accepted h, taken
     # from the corrector's last evaluation; the path itself evaluates b
-    # only at h = 1
-    from cmkit import continuation, newton
+    # once, at h = 1, for the t = 0 row and the one-step shortcut
+    from cmkit import continuation, newton, problem
 
     accepted = []
 
@@ -123,16 +123,17 @@ def test_trace_rows_take_min_b_eig_from_the_newton_field(monkeypatch, g2):
         accepted.append(res.h)
         return res
 
-    def field_spy(h):
-        calls.append(h)
-        return hessian_field(h)
+    def evaluate_spy(spec, h, t):
+        calls.append((h.values.copy(), t))
+        return problem.evaluate(spec, h, t)
 
     calls = []
     newton_solve = newton.newton_solve
     monkeypatch.setattr(continuation, "newton_solve", spy)
-    monkeypatch.setattr(continuation, "hessian_field", field_spy)
+    monkeypatch.setattr(continuation, "evaluate", evaluate_spy)
     tr = continue_path(ProblemSpec(n=2, k=2, p=1.5, q=2.5, f=even_data(g2, 5)))
     assert tr.success and len(calls) == 1
+    assert np.all(calls[0][0] == 1.0) and calls[0][1] == 0.0
     assert tr.steps[0]["min_b_eig"] == 1.0
     assert len(accepted) == len(tr.steps) - 1  # no rejected attempt here
     for row, h in zip(tr.steps[1:], accepted):

@@ -21,7 +21,8 @@ from cmkit.diagnostics import (
 )
 from cmkit.errors import AdmissibilityError
 from cmkit import problem
-from cmkit.problem import LinearizedOperator, ProblemSpec, linearization_weights, residual
+from cmkit.problem import (LinearizedOperator, ProblemSpec, evaluate, homotopy_f,
+                           linearization_weights, residual)
 from cmkit.sphere import (
     GridFunction,
     build_grid,
@@ -279,7 +280,7 @@ def test_spectrum_matches_dense_even_restriction(shape, k):
     g = _spectrum_grid(shape)
     spec = make_spec(n=g.n, k=k, p=1.5, q=k + 0.5, grid=g)
     h = constant_function(g, 1.0)
-    J = LinearizedOperator(g, linearization_weights(spec, h, 0.0, hessian_field(h))).toarray()
+    J = LinearizedOperator(g, linearization_weights(spec, evaluate(spec, h, 0.0))).toarray()
     perm = g.antipodal_perm
     first = np.flatnonzero(np.arange(g.node_count) < perm)
     col = np.arange(first.size)
@@ -289,6 +290,37 @@ def test_spectrum_matches_dense_even_restriction(shape, k):
     ev = l0_spectrum(spec)
     assert ev.shape == ref.shape == (g.node_count // 2,)
     assert np.max(np.abs(ev - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("shape, k", [((256,), 1), ((8, 16), 2), ((9, 16), 1), ((24, 48), 2)])
+def test_spectrum_at_h1_is_bitwise_the_power_formula(monkeypatch, shape, k):
+    # at h = 1, t = 0 the right side is binom(n,k) and rho^2 = 1 exactly, so
+    # c1 = (p-1) rhs / h and c2 = (k+1-q) rhs / rho^2 are the power
+    # formula's f_t (p-1) h^(p-2) rho^(k+1-q) and f_t (k+1-q) h^(p-1)
+    # rho^(k-1-q) bitwise, and so is the spectrum
+    from cmkit import diagnostics
+    from cmkit.problem import ellipticity_weights
+
+    g = _spectrum_grid(shape)
+    spec = make_spec(n=g.n, k=k, p=1.5, q=k + 0.7, grid=g)
+    h = constant_function(g, 1.0)
+    hf = hessian_field(h)
+    ft = homotopy_f(spec, 0.0).values
+    rho2 = h.values ** 2 + hf.grad_norm_sq()
+    c1 = ft * (spec.p - 1.0) * h.values ** (spec.p - 2.0) \
+        * rho2 ** (0.5 * (spec.k + 1.0 - spec.q))
+    c2 = ft * (spec.k + 1.0 - spec.q) * h.values ** (spec.p - 1.0) \
+        * rho2 ** (0.5 * (spec.k - 1.0 - spec.q))
+    ref = ellipticity_weights(hf, spec.k)
+    for i in range(g.n):
+        ref[f"grad{i + 1}"] = -c2 * hf.components[f"g{i + 1}"].ravel()
+    ref["diag"] = -(c1 + c2 * h.values)
+    weights = linearization_weights(spec, evaluate(spec, h, 0.0))
+    assert weights.keys() == ref.keys()
+    assert all(np.array_equal(weights[key], w) for key, w in ref.items())
+    ev = l0_spectrum(spec)
+    monkeypatch.setattr(diagnostics, "linearization_weights", lambda spec, ev: ref)
+    assert np.array_equal(l0_spectrum(spec), ev)
 
 
 def _leading_even_degrees(spec):

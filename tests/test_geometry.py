@@ -131,6 +131,29 @@ def test_radial_circle_closed_form():
     assert np.max(np.abs(rho - exact)) < 1e-3
 
 
+@pytest.mark.parametrize("n,kw", [(1, dict(m_theta=64)), (2, dict(m_lat=16, m_lon=32))])
+def test_radial_function_evaluates_b_once(monkeypatch, n, kw):
+    # the convexity check and the reconstruction share one hessian_field,
+    # and the radii are those of an unobserved call, bitwise
+    from cmkit import geometry
+
+    g = build_grid(n, **kw)
+    h = legendre_body(g)
+    dirs = np.array([[0.6, 0.8], [1.0, 0.0]]) if n == 1 \
+        else np.array([[0.6, -0.48, 0.64], [0.0, 0.0, 1.0]])
+    ref = radial_function(h, dirs)
+    calls = []
+
+    def spy(h):
+        calls.append(h)
+        return hessian_field(h)
+
+    monkeypatch.setattr(geometry, "hessian_field", spy)
+    rho = radial_function(h, dirs)
+    assert len(calls) == 1 and calls[0] is h
+    assert np.array_equal(rho, ref)
+
+
 def test_radial_scalar_direction():
     g = build_grid(1, m_theta=64)
     out = radial_function(constant_function(g, 1.5), [1.0, 0.0])

@@ -13,6 +13,7 @@ from cmkit.problem import (
     LinearizedOperator,
     ProblemSpec,
     assemble_jacobian,
+    evaluate,
     linearization_weights,
     ring_blocks,
 )
@@ -87,7 +88,7 @@ def test_solve_linear_variable_circle_is_not_declined():
 
 
 def _sphere_case(k, tilt, a=0.5, m_lat=32, m_lon=None):
-    """Spec, iterate, Hessian field and linearization weights at t = 0.5 on
+    """Spec, iterate, its Evaluation and linearization weights at t = 0.5 on
     an m_lat x m_lon grid (m_lon = 2 m_lat by default), for quadratic data
     and iterate about an axis tilted from the pole."""
     g = build_grid(2, m_lat=m_lat, m_lon=m_lon or 2 * m_lat)
@@ -96,14 +97,14 @@ def _sphere_case(k, tilt, a=0.5, m_lat=32, m_lon=None):
     f = GridFunction(g, (1.0 + a * u ** 2) ** (-(k + p - 1.0)))
     spec = ProblemSpec(n=2, k=k, p=p, q=q, f=f)
     h = GridFunction(g, 1.0 + 0.05 * u ** 2)
-    hf = hessian_field(h)
-    return spec, h, hf, linearization_weights(spec, h, 0.5, hf)
+    ev = evaluate(spec, h, 0.5)
+    return spec, h, ev, linearization_weights(spec, ev)
 
 
 def _sphere_jacobian(k, tilt, a=0.5, m_lat=32, m_lon=None):
     """The matrix-free Jacobian of _sphere_case and its ring blocks."""
-    spec, h, hf, weights = _sphere_case(k, tilt, a, m_lat, m_lon)
-    return assemble_jacobian(spec, h, 0.5, hf, weights), ring_blocks(spec.grid, weights)
+    spec, _, ev, weights = _sphere_case(k, tilt, a, m_lat, m_lon)
+    return assemble_jacobian(spec, ev), ring_blocks(spec.grid, weights)
 
 
 def _backward_error(J, x, rhs):
@@ -112,14 +113,19 @@ def _backward_error(J, x, rhs):
                                           + np.max(np.abs(rhs)))
 
 
-def test_solve_linear_sparse_path():
-    # the matrix-free path on a tilted 16x32 grid: without blocks they come
-    # from the operator's own weights, and the step meets its target
+def test_solve_linear_sparse_path(monkeypatch):
+    # the matrix-free path on a tilted 16x32 grid: the preconditioner's
+    # blocks come from the operator's own weights, and the step meets its
+    # target
     J, blocks = _sphere_jacobian(2, 0.4, m_lat=16)
     assert isinstance(J, LinearizedOperator)
+    builds = []
+    build = newton._ring_preconditioner
+    monkeypatch.setattr(newton, "_ring_preconditioner",
+                        lambda b, scale: builds.append(b) or build(b, scale))
     rhs = np.sin(np.arange(J.shape[0]))
     x = solve_linear(J, rhs)
-    assert np.array_equal(x, solve_linear(J, rhs, blocks))
+    assert len(builds) == 1 and np.array_equal(builds[0], blocks)
     assert _backward_error(J.toarray(), x, rhs) <= 1e-15
 
 
@@ -140,10 +146,10 @@ def test_solve_linear_sparse_jacobian_matches_dense_lu(monkeypatch, k, tilt, a):
 
     gmres = newton._gmres
     monkeypatch.setattr(newton, "_gmres", spy)
-    J, blocks = _sphere_jacobian(k, tilt, a)
+    J, _ = _sphere_jacobian(k, tilt, a)
     assert isinstance(J, LinearizedOperator)
     rhs = np.sin(np.arange(J.shape[0]))
-    x = solve_linear(J, rhs, blocks)
+    x = solve_linear(J, rhs)
     assert len(gmres_results) == 1 and gmres_results[0] is not None
     A = J.toarray()
     ref = sla.lu_solve(sla.lu_factor(A), rhs)
@@ -238,12 +244,14 @@ def test_solve_linear_raises_when_krylov_misses_target(monkeypatch):
     J, blocks = _sphere_jacobian(2, 1.0, 2.0)
     rhs = np.sin(np.arange(J.shape[0]))
     # singular mode blocks: no preconditioner
-    with pytest.raises(SingularJacobianError, match="preconditioner"):
-        solve_linear(J, rhs, np.zeros_like(blocks))
+    with monkeypatch.context() as m:
+        m.setattr(newton, "ring_blocks", lambda grid, weights: np.zeros_like(blocks))
+        with pytest.raises(SingularJacobianError, match="preconditioner"):
+            solve_linear(J, rhs)
     # GMRES cannot reach its target in one iteration on tilted data
     monkeypatch.setattr(newton, "KRYLOV_MAX_ITER", 1)
     with pytest.raises(SingularJacobianError, match="GMRES"):
-        solve_linear(J, rhs, blocks)
+        solve_linear(J, rhs)
 
 
 def test_krylov_miss_halves_the_continuation_step(monkeypatch):
@@ -310,16 +318,19 @@ def test_forcing_term_leaves_exact_paths_bitwise(case):
     if case == "circle":
         g = build_grid(1, m_theta=64)
         spec = ProblemSpec(n=1, k=1, p=1.5, q=2.0, f=constant_function(g, 1.3))
-        J = assemble_jacobian(spec, constant_function(g, 1.1), 0.5)
+        J = assemble_jacobian(spec, evaluate(spec, constant_function(g, 1.1), 0.5))
     else:
         J, _ = _sphere_jacobian(2, 0.0, m_lat=8 if case == "dense" else 32)
     assert isinstance(J, LinearizedOperator)
     rhs = np.sin(np.arange(J.shape[0]))
-    stats, exact = {"krylov_iterations": 0}, {"krylov_iterations": 0}
-    x = solve_linear(J, rhs, stats=exact)
-    steps = [solve_linear(J, rhs, eta=eta, stats=stats) for eta in (1e-6, 0.1, 0.5)]
+    state, exact = {}, {}
+    x = solve_linear(J, rhs, state=exact)
+    steps = []
+    for eta in (1e-6, 0.1, 0.5):
+        state.pop("precond", None)  # a fresh P for every eta
+        steps.append(solve_linear(J, rhs, eta, state))
     assert all(np.array_equal(step, steps[0]) for step in steps)
-    assert stats["krylov_iterations"] == 3
+    assert state["krylov_iterations"] == 3
     if case == "polar":
         assert exact["krylov_iterations"] == 1
         assert np.array_equal(steps[0], x)
@@ -332,11 +343,11 @@ def test_forcing_term_leaves_exact_paths_bitwise(case):
 def test_solve_linear_meets_forcing_term(eta):
     # tilted data on 32x64: x meets |J x - rhs|_inf <= eta |rhs|_inf, in
     # fewer GMRES iterations than the exact step
-    J, blocks = _sphere_jacobian(2, 1.0, 2.0)
+    J, _ = _sphere_jacobian(2, 1.0, 2.0)
     rhs = np.sin(np.arange(J.shape[0]))
-    loose, exact = {"krylov_iterations": 0}, {"krylov_iterations": 0}
-    x = solve_linear(J, rhs, blocks, eta=eta, stats=loose)
-    solve_linear(J, rhs, blocks, stats=exact)
+    loose, exact = {}, {}
+    x = solve_linear(J, rhs, eta, loose)
+    solve_linear(J, rhs, state=exact)
     assert np.max(np.abs(J.dot(x) - rhs)) <= eta * np.max(np.abs(rhs))
     assert 0 < loose["krylov_iterations"] < exact["krylov_iterations"]
 
@@ -345,11 +356,11 @@ def test_solve_linear_rejects_x_that_misses_forcing_term(monkeypatch):
     # a GMRES answer whose residual is about 2.5 eta |rhs|: the exact step
     # scaled by 1 - 2.5 eta meets neither the forcing term nor the
     # backward-error bound
-    J, blocks = _sphere_jacobian(2, 1.0, 2.0)
+    J, _ = _sphere_jacobian(2, 1.0, 2.0)
     rhs = np.sin(np.arange(J.shape[0]))
     eta = 0.1
     shrink = 1.0 - 2.5 * eta
-    x = solve_linear(J, rhs, blocks)
+    x = solve_linear(J, rhs)
     gmres = newton._gmres
 
     def short_step(matvec, rhs, precond, scale, eta):
@@ -357,18 +368,18 @@ def test_solve_linear_rejects_x_that_misses_forcing_term(monkeypatch):
 
     monkeypatch.setattr(newton, "_gmres", short_step)
     with pytest.raises(SingularJacobianError, match="misses eta = 0.1"):
-        solve_linear(J, rhs, blocks, eta=eta)
+        solve_linear(J, rhs, eta)
     # the same answer with a looser forcing term is accepted
-    assert np.array_equal(solve_linear(J, rhs, blocks, eta=3 * eta), shrink * x)
+    assert np.array_equal(solve_linear(J, rhs, 3 * eta), shrink * x)
 
 
 def test_gmres_miss_names_forcing_term_and_iterations(monkeypatch):
-    J, blocks = _sphere_jacobian(2, 1.0, 2.0)
+    J, _ = _sphere_jacobian(2, 1.0, 2.0)
     rhs = np.sin(np.arange(J.shape[0]))
     monkeypatch.setattr(newton, "KRYLOV_MAX_ITER", 2)
     with pytest.raises(SingularJacobianError,
                        match=r"GMRES missed .* eta = 1e-08 after 2 iterations"):
-        solve_linear(J, rhs, blocks, eta=1e-8)
+        solve_linear(J, rhs, 1e-8)
 
 
 def test_newton_result_counts_krylov_iterations(monkeypatch, g1):
@@ -407,12 +418,12 @@ def test_forcing_term_follows_eisenstat_walker_choice_2():
 
 def test_solve_linear_singular_sparse_with_blocks():
     # a zero row: no step meets the backward-error target
-    spec, h, hf, weights = _sphere_case(1, 0.4)
+    spec, _, _, weights = _sphere_case(1, 0.4)
     for w in weights.values():
         w[100] = 0.0
-    J = assemble_jacobian(spec, h, 0.5, hf, weights)
+    J = LinearizedOperator(spec.grid, weights)
     with pytest.raises(SingularJacobianError):
-        solve_linear(J, np.ones(J.shape[0]), ring_blocks(spec.grid, weights))
+        solve_linear(J, np.ones(J.shape[0]))
 
 
 @pytest.mark.parametrize("m_lat", [8, 16])
@@ -426,10 +437,13 @@ def test_non_finite_weight_is_rejected_before_any_solve_work(monkeypatch, m_lat,
 
     monkeypatch.setattr(newton, "_gmres", no_work)
     monkeypatch.setattr(newton, "_ring_preconditioner", no_work)
-    spec, h, hf, weights = _sphere_case(2, 0.4, m_lat=m_lat)
+    from cmkit import problem
+
+    spec, h, ev, weights = _sphere_case(2, 0.4, m_lat=m_lat)
     weights["hess22"][17] = bad
+    monkeypatch.setattr(problem, "linearization_weights", lambda spec, ev: weights)
     with pytest.raises(ValueError, match="non-finite"):
-        solve_linear(assemble_jacobian(spec, h, 0.5, hf, weights), np.ones(h.values.size))
+        solve_linear(assemble_jacobian(spec, ev), np.ones(h.values.size))
     diag = np.ones(8)
     diag[3] = bad
     with pytest.raises(ValueError, match="non-finite"):
@@ -510,8 +524,9 @@ def _build_every_step(monkeypatch):
     """The reference: every Newton step builds its own preconditioner."""
     solve = newton.solve_linear
 
-    def unheld(J, rhs, blocks=None, eta=0.0, stats=None, held=None):
-        return solve(J, rhs, blocks, eta, stats)
+    def unheld(J, rhs, eta=0.0, state=None):
+        state.pop("precond", None)
+        return solve(J, rhs, eta, state)
 
     monkeypatch.setattr(newton, "solve_linear", unheld)
 
@@ -622,7 +637,7 @@ def test_solve_linear_rebuilds_a_held_preconditioner_that_fails(monkeypatch, fai
     J, blocks = _sphere_jacobian(2, 1.0, 2.0)
     rhs = np.sin(np.arange(J.shape[0]))
     fresh = {}
-    x = solve_linear(J, rhs, blocks, eta=1e-8, stats=fresh)
+    x = solve_linear(J, rhs, 1e-8, fresh)
     assert fresh["preconditioner_builds"] == 1
     if failure == "gmres-miss":
         stale, wasted = (lambda v: v), newton.KRYLOV_MAX_ITER
@@ -632,31 +647,30 @@ def test_solve_linear_rebuilds_a_held_preconditioner_that_fails(monkeypatch, fai
         answers = iter([lambda *args: (0.5 * gmres(*args)[0], 1), gmres])
         monkeypatch.setattr(newton, "_gmres", lambda *args: next(answers)(*args))
     builds = _count_builds(monkeypatch)
-    held, stats = {"precond": stale}, {}
-    assert np.array_equal(solve_linear(J, rhs, blocks, eta=1e-8, stats=stats, held=held), x)
-    assert len(builds) == 1 and held["precond"] is not stale
-    assert stats == {"krylov_iterations": wasted + fresh["krylov_iterations"],
-                     "preconditioner_builds": 1}
+    state = {"precond": stale}
+    assert np.array_equal(solve_linear(J, rhs, 1e-8, state), x)
+    assert len(builds) == 1 and state["precond"] is not stale
+    assert (state["krylov_iterations"], state["preconditioner_builds"]) \
+        == (wasted + fresh["krylov_iterations"], 1)
 
 
 def test_solve_linear_held_preconditioner_is_reused_and_only_a_fresh_one_raises(monkeypatch):
     # a held P that meets the target is used as it is; when a rebuilt P
     # misses too, the step is declined, after one build
-    J, blocks = _sphere_jacobian(2, 1.0, 2.0)
+    J, _ = _sphere_jacobian(2, 1.0, 2.0)
     rhs = np.sin(np.arange(J.shape[0]))
-    held = {}
-    x = solve_linear(J, rhs, blocks, held=held)
-    precond = held["precond"]
+    state = {}
+    x = solve_linear(J, rhs, state=state)
+    precond, spent = state["precond"], state["krylov_iterations"]
     builds = _count_builds(monkeypatch)
-    stats = {}
-    assert np.array_equal(solve_linear(J, rhs, blocks, stats=stats, held=held), x)
-    assert not builds and held["precond"] is precond and "preconditioner_builds" not in stats
+    assert np.array_equal(solve_linear(J, rhs, state=state), x)
+    assert not builds and state["precond"] is precond
+    assert (state["krylov_iterations"], state["preconditioner_builds"]) == (2 * spent, 1)
     monkeypatch.setattr(newton, "KRYLOV_MAX_ITER", 1)
-    stats = {}
     with pytest.raises(SingularJacobianError, match="GMRES missed"):
-        solve_linear(J, rhs, blocks, stats=stats, held=held)
+        solve_linear(J, rhs, state=state)
     assert len(builds) == 1
-    assert stats == {"krylov_iterations": 2, "preconditioner_builds": 1}
+    assert (state["krylov_iterations"], state["preconditioner_builds"]) == (2 * spent + 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -765,22 +779,24 @@ def test_nonconvergence_reports_honestly(g2):
 
 
 def test_one_hessian_field_per_line_search_candidate(monkeypatch):
-    # b(h) is evaluated once for the start iterate and once per positive
-    # line-search candidate; the margin check, the residual, the Jacobian
-    # and the result all reuse that field, and the Jacobian and the result
-    # reuse the margin check's Gamma_k margin
+    # each iterate is evaluated once: one hessian_field and one pass of the
+    # elementary symmetric functions for the start iterate and for each
+    # positive line-search candidate.  The margin check, the residual, the
+    # Jacobian and the result all read that Evaluation; no Gamma_k check
+    # runs apart from it, and the Newton step evaluates nothing
     from cmkit import problem
 
     g = build_grid(2, m_lat=16, m_lon=32)
     u = g.coords @ np.array([math.sin(0.4), 0.0, math.cos(0.4)])
     f = GridFunction(g, (1.0 + 2.0 * u ** 2) ** (-2.5))
     spec = ProblemSpec(n=2, k=2, p=1.5, q=2.5, f=f)
-    counts = {"fields": 0, "in_step": 0, "evaluable": 0, "margins": 0}
+    counts = {"fields": 0, "in_step": 0, "evaluable": 0, "passes": 0}
     stepping = []
 
-    def margin_spy(lam, k):
-        counts["margins"] += 1
-        return in_gamma_k(lam, k)
+    def pass_spy(lam, k):
+        counts["passes"] += 1
+        counts["in_step"] += bool(stepping)
+        return prefix_sigmas(lam, k)
 
     def field_spy(h):
         counts["fields"] += 1
@@ -792,31 +808,33 @@ def test_one_hessian_field_per_line_search_candidate(monkeypatch):
         counts["evaluable"] += bool(np.all(out.values > 0))
         return out
 
-    def step_spy(*args):
-        stepping.append(True)
-        try:
-            return newton_step(*args)
-        finally:
-            stepping.pop()
+    def stepping_spy(fn):
+        def spy(*args):
+            stepping.append(True)
+            try:
+                return fn(*args)
+            finally:
+                stepping.pop()
+        return spy
 
-    def no_field(h):
-        raise AssertionError("problem evaluated hessian_field itself")
+    def no_margin(lam, k):
+        raise AssertionError("a second Gamma_k pass")
 
-    even_project, newton_step = newton.even_project, newton._newton_step
-    in_gamma_k = problem.in_gamma_k
-    monkeypatch.setattr(problem, "in_gamma_k", margin_spy)
-    monkeypatch.setattr(newton, "hessian_field", field_spy)
+    even_project, prefix_sigmas = newton.even_project, problem._prefix_sigmas
+    monkeypatch.setattr(problem, "_prefix_sigmas", pass_spy)
+    monkeypatch.setattr(problem, "in_gamma_k", no_margin)
+    monkeypatch.setattr(problem, "hessian_field", field_spy)
     monkeypatch.setattr(newton, "even_project", project_spy)
-    monkeypatch.setattr(newton, "_newton_step", step_spy)
-    monkeypatch.setattr(problem, "hessian_field", no_field)
+    monkeypatch.setattr(newton, "assemble_jacobian", stepping_spy(newton.assemble_jacobian))
+    monkeypatch.setattr(newton, "solve_linear", stepping_spy(newton.solve_linear))
     res = newton_solve(spec, constant_function(g, 1.0), 0.6)
     assert res.converged and res.iterations >= 3
     assert counts["in_step"] == 0
-    assert counts["fields"] == counts["evaluable"] == counts["margins"] == res.iterations + 1
+    assert counts["fields"] == counts["evaluable"] == counts["passes"] == res.iterations + 1
     assert res.min_b_eig == float(np.min(hessian_field(res.h).lam[:, 0]))
     # a decrease no step can meet: every halving is a rejected candidate
-    counts.update(fields=0, evaluable=0)
+    counts.update(fields=0, evaluable=0, passes=0)
     monkeypatch.setattr(newton, "DECREASE_SLOPE", 1.5)
     res = newton_solve(spec, constant_function(g, 1.0), 0.6)
     assert not res.converged and res.iterations == 0
-    assert counts["fields"] == counts["evaluable"] > 10
+    assert counts["fields"] == counts["evaluable"] == counts["passes"] > 10

@@ -14,6 +14,7 @@ from cmkit.problem import (
     ProblemSpec,
     admissibility_margin,
     assemble_jacobian,
+    evaluate,
     homotopy_f,
     residual,
     validate_f1,
@@ -217,16 +218,103 @@ def test_residual_rotation_equivariance(g2):
         assert np.array_equal(got, expect)
 
 
+@pytest.mark.parametrize("n,k,t", [(1, 1, 0.3), (2, 1, 0.7), (2, 2, 0.4)])
+def test_evaluate_is_one_pass_with_both_sides(monkeypatch, g1, g2, n, k, t):
+    # one hessian_field and one pass of the elementary symmetric functions
+    # give the margin of in_gamma_k and the sigma_k of symfunc bitwise;
+    # sigma_k is a copy, not a view that keeps the pass's array alive, and
+    # the report is sigma_k - rhs, as residual() gives it
+    from cmkit import problem, symfunc
+    from cmkit.sphere import hessian_field
+
+    g = g1 if n == 1 else g2
+    f = GridFunction(g, 1.3 + smooth_field(g, 80 + k))
+    spec = ProblemSpec(n=n, k=k, p=1.4, q=2.3, f=f)
+    h = GridFunction(g, 1.0 + smooth_field(g, 90 + k))
+    calls = {"fields": 0, "passes": 0}
+
+    def count(key, fn):
+        def spy(*args):
+            calls[key] += 1
+            return fn(*args)
+        return spy
+
+    with monkeypatch.context() as m:
+        m.setattr(problem, "hessian_field", count("fields", problem.hessian_field))
+        m.setattr(problem, "_prefix_sigmas", count("passes", problem._prefix_sigmas))
+        ev = evaluate(spec, h, t)
+    assert calls == {"fields": 1, "passes": 1}
+    assert ev.h is h and ev.t == t
+    lam = hessian_field(h).lam
+    assert np.array_equal(ev.hf.lam, lam)
+    assert np.array_equal(ev.margin, symfunc.in_gamma_k(lam, k)[1])
+    assert np.array_equal(ev.sigma_k, symfunc.sigma_k(lam, k))
+    assert ev.sigma_k.base is None
+    assert np.array_equal(ev.rho2, h.values ** 2 + hessian_field(h).grad_norm_sq())
+    assert np.array_equal(ev.report.residual.values, ev.sigma_k - ev.rhs)
+    rep = residual(spec, h, t)
+    assert np.array_equal(rep.residual.values, ev.report.residual.values)
+    assert rep.linf == ev.report.linf
+
+
 # ---------------------------------------------------------------------------
 # linearization
 # ---------------------------------------------------------------------------
+
+def _power_weights(spec, h, t):
+    # the reference: the linearization's coefficients c1 and c2 written as
+    # derivatives of f_t h^(p-1) rho^(k+1-q), each with its own powers
+    from cmkit.problem import ellipticity_weights
+    from cmkit.sphere import hessian_field
+
+    hf = hessian_field(h)
+    ft = homotopy_f(spec, t).values
+    hv = h.values
+    rho2 = hv ** 2 + hf.grad_norm_sq()
+    c1 = ft * (spec.p - 1.0) * hv ** (spec.p - 2.0) \
+        * rho2 ** (0.5 * (spec.k + 1.0 - spec.q))
+    c2 = ft * (spec.k + 1.0 - spec.q) * hv ** (spec.p - 1.0) \
+        * rho2 ** (0.5 * (spec.k - 1.0 - spec.q))
+    weights = ellipticity_weights(hf, spec.k)
+    for i in range(spec.grid.n):
+        weights[f"grad{i + 1}"] = -c2 * hf.components[f"g{i + 1}"].ravel()
+    weights["diag"] = -(c1 + c2 * hv)
+    return weights
+
+
+@pytest.mark.parametrize("n,k,p,q,t", [
+    (1, 1, 1.6, 2.1, 0.5), (2, 1, 1.3, 1.9, 0.7), (2, 2, 2.0, 2.6, 0.4),
+    (2, 2, 1.5, 3.2, 1.0), (2, 1, 0.5, 1.7, 0.0)])
+def test_linearization_weights_match_the_power_formula(monkeypatch, g1, g2, n, k, p, q, t):
+    # c1 = (p-1) rhs / h and c2 = (k+1-q) rhs / rho^2 from the Evaluation
+    # agree with the power formula to rounding; linearization_weights
+    # interpolates no data of its own
+    from cmkit import problem
+    from cmkit.problem import linearization_weights
+
+    g = g1 if n == 1 else g2
+    f = GridFunction(g, 1.3 + smooth_field(g, 60 + k))
+    spec = ProblemSpec(n=n, k=k, p=p, q=q, f=f)
+    h = GridFunction(g, 1.0 + smooth_field(g, 70 + k))
+    ev = evaluate(spec, h, t)
+
+    def no_data(spec, t):
+        raise AssertionError("linearization_weights called homotopy_f")
+
+    monkeypatch.setattr(problem, "homotopy_f", no_data)
+    weights = linearization_weights(spec, ev)
+    ref = _power_weights(spec, h, t)
+    assert weights.keys() == ref.keys()
+    for key, w in ref.items():
+        assert np.max(np.abs(weights[key] - w)) <= 1e-14 * np.max(np.abs(w)), key
+
 
 def test_jacobian_constant_mode_at_origin(g1, g2):
     # action on phi = 1 at h = 1, t = 0 is binom(n-1,k-1) n (q-p)/k
     for g, n, k in [(g2, 2, 1), (g2, 2, 2), (g1, 1, 1)]:
         p, q = 1.5, 2.2
         spec = ProblemSpec(n=n, k=k, p=p, q=q, f=constant_function(g, 1.0))
-        J = assemble_jacobian(spec, constant_function(g, 1.0), 0.0)
+        J = assemble_jacobian(spec, evaluate(spec, constant_function(g, 1.0), 0.0))
         act = J @ np.ones(g.node_count)
         expect = math.comb(n - 1, k - 1) * n * (q - p) / k
         assert_allclose(act, expect, rtol=0, atol=1e-9)
@@ -236,7 +324,7 @@ def test_jacobian_degree_one_mode(g2):
     # at h = 1: J phi = binom(n-1,k-1) (n(q-p)/k - n) phi for phi = <x,v>
     n, k, p, q = 2, 2, 1.5, 2.5
     spec = ProblemSpec(n=n, k=k, p=p, q=q, f=constant_function(g2, 1.0))
-    J = assemble_jacobian(spec, constant_function(g2, 1.0), 0.0)
+    J = assemble_jacobian(spec, evaluate(spec, constant_function(g2, 1.0), 0.0))
     phi = coordinate_function(g2, (0.3, -0.4, 0.85)).values
     expect = math.comb(n - 1, k - 1) * (n * (q - p) / k - n) * phi
     assert_allclose(J @ phi, expect, rtol=0, atol=5e-3)
@@ -247,7 +335,7 @@ def test_jacobian_self_adjoint_at_origin_circle(g1):
     # diagonal and the weights are uniform: quadrature self-adjointness is
     # exact up to rounding
     spec = ProblemSpec(n=1, k=1, p=1.5, q=2.0, f=constant_function(g1, 1.0))
-    J = assemble_jacobian(spec, constant_function(g1, 1.0), 0.0)
+    J = assemble_jacobian(spec, evaluate(spec, constant_function(g1, 1.0), 0.0))
     rng = np.random.default_rng(31)
     w = g1.weights
     for _ in range(3):
@@ -266,7 +354,7 @@ def test_jacobian_self_adjoint_defect_truncation(g2):
     for (ml, mo) in [(32, 64), (64, 128)]:
         g = build_grid(2, m_lat=ml, m_lon=mo)
         spec = ProblemSpec(n=2, k=1, p=1.5, q=2.0, f=constant_function(g, 2.0))
-        J = assemble_jacobian(spec, constant_function(g, 1.0), 0.0)
+        J = assemble_jacobian(spec, evaluate(spec, constant_function(g, 1.0), 0.0))
         phi = smooth_field(g, 310, amp=1.0)
         psi = smooth_field(g, 311, amp=1.0)
         w = g.weights
@@ -283,7 +371,7 @@ def test_jacobian_matches_directional_differences(g1, g2, n, k, p, q, t):
     g = g1 if n == 1 else g2
     spec = ProblemSpec(n=n, k=k, p=p, q=q, f=constant_function(g, 1.3))
     h = GridFunction(g, 1.0 + smooth_field(g, 50 + k))
-    J = assemble_jacobian(spec, h, t)
+    J = assemble_jacobian(spec, evaluate(spec, h, t))
     eps = 1e-6
     for s in range(10):
         phi = smooth_field(g, 500 + s, amp=1.0)
@@ -302,32 +390,36 @@ def test_jacobian_requires_admissible(g2):
     z = g2.coords[:, 2]
     h = GridFunction(g2, 1.0 - 0.9 * z ** 2)
     with pytest.raises(AdmissibilityError) as exc:
-        assemble_jacobian(spec, h, 0.0)
+        assemble_jacobian(spec, evaluate(spec, h, 0.0))
     assert exc.value.margin < 0
 
 
 def test_jacobian_given_margin_raises_the_same_error(g2, monkeypatch):
-    # a caller's margin of b(h) (newton_solve's, from its margin check)
-    # stands in for the one assemble_jacobian would compute: the same
-    # error on the dent, and no second Gamma_k evaluation
+    # the Evaluation's margin of b(h) (newton_solve's, from its margin
+    # check) is the one admissibility_margin computes, and assemble_jacobian
+    # reads it: the error on the dent names its worst node and margin, and
+    # no second Gamma_k pass runs
     from cmkit import problem
 
     spec = ProblemSpec(n=2, k=2, p=1.5, q=2.5, f=constant_function(g2, 1.0))
     z = g2.coords[:, 2]
     dent = GridFunction(g2, 1.0 - 0.9 * z ** 2)
-    with pytest.raises(AdmissibilityError) as computed:
-        assemble_jacobian(spec, dent, 0.0)
-    margins = [admissibility_margin(spec, h) for h in (dent, constant_function(g2, 1.1))]
+    evs = [evaluate(spec, h, 0.0) for h in (dent, constant_function(g2, 1.1))]
+    margins = [admissibility_margin(spec, ev.h) for ev in evs]
+    assert all(np.array_equal(ev.margin, m) for ev, m in zip(evs, margins))
 
     def no_margin(lam, k):
         raise AssertionError("assemble_jacobian evaluated Gamma_k itself")
 
     monkeypatch.setattr(problem, "in_gamma_k", no_margin)
+    monkeypatch.setattr(problem, "_prefix_sigmas", no_margin)
     with pytest.raises(AdmissibilityError) as given:
-        assemble_jacobian(spec, dent, 0.0, margin=margins[0])
+        assemble_jacobian(spec, evs[0])
+    worst = int(np.argmin(margins[0]))
     assert (str(given.value), given.value.node, given.value.margin) \
-        == (str(computed.value), computed.value.node, computed.value.margin)
-    J = assemble_jacobian(spec, constant_function(g2, 1.1), 0.0, margin=margins[1])
+        == ("b(h) leaves Gamma_k", worst, float(margins[0][worst]))
+    assert given.value.margin < 0
+    J = assemble_jacobian(spec, evs[1])
     assert J.shape == (g2.node_count, g2.node_count)
 
 
@@ -383,7 +475,7 @@ def test_jacobian_matches_per_call_assembly(g1, n, k):
     g = g1 if n == 1 else build_grid(2, m_lat=16, m_lon=32)
     spec = ProblemSpec(n=n, k=k, p=1.4, q=2.3, f=constant_function(g, 1.3))
     h = GridFunction(g, 1.0 + smooth_field(g, 70 + k))
-    J = assemble_jacobian(spec, h, 0.6)
+    J = assemble_jacobian(spec, evaluate(spec, h, 0.6))
     J = J.toarray() if hasattr(J, "toarray") else J
     ref = _per_call_jacobian(spec, h, 0.6)
     assert np.max(np.abs(J - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -453,14 +545,13 @@ def test_matrix_free_jacobian_matches_csr_assembly(shape, k, tilt):
     # J.v, norm_inf() and the frame symbols against the earlier CSR
     # assembly, for polar and tilted data; only the summation order differs
     from cmkit.problem import LinearizedOperator, linearization_weights
-    from cmkit.sphere import hessian_field
 
     g = build_grid(2, m_lat=shape[0], m_lon=shape[1])
     spec, h = _tilted_iterate(g, k, tilt)
-    weights = linearization_weights(spec, h, 0.5, hessian_field(h))
+    weights = linearization_weights(spec, evaluate(spec, h, 0.5))
     ops = _csr_frame_operators(g)
     ref = _csr_jacobian(ops, weights)
-    J = assemble_jacobian(spec, h, 0.5)
+    J = assemble_jacobian(spec, evaluate(spec, h, 0.5))
     assert isinstance(J, LinearizedOperator) and J.shape == ref.shape
     scale = np.max(np.abs(ref).sum(axis=1))
     assert abs(J.norm_inf() - scale) <= 1e-14 * scale
@@ -500,14 +591,13 @@ def test_norm_inf_matches_dense_row_sums(shape, k, tilt):
     # ratios |v_tt / v_t coefficient| fall on both sides of every paired
     # max and reach both pole rings
     from cmkit.problem import LinearizedOperator, linearization_weights
-    from cmkit.sphere import hessian_field
 
     if len(shape) == 1:
         g = build_grid(1, m_theta=shape[0])
     else:
         g = build_grid(2, m_lat=shape[0], m_lon=shape[1])
     spec, h = _tilted_iterate(g, k, tilt)
-    weights = linearization_weights(spec, h, 0.5, hessian_field(h))
+    weights = linearization_weights(spec, evaluate(spec, h, 0.5))
     rng = np.random.default_rng(len(shape) * 100 + k)
     signed = {key: rng.standard_normal(w.size) for key, w in weights.items()}
     for w in (weights, signed):
@@ -525,7 +615,6 @@ def test_dense_jacobian_matches_csr_assembly(shape, k):
     # against the earlier CSR assembly: toarray(), formed from the frame
     # taps, and J.v
     from cmkit.problem import LinearizedOperator, linearization_weights
-    from cmkit.sphere import hessian_field
 
     if len(shape) == 1:
         g = build_grid(1, m_theta=shape[0])
@@ -533,8 +622,8 @@ def test_dense_jacobian_matches_csr_assembly(shape, k):
         g = build_grid(2, m_lat=shape[0], m_lon=shape[1])
     spec, h = _tilted_iterate(g, k, 0.4)
     ref = _csr_jacobian(_csr_frame_operators(g),
-                        linearization_weights(spec, h, 0.5, hessian_field(h))).toarray()
-    J = assemble_jacobian(spec, h, 0.5)
+                        linearization_weights(spec, evaluate(spec, h, 0.5))).toarray()
+    J = assemble_jacobian(spec, evaluate(spec, h, 0.5))
     assert isinstance(J, LinearizedOperator)
     assert np.max(np.abs(J.toarray() - ref)) <= 1e-14 * np.max(np.abs(ref))
     scale = np.max(np.abs(ref).sum(axis=1))
@@ -557,7 +646,7 @@ def test_jacobian_representation(n, shape, was_dense):
     else:
         g = build_grid(2, m_lat=shape[0], m_lon=shape[1])
     spec = ProblemSpec(n=n, k=1, p=1.5, q=2.0, f=constant_function(g, 1.0))
-    J = assemble_jacobian(spec, constant_function(g, 1.0), 0.0)
+    J = assemble_jacobian(spec, evaluate(spec, constant_function(g, 1.0), 0.0))
     assert isinstance(J, LinearizedOperator)
     assert J.shape == (g.node_count,) * 2 and J.nnz > 0
     v = np.cos(np.arange(g.node_count))

@@ -18,11 +18,13 @@ import sys
 import numpy as np
 
 from . import diagnostics as diag
-from .config import build_f, build_h_star, build_problem, ensure_out_dir, parse_config
+from .config import (build_f, build_h_star, build_problem, ensure_out_dir,
+                     parameter_error, parse_config)
 from .continuation import continue_path
-from .errors import AdmissibilityError, ConfigError, DomainError, SingularJacobianError
+from .errors import (AdmissibilityError, ConfigError, DomainError, SingularJacobianError,
+                     UnsupportedParameterError)
 from .geometry import reconstruct_body, write_obj, write_polyline
-from .problem import evaluate
+from .problem import evaluate, validate_f1
 from .sphere import build_grid, format_rows, read_grid_function, write_grid_function
 
 
@@ -93,21 +95,14 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _diagnostics_payload(spec, h, hf, f1=None):
-    try:
-        return diag.run_diagnostics(spec, h, hf=hf, f1=f1).to_dict()
-    except (AdmissibilityError, DomainError) as exc:
-        return {"error": str(exc)}
-
-
-def _final_evaluation(spec, h):
-    """Report and Hessian field of evaluate(spec, h, 1.0), without its other arrays."""
-    ev = evaluate(spec, h, 1.0)
-    return ev.report, ev.hf
-
-
-def _solve_report(spec, trace, rep, hf):
-    return {
+def _cmd_solve(cfg):
+    _, spec = build_problem(cfg)
+    trace = continue_path(spec)
+    out = ensure_out_dir(cfg)
+    write_grid_function(trace.h, os.path.join(out, "solution.csv"))
+    trace.to_jsonl(os.path.join(out, "trace.jsonl"))
+    ev = evaluate(spec, trace.h, 1.0)  # for the report, diagnostics and mesh
+    payload = {
         "problem": {"n": spec.n, "k": spec.k, "p": spec.p, "q": spec.q,
                     "grid": list(spec.grid.shape), "binom_nk": spec.binom_nk},
         "warnings": list(spec.warnings),
@@ -115,27 +110,14 @@ def _solve_report(spec, trace, rep, hf):
         "message": trace.message,
         "steps": max(len(trace.steps) - 1, 0),
         "wall_time": trace.wall_time,
-        "residual": {"linf": rep.linf, "l2": rep.l2},
-        # work of the accepted steps in trace.jsonl
-        "counters": {key: sum(row[key] for row in trace.steps)
-                     for key in ("newton_iterations", "krylov_iterations",
-                                 "preconditioner_builds")},
+        "residual": {"linf": ev.linf, "l2": ev.l2},
+        "counters": trace.counters(),
         "f1": trace.f1_report,
-        "diagnostics": _diagnostics_payload(spec, trace.h, hf, trace.f1_report),
+        "diagnostics": diag.run_diagnostics(spec, ev, trace.f1_report).to_dict(),
     }
-
-
-def _cmd_solve(cfg):
-    _, spec = build_problem(cfg)
-    trace = continue_path(spec)
-    out = ensure_out_dir(cfg)
-    write_grid_function(trace.h, os.path.join(out, "solution.csv"))
-    trace.to_jsonl(os.path.join(out, "trace.jsonl"))
-    rep, hf = _final_evaluation(spec, trace.h)  # for the report, diagnostics and mesh
-    payload = _solve_report(spec, trace, rep, hf)
     _write_json(os.path.join(out, "report.json"), payload)
     if cfg.out_mesh:
-        mesh = reconstruct_body(trace.h, hf)
+        mesh = reconstruct_body(trace.h, ev.hf)
         if cfg.n == 2:
             write_obj(mesh, os.path.join(out, "mesh.obj"))
         else:
@@ -152,14 +134,14 @@ def _cmd_verify(cfg, solution_path):
         h = read_grid_function(spec.grid, solution_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read solution '{solution_path}': {exc}") from exc
-    rep, hf = _final_evaluation(spec, h)
+    ev = evaluate(spec, h, 1.0)
     payload = {
         "solution": solution_path,
-        "residual": {"linf": rep.linf, "l2": rep.l2},
+        "residual": {"linf": ev.linf, "l2": ev.l2},
         "tol_newton": spec.tol_newton,
-        "passes": rep.linf <= spec.tol_newton,
+        "passes": ev.linf <= spec.tol_newton,
         "warnings": list(spec.warnings),
-        "diagnostics": _diagnostics_payload(spec, h, hf),
+        "diagnostics": diag.run_diagnostics(spec, ev, validate_f1(spec)).to_dict(),
     }
     out = ensure_out_dir(cfg)
     _write_json(os.path.join(out, "verify.json"), payload)
@@ -170,7 +152,10 @@ def _cmd_verify(cfg, solution_path):
 def _cmd_manufacture(cfg):
     grid = build_grid(cfg.n, **cfg.grid_args())
     h_star = build_h_star(cfg, grid)
-    f = diag.manufacture(h_star, cfg.k, cfg.p, cfg.q)
+    try:
+        f = diag.manufacture(h_star, cfg.k, cfg.p, cfg.q)
+    except UnsupportedParameterError as exc:
+        raise parameter_error(cfg, exc) from exc
     out = ensure_out_dir(cfg)
     write_grid_function(f, os.path.join(out, "f.csv"))
     write_grid_function(h_star, os.path.join(out, "h_star.csv"))
@@ -234,6 +219,7 @@ def _cmd_sweep(cfg):
                 last = trace.steps[-1] if trace.steps else {}
                 point.update(success=trace.success,
                              steps=max(len(trace.steps) - 1, 0),
+                             **trace.counters(),
                              residual=last.get("residual"),
                              R=last.get("R"), r=last.get("r"),
                              ratio=last.get("ratio"),

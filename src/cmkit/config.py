@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, UnsupportedParameterError
+from .errors import ConfigError
 from .problem import ProblemSpec
 from .sphere import GridFunction, build_grid, read_grid_function
 
@@ -258,9 +258,23 @@ def build_problem(cfg, grid=None):
             n=cfg.n, k=cfg.k, p=cfg.p, q=cfg.q, f=f,
             tol_newton=cfg.newton_tol, max_newton=cfg.newton_max_iter,
             dt0=cfg.dt0, dt_min=cfg.dt_min, dt_max=cfg.dt_max)
-    except (ValueError, DomainError, UnsupportedParameterError) as exc:
-        raise ConfigError(f"{cfg.path}: invalid problem parameters: {exc}") from exc
+    except ValueError as exc:
+        raise parameter_error(cfg, exc) from exc
     return grid, spec
+
+
+# the config key that sets each ProblemSpec field
+_SPEC_KEYS = {"k": "k", "p": "p", "f": "f.path", "tol_newton": "newton.tol",
+              "max_newton": "newton.max_iter", "dt0": "continuation.dt0",
+              "dt_min": "continuation.dt_min", "dt_max": "continuation.dt_max"}
+
+
+def parameter_error(cfg, exc):
+    """ConfigError for a ProblemSpec error, at the line of the first field
+    it blames, likeliest first, that the config sets."""
+    keys = [_SPEC_KEYS[name] for name in getattr(exc, "fields", ())]
+    line = next((cfg.lines[key] for key in keys if key in cfg.lines), None)
+    return _located(cfg.path, line, f"invalid problem parameters: {exc}")
 
 
 def resolve_path(cfg, path):

@@ -42,6 +42,12 @@ class SolveTrace:
     message: str = ""
     f1_report: dict = None
 
+    def counters(self):
+        """Newton and GMRES iterations and preconditioner builds, summed
+        over the accepted steps."""
+        return {key: sum(row[key] for row in self.steps)
+                for key in ("newton_iterations", "krylov_iterations", "preconditioner_builds")}
+
     def to_jsonl(self, path):
         with open(path, "w") as fh:
             for row in self.steps:
@@ -89,7 +95,7 @@ def continue_path(spec):
 
     h = constant_function(spec.grid, 1.0)
     ev = evaluate(spec, h, 0.0)
-    trace.steps.append(_trace_row(h, 0.0, 0, ev.report.linf, float(np.min(ev.hf.lam[:, 0]))))
+    trace.steps.append(_trace_row(h, 0.0, 0, ev.linf, float(np.min(ev.hf.lam[:, 0]))))
     trace.h = h
 
     # one-step shortcut: h = 1 may already solve the target, exactly so when

@@ -3,23 +3,27 @@ Executable counterparts of the a-priori estimates, plus manufactured
 solutions, the linearized spectrum at the trivial solution, and the
 isotropic (constant data) experiment.
 
+The checks on a solution read its problem.Evaluation, the record the
+corrector and the report use too: run_diagnostics takes the radius and
+zeta bounds from it and runs the af check only where its Gamma_k margin
+is positive.  manufacture() is that Evaluation at t = 1 with f = 1.
+
 Everything here measures; nothing gates.  The estimates behind the solver
 are existential ("there is a constant such that..."), so the report
 carries the measured ratios and leaves pass/fail judgments to the tests,
 which pin regression ceilings instead of guessing constants.
 """
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import AdmissibilityError
 from .continuation import continue_path
 from .newton import newton_solve
-from .problem import (admissibility_margin, ellipticity_weights, evaluate,
-                      linearization_weights, ring_blocks, validate_f1)
+from .problem import (ProblemSpec, admissibility_margin, ellipticity_weights, evaluate,
+                      linearization_weights, ring_blocks)
 from .sphere import (
     GridFunction,
     constant_function,
@@ -28,7 +32,7 @@ from .sphere import (
     integrate_values,
     odd_defect,
 )
-from .symfunc import in_gamma_k, sigma_k
+from .symfunc import _prefix_sigmas
 
 
 # ---------------------------------------------------------------------------
@@ -50,16 +54,10 @@ class DiagnosticsReport:
     note: str = ""
 
     def to_dict(self):
-        d = {k: getattr(self, k) for k in
-             ("R", "r", "ratio", "zeta_max", "zeta_bound_ratio",
-              "c2_quantity", "min_b_eig", "gamma_used", "f1_satisfied",
-              "af_check")}
-        if self.note:
-            d["note"] = self.note
+        d = asdict(self)
+        if not self.note:
+            del d["note"]
         return d
-
-    def to_json(self):
-        return json.dumps(self.to_dict())
 
 
 def _default_testfn(grid):
@@ -70,76 +68,61 @@ def _default_testfn(grid):
     return GridFunction(grid, 0.5 * (3.0 * z ** 2 - 1.0))
 
 
-def run_diagnostics(spec, h, hf=None, f1=None):
+def run_diagnostics(spec, ev, f1):
     """Measured shape and admissibility quantities of an iterate.
 
-    hf is hessian_field(h) and f1 validate_f1(spec), computed here when not
-    given.
+    ev is the iterate's Evaluation and f1 validate_f1(spec); the radius
+    bounds read ev.h, the zeta functional ev.rho2, the eigenvalue and C^2
+    quantities ev.hf, and ev.margin decides whether the af check runs.
     """
-    v = h.values
-    if np.any(v <= 0):
-        raise ValueError("diagnostics need h > 0")
-    if hf is None:
-        hf = hessian_field(h)
-    if f1 is None:
-        f1 = validate_f1(spec)
-    R = float(np.max(v))
-    r = float(np.min(v))
-    min_b_eig = float(np.min(hf.lam[:, 0]))
-    c2 = float(np.max(hf.trace()))
-    note = ""
-
-    gamma = (spec.p - 1.0) / spec.k
+    v = ev.h.values
+    R, r = float(np.max(v)), float(np.min(v))
+    notes = []
     if spec.p <= 1.0:
-        gamma_used = zeta_max = zeta_ratio = None
-        note = "p <= 1: the zeta functional's exponent interval is empty"
+        gamma = zeta_max = zeta_ratio = None
+        notes.append("p <= 1: the zeta functional's exponent interval is empty")
     else:
-        gamma_used = gamma
-        zeta = (v ** 2 + hf.grad_norm_sq()) / v ** gamma
-        zeta_max = float(np.max(zeta))
+        gamma = (spec.p - 1.0) / spec.k
+        zeta_max = float(np.max(ev.rho2 / v ** gamma))
         # bound written as R^2 / R^gamma so the constant solution gives
         # ratio 1.0 exactly rather than to rounding
         zeta_ratio = zeta_max / float(R ** 2 / R ** gamma)
 
-    ok, _ = in_gamma_k(hf.lam, spec.k)
-    if np.all(ok):
-        af = af_inequality_check(h, spec.k, _default_testfn(spec.grid), hf)
+    af = None
+    if np.all(ev.margin > 0.0):
+        af = af_inequality_check(ev.h, spec.k, _default_testfn(spec.grid), ev.hf)
     else:
-        af = None
-        note = (note + "; " if note else "") + \
-            "b(h) leaves Gamma_k: af check skipped"
+        notes.append("b(h) leaves Gamma_k: af check skipped")
 
     return DiagnosticsReport(
-        R=R, r=r, ratio=R / r, zeta_max=zeta_max,
-        zeta_bound_ratio=zeta_ratio, c2_quantity=c2, min_b_eig=min_b_eig,
-        gamma_used=gamma_used,
-        f1_satisfied=f1["satisfied"],
-        af_check=af, note=note)
+        R=R, r=r, ratio=R / r, zeta_max=zeta_max, zeta_bound_ratio=zeta_ratio,
+        c2_quantity=float(np.max(ev.hf.trace())), min_b_eig=float(np.min(ev.hf.lam[:, 0])),
+        gamma_used=gamma, f1_satisfied=f1["satisfied"], af_check=af, note="; ".join(notes))
 
 
 # ---------------------------------------------------------------------------
 # weighted Poincare-type inequality
 # ---------------------------------------------------------------------------
 
-def af_inequality_check(h, k, testfn, hf=None):
+def af_inequality_check(h, k, testfn, hf):
     """Check k * int(f^2 h sigma_k) <= int(h^2 sigma_k^{ij} grad_i f grad_j f)
     for test functions f with int(f h sigma_k) = 0.
 
-    The zero-mean condition is enforced here by subtracting the weighted
-    mean (reported).  Equality holds exactly for f = <x/h, v>; the check
-    flags near-equality and certifies it by fitting such a v.  hf is
-    hessian_field(h), computed here when not given.
+    hf is hessian_field(h); the Gamma_k margin and sigma_k of b(h) come
+    from one pass of the elementary symmetric functions.  The zero-mean
+    condition is enforced here by subtracting the weighted mean
+    (reported).  Equality holds exactly for f = <x/h, v>; the check flags
+    near-equality and certifies it by fitting such a v.
     """
     g = h.grid
-    if hf is None:
-        hf = hessian_field(h)
-    ok, margin = in_gamma_k(hf.lam, k)
-    if not np.all(ok):
+    e = _prefix_sigmas(hf.lam, k)
+    margin = e[:, 1:].min(axis=1)
+    if not np.all(margin > 0.0):
         i = int(np.argmin(margin))
         raise AdmissibilityError(
             "af check needs b(h) in Gamma_k", node=i, margin=float(margin[i]))
 
-    weight = h.values * sigma_k(hf.lam, k)
+    weight = h.values * e[:, k]
     mean = integrate_values(g, testfn.values * weight) / integrate_values(g, weight)
     f = testfn.values - mean
 
@@ -221,23 +204,18 @@ def l0_top_eigenvalue_analytic(spec):
 # ---------------------------------------------------------------------------
 
 def manufacture(h_star, k, p, q):
-    """Data f making h_star an exact discrete solution at t = 1:
-    f = sigma_k(b(h_star)) / (h_star^(p-1) rho^(k+1-q)) node-wise."""
+    """Data f making the even h_star an exact discrete solution at t = 1:
+    f = sigma_k / rhs of its Evaluation at t = 1 with f = 1, that is
+    sigma_k(b(h_star)) / (h_star^(p-1) rho^(k+1-q)) node-wise."""
     g = h_star.grid
-    v = h_star.values
-    if np.any(v <= 0):
-        raise ValueError("manufactured solution must be positive")
     if odd_defect(h_star) > 1e-12:
         raise ValueError("manufactured solution must be even")
-    hf = hessian_field(h_star)
-    ok, margin = in_gamma_k(hf.lam, k)
-    if not np.all(ok):
-        i = int(np.argmin(margin))
+    ev = evaluate(ProblemSpec(g.n, k, p, q, constant_function(g, 1.0)), h_star, 1.0)
+    if not np.all(ev.margin > 0.0):
+        i = int(np.argmin(ev.margin))
         raise AdmissibilityError("manufactured solution is not k-admissible",
-                                 node=i, margin=float(margin[i]))
-    rho2 = v ** 2 + hf.grad_norm_sq()
-    denom = v ** (p - 1.0) * rho2 ** (0.5 * (k + 1.0 - q))
-    return GridFunction(g, sigma_k(hf.lam, k) / denom)
+                                 node=i, margin=float(ev.margin[i]))
+    return GridFunction(g, ev.sigma_k / ev.rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,12 @@ class AdmissibilityError(ValueError):
 
 
 class UnsupportedParameterError(ValueError):
-    """Parameter combination outside what the discretization supports."""
+    """ProblemSpec parameters outside what the solver supports; fields
+    names the fields at fault, the likeliest first."""
+
+    def __init__(self, message, fields=()):
+        super().__init__(message)
+        self.fields = fields
 
 
 class SingularJacobianError(RuntimeError):

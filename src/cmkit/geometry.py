@@ -55,19 +55,17 @@ def _frame_vectors(g):
     return e_lat, e_lon
 
 
-def reconstruct_body(h, hf=None):
-    """BodyMesh with vertices X = grad h + h x over all grid nodes.
+def reconstruct_body(h, hf):
+    """BodyMesh with vertices X = grad h + h x over all grid nodes, where
+    hf is hessian_field(h).
 
     Warns (on the returned mesh's `warning` attribute) when b(h) has a
     non-positive eigenvalue somewhere: the map x -> X(x) is then not a
-    convex embedding and faces may fold.  hf is hessian_field(h), computed
-    here when not given.
+    convex embedding and faces may fold.
     """
     g = h.grid
     if np.any(h.values <= 0):
         raise ValueError("reconstruction needs h > 0")
-    if hf is None:
-        hf = hessian_field(h)
     frame = _frame_vectors(g)
     grad = hf.grad
     X = h.values[:, None] * g.coords

@@ -450,8 +450,8 @@ def _forcing_term(linf, linf_prev, tol):
 
 def _result(ev, tol, iterations, history, state, message=""):
     return NewtonResult(
-        h=ev.h, converged=ev.report.linf <= tol, iterations=iterations,
-        final_linf=ev.report.linf, min_admissibility_margin=float(np.min(ev.margin)),
+        h=ev.h, converged=ev.linf <= tol, iterations=iterations,
+        final_linf=ev.linf, min_admissibility_margin=float(np.min(ev.margin)),
         min_b_eig=float(np.min(ev.hf.lam[:, 0])),
         step_history=history, message=message,
         krylov_iterations=state["krylov_iterations"],
@@ -489,14 +489,14 @@ def newton_solve(spec, h0, t, tol=None):
     state = {"krylov_iterations": 0, "preconditioner_builds": 0}  # and P, once built
     eta = ETA_MAX
     for it in range(spec.max_newton):
-        linf = ev.report.linf
+        linf = ev.linf
         if linf <= tol:
             return _result(ev, tol, it, history, state)
         if it > 0:
             eta = _forcing_term(linf, prev_linf, tol)
 
         # J dies with the step: it holds a dozen node arrays the line search does not need
-        delta = solve_linear(assemble_jacobian(spec, ev), -ev.report.residual.values, eta, state)
+        delta = solve_linear(assemble_jacobian(spec, ev), -ev.residual.values, eta, state)
 
         alpha = 1.0
         accepted = None
@@ -505,7 +505,7 @@ def newton_solve(spec, h0, t, tol=None):
             if np.all(cand.values > 0):
                 cand_ev = evaluate(spec, cand, t)
                 if np.min(cand_ev.margin) > MARGIN_FLOOR \
-                        and cand_ev.report.linf <= (1.0 - DECREASE_SLOPE * alpha) * linf:
+                        and cand_ev.linf <= (1.0 - DECREASE_SLOPE * alpha) * linf:
                     accepted = cand_ev
                     break
             alpha *= 0.5
@@ -515,10 +515,10 @@ def newton_solve(spec, h0, t, tol=None):
                                    f"(residual stuck at {linf:.3e}, target {tol:.3g})")
         prev_linf = linf
         ev = accepted
-        history.append((alpha, ev.report.linf))
+        history.append((alpha, ev.linf))
 
-    converged = ev.report.linf <= tol
+    converged = ev.linf <= tol
     return _result(ev, tol, spec.max_newton, history, state,
                    message="" if converged else
                    f"no convergence to {tol:.3g} in {spec.max_newton} iterations "
-                   f"(residual {ev.report.linf:.3e})")
+                   f"(residual {ev.linf:.3e})")

@@ -11,10 +11,12 @@ from the constant binom(n, k) at t = 0 to the user's f at t = 1 along
     f_t = [ (1-t) * binom(n,k)^(-1/(k+p-1)) + t * f^(-1/(k+p-1)) ]^(-(k+p-1)).
 
 evaluate() computes both sides and their difference, the residual, once
-per iterate; assemble_jacobian() reads its linearization in h from that
-Evaluation, a matrix-free LinearizedOperator on every grid.  ring_blocks()
-gives the longitude-mode blocks of the ring-averaged linearization: the
-Newton preconditioner, and at h = 1 the exact operator.
+per iterate into one Evaluation, which every reader of the iterate takes,
+from the corrector to the report, the diagnostics and manufactured data;
+assemble_jacobian() reads its linearization in h from it, a matrix-free
+LinearizedOperator on every grid.  ring_blocks() gives the longitude-mode
+blocks of the ring-averaged linearization: the Newton preconditioner,
+and at h = 1 the exact operator.
 """
 
 import math
@@ -62,22 +64,26 @@ class ProblemSpec:
             raise ValueError(
                 f"f lives on a dimension-{self.f.grid.n} grid, spec has n={self.n}")
         if not (1 <= self.k <= self.n):
-            raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+            raise UnsupportedParameterError(
+                f"need 1 <= k <= n, got k={self.k}, n={self.n}", ("k",))
         # a zero step size stalls the continuation, a negative one leaves
         # [0, 1]; a tolerance that is not positive and finite cannot be met
         for name in ("tol_newton", "dt0", "dt_min", "dt_max"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+                raise UnsupportedParameterError(
+                    f"{name} must be positive and finite, got {value}", (name,))
         if not (self.dt_min <= self.dt0 <= self.dt_max):
-            raise ValueError(f"need dt_min <= dt0 <= dt_max, got {self.dt_min}, "
-                             f"{self.dt0}, {self.dt_max}")
+            raise UnsupportedParameterError(
+                f"need dt_min <= dt0 <= dt_max, got {self.dt_min}, {self.dt0}, "
+                f"{self.dt_max}", ("dt0", "dt_min", "dt_max"))
         if self.max_newton < 1:
-            raise ValueError(f"max_newton must be at least 1, got {self.max_newton}")
+            raise UnsupportedParameterError(
+                f"max_newton must be at least 1, got {self.max_newton}", ("max_newton",))
         if self.k + self.p - 1 <= 0:
             raise UnsupportedParameterError(
                 f"k+p-1 = {self.k + self.p - 1:g} <= 0: the data homotopy "
-                "exponent -1/(k+p-1) is undefined")
+                "exponent -1/(k+p-1) is undefined", ("p",))
         fv = self.f.values
         if np.any(fv <= 0):
             i = int(np.argmin(fv))
@@ -85,8 +91,8 @@ class ProblemSpec:
                               node=i, value=float(fv[i]))
         defect = odd_defect(self.f)
         if defect > 1e-12:
-            raise ValueError(
-                f"f must be even: antipodal defect {defect:.3e} exceeds 1e-12")
+            raise UnsupportedParameterError(
+                f"f must be even: antipodal defect {defect:.3e} exceeds 1e-12", ("f",))
         if self.p == self.q:
             self.warnings.append(EQUAL_EXPONENT_NOTE)
         elif not self.exponents_in_range():
@@ -128,23 +134,12 @@ def homotopy_f(spec, t):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ResidualReport:
-    residual: GridFunction
-    linf: float
-
-    @cached_property
-    def l2(self):
-        """Quadrature-weighted 2-norm, summed on first read."""
-        res = self.residual
-        return math.sqrt(math.fsum(res.grid.weights * res.values ** 2))
-
-
-@dataclass
 class Evaluation:
     """Iterate h at continuation parameter t, evaluated once: hf =
     hessian_field(h), the per-node Gamma_k margin (min over i <= k of
     sigma_i), sigma_k of b(h), rho2 = h^2 + |grad h|^2, the right side rhs
-    = f_t h^(p-1) rho^(k+1-q) and the ResidualReport of sigma_k - rhs."""
+    = f_t h^(p-1) rho^(k+1-q), the residual sigma_k - rhs, its max norm
+    linf and, summed on first read, its quadrature-weighted 2-norm l2."""
 
     h: GridFunction
     t: float
@@ -153,7 +148,13 @@ class Evaluation:
     sigma_k: np.ndarray
     rho2: np.ndarray
     rhs: np.ndarray
-    report: ResidualReport
+    residual: GridFunction
+    linf: float
+
+    @cached_property
+    def l2(self):
+        res = self.residual
+        return math.sqrt(math.fsum(res.grid.weights * res.values ** 2))
 
 
 def evaluate(spec, h, t):
@@ -170,13 +171,14 @@ def evaluate(spec, h, t):
     rhs = homotopy_f(spec, t).values * hv ** (spec.p - 1.0) \
         * rho2 ** (0.5 * (spec.k + 1.0 - spec.q))
     res = sk - rhs
-    report = ResidualReport(GridFunction(spec.grid, res), float(np.max(np.abs(res))))
-    return Evaluation(h, t, hf, e[:, 1:].min(axis=1), sk, rho2, rhs, report)
+    return Evaluation(h, t, hf, e[:, 1:].min(axis=1), sk, rho2, rhs,
+                      GridFunction(spec.grid, res), float(np.max(np.abs(res))))
 
 
 def residual(spec, h, t):
-    """Node-wise equation residual at t: evaluate(spec, h, t).report."""
-    return evaluate(spec, h, t).report
+    """evaluate(spec, h, t), whose residual and linf are the node-wise
+    equation residual at t and its max norm."""
+    return evaluate(spec, h, t)
 
 
 def admissibility_margin(spec, h):

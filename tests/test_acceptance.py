@@ -20,7 +20,7 @@ from cmkit.diagnostics import (
     manufacture,
     run_diagnostics,
 )
-from cmkit.problem import ProblemSpec, residual
+from cmkit.problem import ProblemSpec, evaluate, residual, validate_f1
 from cmkit.sphere import GridFunction, build_grid, constant_function, hessian_field
 from cmkit.symfunc import _prefix_sigmas, in_gamma_k, newton_maclaurin_gap
 
@@ -246,14 +246,14 @@ def test_criterion_07_spectral_inequality_slack():
         f = GridFunction(g1, rng.standard_normal() * np.cos(th)
                          + rng.standard_normal() * np.sin(2 * th)
                          + rng.standard_normal())
-        results.append((h, f, af_inequality_check(h, 1, f), False))
+        results.append((h, f, af_inequality_check(h, 1, f, hessian_field(h)), False))
 
     for _ in range(50):  # circle, planted equality family f = <x, v>/h
         h = admissible_body(g1, 1, rng, 0.1)
         v = rng.standard_normal(2)
         v /= np.linalg.norm(v)
         f = GridFunction(g1, (g1.coords @ v) / h.values)
-        results.append((h, f, af_inequality_check(h, 1, f), True))
+        results.append((h, f, af_inequality_check(h, 1, f, hessian_field(h)), True))
 
     for _ in range(475):  # sphere, generic test functions, k in {1, 2}
         k = int(rng.integers(1, 3))
@@ -263,7 +263,7 @@ def test_criterion_07_spectral_inequality_slack():
                          + rng.standard_normal() * (z ** 2 - 0.3)
                          + rng.standard_normal() * x * y
                          + rng.standard_normal())
-        results.append((h, f, af_inequality_check(h, k, f), False))
+        results.append((h, f, af_inequality_check(h, k, f, hessian_field(h)), False))
 
     assert len(results) == 1000
     norm_slacks = [out["slack"] / (1.0 + abs(out["lhs"]) + abs(out["rhs"]))
@@ -296,7 +296,8 @@ def test_criterion_08_full_rank_preservation():
             continue
         for row in trace.steps:
             assert row["min_b_eig"] > 0, entry["name"]
-        rep = run_diagnostics(entry["spec"], entry["h"])
+        spec = entry["spec"]
+        rep = run_diagnostics(spec, evaluate(spec, entry["h"], 1.0), validate_f1(spec))
         assert rep.min_b_eig > 0, entry["name"]
 
 

@@ -1,5 +1,6 @@
 """Config parsing and the command-line front end."""
 
+import dataclasses
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from numpy.testing import assert_allclose
 
 from cmkit.cli import main
 from cmkit.config import build_f, build_problem, parse_config
+from cmkit.continuation import continue_path
 from cmkit.diagnostics import l0_spectrum
 from cmkit.errors import ConfigError
 from cmkit.sphere import build_grid, read_grid_function
@@ -83,10 +85,15 @@ def test_parse_rejects_duplicates_and_missing(tmp_path):
         parse_config(write_cfg(tmp_path, "n = 3\nk = 1\np = 1.5\nq = 2.0\n"))
 
 
-def test_invalid_problem_parameters_become_config_errors(tmp_path):
+def test_invalid_problem_parameters_become_config_errors(tmp_path, capsys):
+    # k = 3 on S^2 is set on line 2; solve and manufacture both name it
     path = write_cfg(tmp_path, "n = 2\nk = 3\np = 1.5\nq = 2.0\n")
-    with pytest.raises(ConfigError, match="invalid problem parameters"):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}:2: invalid problem parameters"):
         build_problem(parse_config(path))
+    for command in ("solve", "manufacture"):
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {path}:2: invalid problem parameters: need 1 <= k <= n")
 
 
 # ProblemSpec field -> (config key, invalid values)
@@ -100,7 +107,7 @@ SOLVER_CONTROLS = {
 
 
 @pytest.mark.parametrize("key", list(SOLVER_CONTROLS))
-def test_step_size_controls_must_be_positive_and_finite(tmp_path, key):
+def test_step_size_controls_must_be_positive_and_finite(tmp_path, capsys, key):
     # a zero step size used to make `cmkit solve` loop forever, a negative
     # one to fail with exit 1 on the t range instead of a config error; a
     # tolerance or iteration cap that cannot be met ran until the line
@@ -116,6 +123,10 @@ def test_step_size_controls_must_be_positive_and_finite(tmp_path, key):
             ProblemSpec(n=1, k=1, p=1.5, q=2.0, f=f, **{key: convert(value)})
         path = write_cfg(tmp_path, BASE + f"{cfg_key} = {value}\n")
         assert main(["solve", path]) == 2
+        # the error names the line that set the value, the last one
+        line_no = len(BASE.splitlines()) + 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: {path}:{line_no}: invalid problem parameters: {key}")
 
 
 def test_step_sizes_must_be_ordered(tmp_path, capsys):
@@ -261,6 +272,10 @@ out.dir = solved
     assert main(["verify", solve, "--solution", sol]) == 0
     report = json.loads(Path(tmp_path, "solved", "verify.json").read_text())
     assert report["residual"]["linf"] <= 1e-12
+    # verify evaluates the solution as solve did, and reports it the same
+    solved = json.loads(Path(tmp_path, "solved", "report.json").read_text())
+    assert report["residual"] == solved["residual"]
+    assert report["diagnostics"] == solved["diagnostics"]
 
     # the recovered solution is the manufactured target up to newton tol
     g = build_grid(2, m_lat=16, m_lon=32)
@@ -326,6 +341,13 @@ sweep.q = 2.0, 2.4
         {(1.2, 2.0), (1.2, 2.4), (1.8, 2.0), (1.8, 2.4)}
     for row in rows:
         assert_allclose(row["R"], 1.3 ** (1.0 / (row["q"] - row["p"])), rtol=1e-8)
+    # each row carries the work counters of its point's accepted steps
+    cfg = parse_config(path)
+    for row in rows:
+        spec = build_problem(dataclasses.replace(cfg, p=row["p"], q=row["q"]))[1]
+        trace = continue_path(spec)
+        assert row["newton_iterations"] == sum(s["newton_iterations"] for s in trace.steps) > 0
+        assert {key: row[key] for key in trace.counters()} == trace.counters()
 
 
 # bad f data: (the config lines after BASE's first six, the key at fault,

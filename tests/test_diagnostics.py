@@ -22,7 +22,7 @@ from cmkit.diagnostics import (
 from cmkit.errors import AdmissibilityError
 from cmkit import problem
 from cmkit.problem import (LinearizedOperator, ProblemSpec, evaluate, homotopy_f,
-                           linearization_weights, residual)
+                           linearization_weights, residual, validate_f1)
 from cmkit.sphere import (
     GridFunction,
     build_grid,
@@ -39,6 +39,10 @@ def make_spec(n=2, k=1, p=1.5, q=2.0, f_value=2.0, grid=None, **kw):
     return ProblemSpec(n=n, k=k, p=p, q=q, f=f, **kw)
 
 
+def diagnose(spec, h):
+    return run_diagnostics(spec, evaluate(spec, h, 1.0), validate_f1(spec))
+
+
 def legendre_bump(g, eps=0.05):
     z = g.coords[:, -1]
     return GridFunction(g, 1.0 + eps * 0.5 * (3.0 * z ** 2 - 1.0))
@@ -52,7 +56,7 @@ def test_report_constant_body_exact():
     spec = make_spec(p=1.5)
     g = spec.grid
     r = 1.7
-    rep = run_diagnostics(spec, constant_function(g, r))
+    rep = diagnose(spec, constant_function(g, r))
     assert rep.R == r and rep.r == r and rep.ratio == 1.0
     assert rep.min_b_eig == r
     assert rep.c2_quantity == 2 * r  # trace(r I) on S^2
@@ -69,7 +73,7 @@ def test_report_constant_body_exact():
 
 def test_report_small_p_disables_zeta():
     spec = make_spec(p=0.9, q=1.5)
-    rep = run_diagnostics(spec, constant_function(spec.grid, 1.0))
+    rep = diagnose(spec, constant_function(spec.grid, 1.0))
     assert rep.zeta_max is None and rep.zeta_bound_ratio is None
     assert rep.gamma_used is None
     assert "p <= 1" in rep.note
@@ -80,7 +84,7 @@ def test_report_inadmissible_body_skips_af():
     g = spec.grid
     z = g.coords[:, 2]
     h = GridFunction(g, 1.0 + 0.8 * 0.5 * (3.0 * z ** 2 - 1.0))
-    rep = run_diagnostics(spec, h)
+    rep = diagnose(spec, h)
     assert rep.af_check is None
     assert "Gamma_k" in rep.note
     assert rep.min_b_eig <= 0
@@ -88,8 +92,8 @@ def test_report_inadmissible_body_skips_af():
 
 def test_report_serialization_round_trip():
     spec = make_spec()
-    rep = run_diagnostics(spec, constant_function(spec.grid, 1.0))
-    d = json.loads(rep.to_json())
+    rep = diagnose(spec, constant_function(spec.grid, 1.0))
+    d = json.loads(json.dumps(rep.to_dict()))
     assert d == rep.to_dict()
     for key in ("R", "r", "ratio", "zeta_max", "zeta_bound_ratio",
                 "c2_quantity", "min_b_eig", "gamma_used", "f1_satisfied",
@@ -97,10 +101,40 @@ def test_report_serialization_round_trip():
         assert key in d
 
 
+def test_diagnostics_and_manufacture_read_one_evaluation(monkeypatch):
+    # the report takes b(h), rho^2 and the Gamma_k margin from the
+    # Evaluation: its only sigma pass is the af check's, and its only
+    # hessian_field that of the af test function; manufacture is one
+    # evaluate, with no sigma or cone pass of its own
+    from cmkit import diagnostics, symfunc
+
+    spec = make_spec(k=2, p=1.5, q=2.5)
+    h = legendre_bump(spec.grid)
+    ev, f1 = evaluate(spec, h, 1.0), validate_f1(spec)
+    calls = []
+
+    def spy(name, fn):
+        def counted(*args):
+            calls.append(name)
+            return fn(*args)
+        return counted
+
+    for mod in (diagnostics, problem, symfunc):
+        for name in ("hessian_field", "_prefix_sigmas", "in_gamma_k", "sigma_k"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, spy(name, getattr(mod, name)))
+    assert run_diagnostics(spec, ev, f1).af_check is not None
+    assert calls == ["_prefix_sigmas", "hessian_field"]
+    calls.clear()
+    manufacture(h, 2, 1.5, 2.5)
+    assert calls == ["hessian_field", "_prefix_sigmas"]
+
+
 def test_report_rejects_nonpositive_h():
+    # the diagnostics read an Evaluation, which exists only for h > 0
     spec = make_spec()
     with pytest.raises(ValueError):
-        run_diagnostics(spec, constant_function(spec.grid, -1.0))
+        diagnose(spec, constant_function(spec.grid, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +148,7 @@ def test_af_equality_family_circle_exact():
     h = GridFunction(g, 1.0 + 0.1 * np.cos(2 * g.thetas))
     for v in ([1.0, 0.0], [0.3, -0.8]):
         f = GridFunction(g, (g.coords @ np.asarray(v)) / h.values)
-        out = af_inequality_check(h, 1, f)
+        out = af_inequality_check(h, 1, f, hessian_field(h))
         scale = 1.0 + abs(out["lhs"]) + abs(out["rhs"])
         assert abs(out["slack"]) <= 1e-8 * scale
         assert out["equality_case"]
@@ -131,7 +165,7 @@ def test_af_equality_family_sphere_truncation_decay():
         g = build_grid(2, m_lat=m_lat, m_lon=2 * m_lat)
         h = constant_function(g, 1.0)
         f = GridFunction(g, g.coords[:, 0])
-        out = af_inequality_check(h, 1, f)
+        out = af_inequality_check(h, 1, f, hessian_field(h))
         slacks.append(abs(out["slack"]))
     assert slacks[0] < 1e-2
     assert slacks[0] / slacks[1] > 3.0
@@ -141,7 +175,7 @@ def test_af_generic_testfn_strictly_positive_slack():
     g = build_grid(2, m_lat=16, m_lon=32)
     h = constant_function(g, 1.0)
     z = g.coords[:, 2]
-    out = af_inequality_check(h, 1, GridFunction(g, 0.5 * (3 * z ** 2 - 1)))
+    out = af_inequality_check(h, 1, GridFunction(g, 0.5 * (3 * z ** 2 - 1)), hessian_field(h))
     # degree-2 mode: rhs/lhs = l(l+1)/2 = 3 on the unit sphere
     assert out["slack"] > 0.5 * abs(out["lhs"])
     assert not out["equality_case"]
@@ -152,7 +186,7 @@ def test_af_mean_projection_is_reported_and_applied():
     g = build_grid(1, m_theta=128)
     h = GridFunction(g, 1.0 + 0.05 * np.cos(2 * g.thetas))
     f = GridFunction(g, 1.0 + np.cos(g.thetas))  # deliberately non-zero mean
-    out = af_inequality_check(h, 1, f)
+    out = af_inequality_check(h, 1, f, hessian_field(h))
     assert abs(out["subtracted_mean"]) > 0.5
     assert out["slack"] >= -1e-10
 
@@ -198,7 +232,7 @@ def test_af_random_pairs_nonnegative_slack():
             f = GridFunction(g, rng.standard_normal() * x
                              + rng.standard_normal() * (z ** 2 - 0.3)
                              + rng.standard_normal() * x * y)
-        out = af_inequality_check(h, k, f)
+        out = af_inequality_check(h, k, f, hessian_field(h))
         scale = 1.0 + abs(out["lhs"]) + abs(out["rhs"])
         worst = min(worst, out["slack"] / scale)
     assert worst >= -1e-7
@@ -209,7 +243,7 @@ def test_af_rejects_inadmissible_body():
     z = g.coords[:, 2]
     h = GridFunction(g, 1.0 + 0.8 * 0.5 * (3 * z ** 2 - 1))
     with pytest.raises(AdmissibilityError):
-        af_inequality_check(h, 1, GridFunction(g, z))
+        af_inequality_check(h, 1, GridFunction(g, z), hessian_field(h))
 
 
 def _af_explicit_form(h, k, testfn):
@@ -247,7 +281,7 @@ def test_af_matches_explicit_quadratic_form(n, k):
     h = sample_admissible_body(g, k, rng, 0.08)
     x = g.coords
     f = GridFunction(g, x[:, 0] + x[:, -1] ** 2 + x[:, 0] * x[:, 1])
-    out = af_inequality_check(h, k, f)
+    out = af_inequality_check(h, k, f, hessian_field(h))
     lhs, rhs, mean = _af_explicit_form(h, k, f)
     assert (out["lhs"], out["rhs"], out["subtracted_mean"]) == (lhs, rhs, mean)
     assert out["slack"] == rhs - lhs
@@ -413,6 +447,22 @@ def test_manufacture_residual_is_exact_zero():
     spec = ProblemSpec(n=2, k=k, p=p, q=q, f=f)
     rep = residual(spec, h_star, 1.0)
     assert rep.linf == 0.0
+
+
+@pytest.mark.parametrize("shape,k", [(64, 1), ((32, 64), 1), ((32, 64), 2),
+                                     ((33, 64), 1), ((33, 64), 2)])
+def test_manufacture_residual_is_rounding_on_tilted_targets(shape, k):
+    # off the polar axis the two sides round differently, by an ulp or so
+    if isinstance(shape, int):
+        g, axis = build_grid(1, m_theta=shape), [math.sin(0.4), math.cos(0.4)]
+    else:
+        g = build_grid(2, m_lat=shape[0], m_lon=shape[1])
+        axis = [math.sin(0.4), 0.0, math.cos(0.4)]
+    h_star = GridFunction(g, 1.0 + 0.05 * (g.coords @ axis) ** 2)
+    p, q = 1.5, 1.0 + k
+    f = manufacture(h_star, k, p, q)
+    rep = residual(ProblemSpec(n=g.n, k=k, p=p, q=q, f=f), h_star, 1.0)
+    assert rep.linf <= 4 * np.finfo(float).eps * np.max(np.abs(f.values))
 
 
 def test_manufacture_rejects_bad_targets():

@@ -16,6 +16,10 @@ def translated_sphere(g, v, c):
     return GridFunction(g, g.coords @ np.asarray(v) + c)
 
 
+def body(h):
+    return reconstruct_body(h, hessian_field(h))
+
+
 def legendre_body(g, eps=0.05):
     z = g.coords[:, -1]
     return GridFunction(g, 1.0 + eps * 0.5 * (3.0 * z ** 2 - 1.0))
@@ -29,7 +33,7 @@ def legendre_body(g, eps=0.05):
                                   (2, dict(m_lat=16, m_lon=32))])
 def test_round_body_has_constant_radius(n, kw):
     g = build_grid(n, **kw)
-    mesh = reconstruct_body(constant_function(g, 1.7))
+    mesh = body(constant_function(g, 1.7))
     assert_allclose(mesh.radii(), 1.7, rtol=1e-15)
     assert mesh.warning == ""
     assert mesh.vertices.shape == (g.node_count, n + 1)
@@ -41,7 +45,7 @@ def test_translated_sphere_vertices():
     # h = <x,v> + c supports the sphere of radius c centered at v
     g = build_grid(2, m_lat=32, m_lon=64)
     v, c = np.array([0.2, -0.1, 0.15]), 1.3
-    mesh = reconstruct_body(translated_sphere(g, v, c))
+    mesh = body(translated_sphere(g, v, c))
     # gradient truncation is second order; measured 1.9e-5 at 32x64
     assert np.max(np.abs(mesh.vertices - (v + c * g.coords))) < 1e-4
 
@@ -49,7 +53,7 @@ def test_translated_sphere_vertices():
 def test_support_identity_and_radial_consistency():
     g = build_grid(2, m_lat=16, m_lon=32)
     h = translated_sphere(g, [0.15, 0.1, -0.2], 1.2)
-    mesh = reconstruct_body(h)
+    mesh = body(h)
     # <X(x), x> = h(x) and |X| = sqrt(h^2 + |grad h|^2), both to rounding
     dots = np.sum(mesh.vertices * g.coords, axis=1)
     assert np.max(np.abs(dots - h.values)) < 1e-13
@@ -60,7 +64,7 @@ def test_support_identity_and_radial_consistency():
 
 def test_even_body_is_bitwise_origin_symmetric():
     g = build_grid(2, m_lat=16, m_lon=32)
-    mesh = reconstruct_body(legendre_body(g))
+    mesh = body(legendre_body(g))
     assert np.array_equal(mesh.vertices[g.antipodal_perm], -mesh.vertices)
     R = np.max(mesh.radii())
     assert np.linalg.norm(mesh.centroid()) <= 1e-10 * R
@@ -68,27 +72,27 @@ def test_even_body_is_bitwise_origin_symmetric():
 
 def test_faces_cover_the_grid():
     g = build_grid(2, m_lat=16, m_lon=32)
-    mesh = reconstruct_body(constant_function(g, 1.0))
+    mesh = body(constant_function(g, 1.0))
     M, L = g.shape
     assert mesh.faces.shape == ((M - 1) * L, 4)
     assert mesh.faces.min() == 0 and mesh.faces.max() == g.node_count - 1
 
     g1 = build_grid(1, m_theta=64)
-    mesh1 = reconstruct_body(constant_function(g1, 1.0))
+    mesh1 = body(constant_function(g1, 1.0))
     assert mesh1.faces.shape == (64, 2)
     assert mesh1.faces[-1, 1] == 0  # the polyline closes
 
 
 def test_degenerate_body_reconstructs_with_warning():
     g = build_grid(2, m_lat=16, m_lon=32)
-    mesh = reconstruct_body(legendre_body(g, eps=0.8))
+    mesh = body(legendre_body(g, eps=0.8))
     assert "not positive definite" in mesh.warning
 
 
 def test_reconstruct_rejects_nonpositive_h():
     g = build_grid(1, m_theta=64)
     with pytest.raises(ValueError):
-        reconstruct_body(constant_function(g, 0.0))
+        body(constant_function(g, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +170,7 @@ def test_radial_support_round_trip():
     # normal directions this is the vertex-cloud support, exact for even h
     g = build_grid(2, m_lat=16, m_lon=32)
     h = legendre_body(g)
-    hs = np.max(g.coords @ reconstruct_body(h).vertices.T, axis=1)
+    hs = np.max(g.coords @ body(h).vertices.T, axis=1)
     assert np.max(np.abs(hs - h.values)) < 1e-13
 
 
@@ -182,7 +186,7 @@ def test_radial_rejects_nonconvex_body():
 
 def test_obj_round_trip_bitwise(tmp_path):
     g = build_grid(2, m_lat=16, m_lon=32)
-    mesh = reconstruct_body(legendre_body(g))
+    mesh = body(legendre_body(g))
     path = os.path.join(tmp_path, "body.obj")
     write_obj(mesh, path)
     with open(path) as fh:
@@ -197,7 +201,7 @@ def test_obj_round_trip_bitwise(tmp_path):
 
 def test_polyline_round_trip_bitwise(tmp_path):
     g = build_grid(1, m_theta=64)
-    mesh = reconstruct_body(constant_function(g, 1.2))
+    mesh = body(constant_function(g, 1.2))
     path = os.path.join(tmp_path, "body.csv")
     write_polyline(mesh, path)
     with open(path) as fh:
@@ -234,7 +238,7 @@ AWKWARD = (-0.0, 0.0, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0, 5e-324, -1.7976931348623
                                   (2, dict(m_lat=32, m_lon=64))])
 def test_mesh_writers_match_per_row_writers(tmp_path, n, kw):
     g = build_grid(n, **kw)
-    mesh = reconstruct_body(legendre_body(g))
+    mesh = body(legendre_body(g))
     mesh.vertices.flat[:len(AWKWARD)] = AWKWARD
     mesh.normals = mesh.normals.copy()
     mesh.normals.flat[-len(AWKWARD):] = AWKWARD
@@ -250,8 +254,8 @@ def test_mesh_writers_match_per_row_writers(tmp_path, n, kw):
 def test_mesh_writers_check_dimension(tmp_path):
     g1 = build_grid(1, m_theta=64)
     g2 = build_grid(2, m_lat=16, m_lon=32)
-    m1 = reconstruct_body(constant_function(g1, 1.0))
-    m2 = reconstruct_body(constant_function(g2, 1.0))
+    m1 = body(constant_function(g1, 1.0))
+    m2 = body(constant_function(g2, 1.0))
     with pytest.raises(ValueError):
         write_obj(m1, os.path.join(tmp_path, "x.obj"))
     with pytest.raises(ValueError):

@@ -251,10 +251,11 @@ def test_evaluate_is_one_pass_with_both_sides(monkeypatch, g1, g2, n, k, t):
     assert np.array_equal(ev.sigma_k, symfunc.sigma_k(lam, k))
     assert ev.sigma_k.base is None
     assert np.array_equal(ev.rho2, h.values ** 2 + hessian_field(h).grad_norm_sq())
-    assert np.array_equal(ev.report.residual.values, ev.sigma_k - ev.rhs)
+    assert np.array_equal(ev.residual.values, ev.sigma_k - ev.rhs)
+    assert ev.linf == np.max(np.abs(ev.sigma_k - ev.rhs))
     rep = residual(spec, h, t)
-    assert np.array_equal(rep.residual.values, ev.report.residual.values)
-    assert rep.linf == ev.report.linf
+    assert np.array_equal(rep.residual.values, ev.residual.values)
+    assert rep.linf == ev.linf and rep.l2 == ev.l2
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,24 @@
 """
 Run configuration: flat key = value text with dotted key names.
 
-Lines are `key = value`, blank, or # comments.  Every key is checked: unknown
-names, duplicates, and malformed values are rejected with the line number.
-The parsed config is validated against the problem invariants before any
-compute starts.
+Lines are `key = value`, blank, or # comments.  Every key is declared once,
+in `_KEYS`, which names the RunConfig field it sets: the field's type picks
+the key's parser, and the field's default is the key's (the grid sizes
+default by n).  The keys whose fields have no default are required.  Every
+key is checked: unknown names, duplicates, and malformed values are
+rejected with the line number.  The parsed config is validated against the
+problem invariants before any compute starts.
 """
 
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError
 from .problem import ProblemSpec
 from .sphere import GridFunction, build_grid, read_grid_function
-
-_KNOWN_KEYS = {
-    "n", "k", "p", "q", "seed",
-    "grid.m_theta", "grid.m_lat", "grid.m_lon",
-    "f.kind", "f.value", "f.a", "f.axis", "f.path",
-    "h.kind", "h.value", "h.epsilon", "h.axis",
-    "newton.tol", "newton.max_iter",
-    "continuation.dt0", "continuation.dt_min", "continuation.dt_max",
-    "out.dir", "out.mesh",
-    "isotropic.restarts", "isotropic.amplitude",
-    "sweep.p", "sweep.q",
-}
 
 
 @dataclass
@@ -36,7 +28,7 @@ class RunConfig:
     k: int
     p: float
     q: float
-    m_theta: int = 0
+    m_theta: int = 0  # the grid sizes default by n in parse_config
     m_lat: int = 0
     m_lon: int = 0
     f_kind: str = "constant"
@@ -48,11 +40,11 @@ class RunConfig:
     h_value: float = 1.0
     h_epsilon: float = 0.0
     h_axis: tuple = ()
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 30
-    dt0: float = 0.1
-    dt_min: float = 1e-4
-    dt_max: float = 0.5
+    newton_tol: float = ProblemSpec.tol_newton
+    newton_max_iter: int = ProblemSpec.max_newton
+    dt0: float = ProblemSpec.dt0
+    dt_min: float = ProblemSpec.dt_min
+    dt_max: float = ProblemSpec.dt_max
     out_dir: str = "out"
     out_mesh: bool = False
     seed: int = 0
@@ -68,53 +60,40 @@ class RunConfig:
         return dict(m_lat=self.m_lat, m_lon=self.m_lon)
 
 
-class _Raw:
-    """Raw key -> (line_no, text) store with typed, line-precise getters."""
-
-    def __init__(self, path, entries):
-        self.path = path
-        self.entries = entries  # key -> (line_no, value string)
-
-    def fail(self, key, msg):
-        raise _located(self.path, self.entries.get(key, (None,))[0], msg)
-
-    def _convert(self, key, conv, what, default):
-        if key not in self.entries:
-            if default is _REQUIRED:
-                raise ConfigError(f"{self.path}: missing required key '{key}'")
-            return default
-        _, text = self.entries[key]
-        try:
-            return conv(text)
-        except ValueError:
-            self.fail(key, f"'{key}' expects {what}, got {text!r}")
-
-    def get_int(self, key, default=None):
-        return self._convert(key, int, "an integer", default)
-
-    def get_float(self, key, default=None):
-        return self._convert(key, float, "a number", default)
-
-    def get_str(self, key, default=None):
-        return self._convert(key, str, "a string", default)
-
-    def get_bool(self, key, default=None):
-        def conv(s):
-            t = s.strip().lower()
-            if t in ("true", "yes", "1", "on"):
-                return True
-            if t in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(s)
-        return self._convert(key, conv, "true/false", default)
-
-    def get_floats(self, key, default=None):
-        def conv(s):
-            return tuple(float(x) for x in s.split(","))
-        return self._convert(key, conv, "comma-separated numbers", default)
+# config key -> the RunConfig field it sets
+_KEYS = {
+    "n": "n", "k": "k", "p": "p", "q": "q",
+    "grid.m_theta": "m_theta", "grid.m_lat": "m_lat", "grid.m_lon": "m_lon",
+    "f.kind": "f_kind", "f.value": "f_value", "f.a": "f_a", "f.axis": "f_axis",
+    "f.path": "f_path",
+    "h.kind": "h_kind", "h.value": "h_value", "h.epsilon": "h_epsilon", "h.axis": "h_axis",
+    "newton.tol": "newton_tol", "newton.max_iter": "newton_max_iter",
+    "continuation.dt0": "dt0", "continuation.dt_min": "dt_min",
+    "continuation.dt_max": "dt_max",
+    "out.dir": "out_dir", "out.mesh": "out_mesh", "seed": "seed",
+    "isotropic.restarts": "isotropic_restarts",
+    "isotropic.amplitude": "isotropic_amplitude",
+    "sweep.p": "sweep_p", "sweep.q": "sweep_q",
+}
 
 
-_REQUIRED = object()
+def _bool(text):
+    t = text.strip().lower()
+    if t in ("true", "yes", "1", "on"):
+        return True
+    if t in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(text)
+
+
+# a field's type -> the parser of its value text and what the key expects
+_PARSERS = {
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    str: (str, "a string"),
+    bool: (_bool, "true/false"),
+    tuple: (lambda text: tuple(float(x) for x in text.split(",")), "comma-separated numbers"),
+}
 
 
 def _located(path, line, msg):
@@ -134,7 +113,7 @@ def parse_config(path):
                 raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {text!r}")
             key, _, value = text.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _KNOWN_KEYS:
+            if key not in _KEYS:
                 raise ConfigError(f"{path}:{line_no}: unknown key '{key}'")
             if key in entries:
                 raise ConfigError(
@@ -143,57 +122,50 @@ def parse_config(path):
                 raise ConfigError(f"{path}:{line_no}: empty value for '{key}'")
             entries[key] = (line_no, value)
 
-    raw = _Raw(path, entries)
-    n = raw.get_int("n", _REQUIRED)
-    if n not in (1, 2):
-        raw.fail("n", f"n must be 1 or 2, got {n}")
-    cfg = RunConfig(
-        path=path,
-        n=n,
-        k=raw.get_int("k", _REQUIRED),
-        p=raw.get_float("p", _REQUIRED),
-        q=raw.get_float("q", _REQUIRED),
-        m_theta=raw.get_int("grid.m_theta", 256 if n == 1 else 0),
-        m_lat=raw.get_int("grid.m_lat", 32 if n == 2 else 0),
-        m_lon=raw.get_int("grid.m_lon", 64 if n == 2 else 0),
-        f_kind=raw.get_str("f.kind", "constant"),
-        f_value=raw.get_float("f.value", 1.0),
-        f_a=raw.get_float("f.a", 0.0),
-        f_axis=raw.get_floats("f.axis", ()),
-        f_path=raw.get_str("f.path", ""),
-        h_kind=raw.get_str("h.kind", "constant"),
-        h_value=raw.get_float("h.value", 1.0),
-        h_epsilon=raw.get_float("h.epsilon", 0.0),
-        h_axis=raw.get_floats("h.axis", ()),
-        newton_tol=raw.get_float("newton.tol", 1e-10),
-        newton_max_iter=raw.get_int("newton.max_iter", 30),
-        dt0=raw.get_float("continuation.dt0", 0.1),
-        dt_min=raw.get_float("continuation.dt_min", 1e-4),
-        dt_max=raw.get_float("continuation.dt_max", 0.5),
-        out_dir=raw.get_str("out.dir", "out"),
-        out_mesh=raw.get_bool("out.mesh", False),
-        seed=raw.get_int("seed", 0),
-        isotropic_restarts=raw.get_int("isotropic.restarts", 3),
-        isotropic_amplitude=raw.get_float("isotropic.amplitude", 0.03),
-        sweep_p=raw.get_floats("sweep.p", ()),
-        sweep_q=raw.get_floats("sweep.q", ()),
-        lines={k: v[0] for k, v in entries.items()},
-    )
+    def fail(key, msg):
+        raise _located(path, entries.get(key, (None,))[0], msg)
 
+    field_of = {f.name: f for f in fields(RunConfig)}
+
+    def parse(key):
+        if key not in entries:
+            raise ConfigError(f"{path}: missing required key '{key}'")
+        convert, what = _PARSERS[field_of[_KEYS[key]].type]
+        text = entries[key][1]
+        try:
+            return convert(text)
+        except ValueError:
+            fail(key, f"'{key}' expects {what}, got {text!r}")
+
+    n = parse("n")
+    if n not in (1, 2):
+        fail("n", f"n must be 1 or 2, got {n}")
+    values = dict(m_theta=256) if n == 1 else dict(m_lat=32, m_lon=64)
+    values.update((name, parse(key)) for key, name in _KEYS.items()
+                  if key in entries or field_of[name].default is MISSING)
+    cfg = RunConfig(path=path, lines={k: v[0] for k, v in entries.items()}, **values)
+
+    for key, val in (("p", (cfg.p,)), ("q", (cfg.q,)),
+                     ("sweep.p", cfg.sweep_p), ("sweep.q", cfg.sweep_q)):
+        bad = [x for x in val if not math.isfinite(x)]
+        if bad:
+            fail(key, f"{key} must be finite, got {bad[0]}")
+    if cfg.seed < 0:
+        fail("seed", f"seed must be non-negative, got {cfg.seed}")
     if cfg.f_kind not in ("constant", "quadratic", "csv"):
-        raw.fail("f.kind", f"f.kind must be constant, quadratic, or csv, got '{cfg.f_kind}'")
+        fail("f.kind", f"f.kind must be constant, quadratic, or csv, got '{cfg.f_kind}'")
     if cfg.f_kind == "csv" and not cfg.f_path:
-        raw.fail("f.kind", "f.kind = csv needs f.path")
+        fail("f.kind", "f.kind = csv needs f.path")
     if cfg.h_kind not in ("constant", "quadratic"):
-        raw.fail("h.kind", f"h.kind must be constant or quadratic, got '{cfg.h_kind}'")
+        fail("h.kind", f"h.kind must be constant or quadratic, got '{cfg.h_kind}'")
     for key, val in (("f.axis", cfg.f_axis), ("h.axis", cfg.h_axis)):
         if val and len(val) != n + 1:
-            raw.fail(key, f"{key} needs {n + 1} components for n = {n}, got {len(val)}")
+            fail(key, f"{key} needs {n + 1} components for n = {n}, got {len(val)}")
     if n == 1 and (cfg.m_theta < 8 or cfg.m_theta % 2):
-        raw.fail("grid.m_theta", f"grid.m_theta must be even and >= 8, got {cfg.m_theta}")
+        fail("grid.m_theta", f"grid.m_theta must be even and >= 8, got {cfg.m_theta}")
     if n == 2 and (cfg.m_lat < 8 or cfg.m_lon < 8 or cfg.m_lon % 2):
-        raw.fail("grid.m_lat" if cfg.m_lat < 8 else "grid.m_lon",
-                 f"grid sizes must be >= 8 with even m_lon, got {cfg.m_lat}x{cfg.m_lon}")
+        fail("grid.m_lat" if cfg.m_lat < 8 else "grid.m_lon",
+             f"grid sizes must be >= 8 with even m_lon, got {cfg.m_lat}x{cfg.m_lon}")
     return cfg
 
 
@@ -230,20 +202,29 @@ def build_f(cfg, grid):
             values = read_grid_function(grid, path).values
         except (OSError, ValueError) as exc:
             raise _located(cfg.path, cfg.lines.get(key), f"cannot read f: {exc}") from exc
-    ok = np.isfinite(values) & (values > 0)
-    if not ok.all():
-        raise _located(cfg.path, cfg.lines.get(key),
-                       f"f must be positive and finite, got {values[~ok][0]:g}")
-    return GridFunction(grid, values)
+    return _positive(cfg, key, "f", grid, values)
 
 
 def build_h_star(cfg, grid):
-    """Target support function from the h.* keys (for manufacture runs)."""
+    """Target support function from the h.* keys (for manufacture runs); an
+    h that is not positive and finite is a ConfigError at the line of
+    h.value, or of h.epsilon when h.value is positive and finite."""
     if cfg.h_kind == "constant":
-        return GridFunction(grid, np.full(grid.node_count, cfg.h_value))
+        return _positive(cfg, "h.value", "h", grid, np.full(grid.node_count, cfg.h_value))
     v = _unit(cfg, "h.axis", cfg.h_axis or _default_axis(cfg.n))
     proj = grid.coords @ v
-    return GridFunction(grid, cfg.h_value * (1.0 + cfg.h_epsilon * proj ** 2))
+    key = "h.epsilon" if 0 < cfg.h_value < np.inf else "h.value"
+    return _positive(cfg, key, "h", grid, cfg.h_value * (1.0 + cfg.h_epsilon * proj ** 2))
+
+
+def _positive(cfg, key, name, grid, values):
+    """The GridFunction of values when they are positive and finite; else a
+    ConfigError at the line of key."""
+    ok = np.isfinite(values) & (values > 0)
+    if not ok.all():
+        raise _located(cfg.path, cfg.lines.get(key),
+                       f"{name} must be positive and finite, got {values[~ok][0]:g}")
+    return GridFunction(grid, values)
 
 
 def build_problem(cfg, grid=None):
@@ -264,7 +245,7 @@ def build_problem(cfg, grid=None):
 
 
 # the config key that sets each ProblemSpec field
-_SPEC_KEYS = {"k": "k", "p": "p", "f": "f.path", "tol_newton": "newton.tol",
+_SPEC_KEYS = {"k": "k", "p": "p", "q": "q", "f": "f.path", "tol_newton": "newton.tol",
               "max_newton": "newton.max_iter", "dt0": "continuation.dt0",
               "dt_min": "continuation.dt_min", "dt_max": "continuation.dt_max"}
 

@@ -217,49 +217,6 @@ def _backward_steps(U, b):
     return G
 
 
-def _contract(A, B):
-    """A @ B for every block and mode: A (..., r, q, K), B (..., q, c, K)."""
-    C = A[..., 0, None, :] * B[..., 0, None, :, :]
-    for q in range(1, A.shape[-2]):
-        C += A[..., q, None, :] * B[..., q, None, :, :]
-    return C
-
-
-def _substitution_blocks(U, low, piv, b):
-    """The maps of _forward_steps and _backward_steps for blocks of b
-    rings, as (rows // b, K, ...) stacks of matrices for matmul.
-
-    For even b >= 8 the steps run on half blocks, and each block's map is
-    the product of its two halves' maps: fewer, smaller steps than b rows
-    of elimination on the larger blocks.
-    """
-    if b < 8 or b % 2:
-        return (np.ascontiguousarray(_forward_steps(low, piv, b).transpose(0, 3, 1, 2)),
-                np.ascontiguousarray(_backward_steps(U, b).transpose(0, 3, 1, 2)))
-    rows, kl, K = low.shape
-    ku = 2 * kl
-    h = b // 2
-    n = h + kl  # the half blocks' forward size
-    mat = (0, 3, 1, 2)  # (block, row, column, mode) -> (block, mode, row, column)
-    half = _forward_steps(low, piv, h)
-    top, bottom = half[0::2], half[1::2]
-    # bottom acts on entries h .. b + kl - 1, the first kl of which come
-    # out of top's last rows
-    F = np.zeros((rows // b, K, b + kl, b + kl), complex)
-    F[..., :h, :n] = top[:, :h].transpose(mat)
-    F[..., h:, n:] = bottom[:, :, kl:].transpose(mat)
-    F[..., h:, :n] = _contract(bottom[:, :, :kl], top[:, h:]).transpose(mat)
-    half = _backward_steps(U, h)
-    top, bottom = half[0::2], half[1::2]
-    # top needs the solution's entries h .. h + ku - 1, which bottom gives
-    # (ku <= h, as RING_REACH <= 2)
-    G = np.zeros((rows // b, K, b, b + ku), complex)
-    G[..., h:, h:] = bottom.transpose(mat)
-    G[..., :h, :h] = top[:, :, :h].transpose(mat)
-    G[..., :h, h:] = _contract(top[:, :, h:], bottom[:, :ku]).transpose(mat)
-    return F, G
-
-
 def _ring_preconditioner(blocks, scale):
     """Inverse of the ring-averaged Jacobian, one longitude mode at a time.
 
@@ -267,11 +224,11 @@ def _ring_preconditioner(blocks, scale):
     into its symmetric and antisymmetric part with _fold, factors those
     with _band_lu and returns v -> P^-1 v: rfft along longitude, the sum
     and difference of rings j and M-1-j, the substitutions RING_BLOCK
-    rings at a time (one batched matmul per block of rings and sweep),
-    and back.  The function keeps its work arrays between calls, so one
-    preconditioner serves one newton_solve at a time, which builds it at
-    its first Newton step and again only when a step misses with it
-    (solve_linear).  Raises
+    rings at a time (one batched matmul per block of rings and sweep, with
+    the maps of _forward_steps and _backward_steps), and back.  The
+    function keeps its work arrays between calls, so one preconditioner
+    serves one newton_solve at a time, which builds it at its first Newton
+    step and again only when a step misses with it (solve_linear).  Raises
     SingularJacobianError when a pivot falls below PIVOT_RTOL * |J|
     (scale).
     """
@@ -289,7 +246,10 @@ def _ring_preconditioner(blocks, scale):
     if not pivots.min() >= 2.0 * PIVOT_RTOL * scale:  # NaN fails too
         raise SingularJacobianError(
             f"ring preconditioner pivot below 1e-13 * |J| = {PIVOT_RTOL * scale:.3e}")
-    F, G = _substitution_blocks(U, low, piv, b)
+    # (block, row, column, mode) -> (block, mode, row, column): one stack
+    # of matrices per block of rings for matmul
+    F = np.ascontiguousarray(_forward_steps(low, piv, b).transpose(0, 3, 1, 2))
+    G = np.ascontiguousarray(_backward_steps(U, b).transpose(0, 3, 1, 2))
     n, m = b + kl, b + 2 * kl
     # one work array per preconditioner, with its views made once; its
     # rows past the H ring pairs (padding, and the kl and 2 kl entries the

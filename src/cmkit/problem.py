@@ -41,10 +41,11 @@ class ProblemSpec:
     """Equation data and solver controls.
 
     n, k: sphere dimension and Hessian order (1 <= k <= n);
-    p, q: the two exponents; f: positive even GridFunction;
-    the rest are Newton / continuation controls, with the tolerance
-    tol_newton and the step sizes dt0, dt_min and dt_max positive and
-    finite, dt_min <= dt0 <= dt_max, and max_newton at least 1.
+    p, q: the two exponents, finite; f: positive even GridFunction;
+    the rest are Newton / continuation controls, whose defaults are
+    RunConfig's too, with the tolerance tol_newton and the step sizes
+    dt0, dt_min and dt_max positive and finite, dt_min <= dt0 <= dt_max,
+    and max_newton at least 1.
     """
 
     n: int
@@ -66,6 +67,10 @@ class ProblemSpec:
         if not (1 <= self.k <= self.n):
             raise UnsupportedParameterError(
                 f"need 1 <= k <= n, got k={self.k}, n={self.n}", ("k",))
+        for name in ("p", "q"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise UnsupportedParameterError(f"{name} must be finite, got {value}", (name,))
         # a zero step size stalls the continuation, a negative one leaves
         # [0, 1]; a tolerance that is not positive and finite cannot be met
         for name in ("tol_newton", "dt0", "dt_min", "dt_max"):

@@ -396,6 +396,69 @@ def test_zero_h_axis_is_a_config_error_at_its_line(tmp_path, capsys):
     assert ":6: h.axis must be a finite nonzero vector" in capsys.readouterr().err
 
 
+# h.* lines -> (the key at fault, how the value the error shows begins)
+BAD_H = {
+    "negative-value": ("h.value = -1\n", "h.value", "-1"),
+    "inf-value": ("h.value = inf\n", "h.value", "inf"),
+    "nan-value": ("h.value = nan\n", "h.value", "nan"),
+    "negative-epsilon": ("h.kind = quadratic\nh.epsilon = -2\n", "h.epsilon", "-"),
+    "nan-epsilon": ("h.kind = quadratic\nh.epsilon = nan\n", "h.epsilon", "nan"),
+    "negative-quadratic-value": ("h.kind = quadratic\nh.value = -1\nh.epsilon = 0.1\n",
+                                 "h.value", "-"),
+    "inf-quadratic-value": ("h.kind = quadratic\nh.value = inf\nh.epsilon = 0.1\n",
+                            "h.value", "inf"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_H))
+def test_bad_h_data_is_a_config_error_at_its_line(tmp_path, capsys, case):
+    # h data that give no positive, finite h* used to exit 1 with no line
+    lines, key, shown = BAD_H[case]
+    text = "n = 2\nk = 1\np = 1.5\nq = 2.0\ngrid.m_lat = 8\ngrid.m_lon = 16\n" + lines
+    path = write_cfg(tmp_path, text)
+    line_no = next(i for i, line in enumerate(text.splitlines(), 1)
+                   if line.startswith(key + " "))
+    assert main(["manufacture", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        f"config error: {path}:{line_no}: h must be positive and finite, got {shown}")
+    assert not Path(tmp_path, "out").exists()
+
+
+@pytest.mark.parametrize("f_lines", ["f.kind = constant\n", "f.kind = quadratic\nf.a = 0.5\n",
+                                     "f.kind = csv\nf.path = f.csv\n"])
+@pytest.mark.parametrize("key", ["p", "q", "sweep.p", "sweep.q"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_exponents_are_config_errors_at_their_line(tmp_path, capsys, f_lines,
+                                                              key, value):
+    # p = inf used to end in a ZeroDivisionError traceback (a sweep also
+    # left an empty sweep.jsonl), q = nan and p = nan in exit 1
+    from cmkit.sphere import constant_function, write_grid_function
+
+    write_grid_function(constant_function(build_grid(2, m_lat=8, m_lon=16), 1.0),
+                        os.path.join(tmp_path, "f.csv"))
+    head = "n = 2\nk = 1\ngrid.m_lat = 8\ngrid.m_lon = 16\n" + f_lines
+    exponents = {"p": "1.5", "q": "2.0", "sweep.p": "1.2, 1.5", "sweep.q": "2.0"}
+    exponents[key] = value if key in ("p", "q") else f"{exponents[key]}, {value}"
+    text = head + "".join(f"{name} = {val}\n" for name, val in exponents.items())
+    path = write_cfg(tmp_path, text)
+    line_no = len(head.splitlines()) + list(exponents).index(key) + 1
+    assert main(["sweep" if key.startswith("sweep") else "solve", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {path}:{line_no}: {key} must be finite, got {value}\n"
+    assert not Path(tmp_path, "out").exists()
+
+
+def test_negative_seed_is_a_config_error_at_its_line(tmp_path, capsys):
+    # seed = -1 used to exit 1 with numpy's "expected non-negative integer"
+    text = "n = 1\nk = 1\np = 1.5\nq = 2.0\ngrid.m_theta = 16\nseed = -1\n"
+    path = write_cfg(tmp_path, text)
+    assert main(["isotropic", path]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {path}:6: seed must be non-negative, got -1\n")
+    assert parse_config(write_cfg(tmp_path, text.replace("-1", "0"), name="ok.cfg")).seed == 0
+
+
 def test_out_of_theorem_warning_recorded(tmp_path):
     path = write_cfg(tmp_path, """\
 n = 1

@@ -215,19 +215,6 @@ def test_ring_preconditioner_inverts_the_reflection_average(m_lat):
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_substitution_blocks_from_halves_match_direct_steps():
-    # 8-ring blocks as products of their 4-ring halves, against 8 steps of
-    # substitution on the 8-ring blocks themselves (tilted k = 2, 32x64)
-    J, blocks = _sphere_jacobian(2, 0.4)
-    U, low, piv = newton._band_lu(newton._fold(blocks), 16)
-    assert np.count_nonzero(piv) > 0
-    F, G = newton._substitution_blocks(U, low, piv, 8)
-    F8 = newton._forward_steps(low, piv, 8).transpose(0, 3, 1, 2)
-    G8 = newton._backward_steps(U, 8).transpose(0, 3, 1, 2)
-    assert np.max(np.abs(F - F8)) <= 1e-13 * np.max(np.abs(F8))
-    assert np.max(np.abs(G - G8)) <= 1e-13 * np.max(np.abs(G8))
-
-
 def test_ring_preconditioner_raises_on_a_zero_pivot():
     # column 4 of mode 3 zeroed: no candidate row can pivot it.  Ring 4 is
     # the middle one of 9, its own mirror, so the symmetric part of mode 3

@@ -68,6 +68,18 @@ def test_spec_validation(g2):
         ProblemSpec(n=1, k=1, p=1.5, q=2.0, f=f)
 
 
+@pytest.mark.parametrize("name", ["p", "q"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_spec_rejects_non_finite_exponents(g2, name, value):
+    # p = inf used to end in a ZeroDivisionError from homotopy_f, and
+    # q = nan in a Jacobian with non-finite entries
+    args = dict(n=2, k=1, p=1.5, q=2.0, f=constant_function(g2, 2.0))
+    args[name] = value
+    with pytest.raises(UnsupportedParameterError, match=f"^{name} must be finite") as err:
+        ProblemSpec(**args)
+    assert err.value.fields == (name,)
+
+
 def test_spec_warnings(g2):
     f = constant_function(g2, 2.0)
     s = ProblemSpec(n=2, k=1, p=1.5, q=1.5, f=f)

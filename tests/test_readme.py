@@ -21,3 +21,15 @@ def test_readme_library_example_gives_the_constant_radius():
     assert printed[1] == 2.25
     assert abs(printed[0] - 2.25) <= 1e-12
     assert abs(max(scope["h"].values) - 2.25) <= 1e-12
+
+
+def test_readme_config_table_names_exactly_the_parsed_keys():
+    # every backticked key in the first column of the "Config keys" table,
+    # once, against the keys config.py declares
+    from cmkit.config import _KEYS
+
+    table = README.read_text().split("### Config keys\n", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == set(_KEYS)

@@ -152,6 +152,19 @@ def parse_config(path):
             fail(key, f"{key} must be finite, got {bad[0]}")
     if cfg.seed < 0:
         fail("seed", f"seed must be non-negative, got {cfg.seed}")
+    if cfg.isotropic_restarts < 0:
+        fail("isotropic.restarts",
+             f"isotropic.restarts must be non-negative, got {cfg.isotropic_restarts}")
+    if not 0 <= cfg.isotropic_amplitude < 1:
+        fail("isotropic.amplitude",
+             f"isotropic.amplitude must be finite and in [0, 1), got {cfg.isotropic_amplitude}")
+    # out.dir is made after parsing; its first existing ancestor must be a
+    # directory, or making it would fail after the compute
+    ancestor = resolve_path(cfg, cfg.out_dir)
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not os.path.isdir(ancestor):
+        fail("out.dir", f"out.dir cannot be made: {ancestor} is not a directory")
     if cfg.f_kind not in ("constant", "quadratic", "csv"):
         fail("f.kind", f"f.kind must be constant, quadratic, or csv, got '{cfg.f_kind}'")
     if cfg.f_kind == "csv" and not cfg.f_path:
@@ -266,6 +279,11 @@ def resolve_path(cfg, path):
 
 
 def ensure_out_dir(cfg):
+    """Make the config's out.dir; an OSError is a ConfigError at its line."""
     out = resolve_path(cfg, cfg.out_dir)
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        raise _located(cfg.path, cfg.lines.get("out.dir"),
+                       f"out.dir cannot be made: {exc}") from exc
     return out

@@ -235,7 +235,8 @@ def isotropic_experiment(spec, restarts=0, seed=0, amplitude=0.03):
     relative sup-distance of the continuation solution from r*, plus the
     same measure for `restarts` Newton solves started from perturbed
     spheres (even low-degree harmonic perturbations, re-sampled if the
-    start leaves the admissible cone).
+    start leaves the admissible cone; AdmissibilityError after 50 draws).
+    A failed path gives error inf and runs no restarts.
     """
     if spec.q == spec.p:
         raise ValueError("q = p: the target radius is undefined")
@@ -247,16 +248,11 @@ def isotropic_experiment(spec, restarts=0, seed=0, amplitude=0.03):
 
     r_star = spec.binom_nk ** (-1.0 / (spec.q - spec.p))
     tr = continue_path(spec)
-    if not tr.success:
-        return {"h_final": tr.h, "sphere_radius_error": float("inf"),
-                "window_ok": window_ok,
-                "q_limit": isotropic_q_limit(spec.n, spec.k, spec.p),
-                "restart_errors": [], "trace": tr}
-    err = float(np.max(np.abs(tr.h.values - r_star)) / r_star)
+    err = float(np.max(np.abs(tr.h.values - r_star)) / r_star) if tr.success else float("inf")
 
     rng = np.random.default_rng(seed)
     restart_errors = []
-    for _ in range(restarts):
+    for _ in range(restarts if tr.success else 0):
         for _attempt in range(50):
             h0 = GridFunction(
                 g, r_star * (1.0 + _even_harmonic(g, rng, amplitude)))
@@ -264,7 +260,8 @@ def isotropic_experiment(spec, restarts=0, seed=0, amplitude=0.03):
             if np.all(h0.values > 0) and np.all(admissibility_margin(spec, h0) > 0):
                 break
         else:
-            raise RuntimeError("could not sample an admissible perturbed start")
+            raise AdmissibilityError(f"no perturbed start of amplitude {amplitude:g} "
+                                     "is k-admissible in 50 draws")
         res = newton_solve(spec, h0, 1.0)
         if res.converged:
             restart_errors.append(

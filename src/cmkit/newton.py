@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AdmissibilityError, DomainError, SingularJacobianError
+from .errors import AdmissibilityError, SingularJacobianError
 from .problem import assemble_jacobian, evaluate, ring_blocks
 from .sphere import GridFunction, even_project, odd_defect
 
@@ -427,13 +427,9 @@ def newton_solve(spec, h0, t, tol=None):
     Jacobian and the result's margin and min_b_eig.  Each Newton step is
     solved to the forcing term of the module docstring, with the ring
     preconditioner built at the first step and reused, or rebuilt on a
-    miss, at the later ones (solve_linear).
+    miss, at the later ones (solve_linear).  A start that is not positive
+    fails in evaluate with its DomainError (node and value).
     """
-    v = h0.values
-    if np.any(v <= 0):
-        i = int(np.argmin(v))
-        raise DomainError("initial iterate must be positive",
-                          node=i, value=float(v[i]))
     if odd_defect(h0) > 1e-12:
         raise ValueError("initial iterate must be even "
                          f"(antipodal defect {odd_defect(h0):.3e})")

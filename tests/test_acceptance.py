@@ -291,13 +291,13 @@ def test_criterion_07_spectral_inequality_slack():
 def test_criterion_08_full_rank_preservation():
     assert len(REGISTRY) >= 8  # criteria 1, 2 (x3), 3 (x2), 5 (x3)
     for entry in REGISTRY:
-        trace = entry["trace"]
-        if trace.f1_report is not None and not trace.f1_report["satisfied"]:
-            continue
-        for row in trace.steps:
-            assert row["min_b_eig"] > 0, entry["name"]
         spec = entry["spec"]
-        rep = run_diagnostics(spec, evaluate(spec, entry["h"], 1.0), validate_f1(spec))
+        f1 = validate_f1(spec)
+        if not f1["satisfied"]:
+            continue
+        for row in entry["trace"].steps:
+            assert row["min_b_eig"] > 0, entry["name"]
+        rep = run_diagnostics(spec, evaluate(spec, entry["h"], 1.0), f1)
         assert rep.min_b_eig > 0, entry["name"]
 
 

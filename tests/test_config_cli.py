@@ -193,6 +193,20 @@ def test_solve_round_body(tmp_path):
     assert [row["t"] for row in rows] == [0.0, 1.0]
 
 
+def test_solve_report_f1_is_the_f1_check_of_the_data(tmp_path):
+    # the f1 check is the report's, not the path's: report.json's "f1" and
+    # the diagnostics' f1_satisfied are validate_f1 of the config's data
+    from cmkit.problem import validate_f1
+
+    path = write_cfg(tmp_path, BASE.replace(
+        "f.kind = constant\nf.value = 2.0\n", "f.kind = quadratic\nf.a = 0.5\n"))
+    assert main(["solve", path]) == 0
+    report = json.loads(Path(tmp_path, "out", "report.json").read_text())
+    f1 = validate_f1(build_problem(parse_config(path))[1])
+    assert report["f1"] == f1
+    assert report["diagnostics"]["f1_satisfied"] == f1["satisfied"]
+
+
 def test_solve_report_counts_newton_and_krylov_work(tmp_path):
     # a tilted quadratic 16x32 solve: the counters sum the accepted steps
     # of trace.jsonl, every Newton step spent 1..KRYLOV_MAX_ITER GMRES
@@ -457,6 +471,65 @@ def test_negative_seed_is_a_config_error_at_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"config error: {path}:6: seed must be non-negative, got -1\n")
     assert parse_config(write_cfg(tmp_path, text.replace("-1", "0"), name="ok.cfg")).seed == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "manufacture"])
+def test_out_dir_under_a_file_is_a_config_error_at_its_line(tmp_path, capsys, monkeypatch,
+                                                            command):
+    # an out.dir under a regular file used to end `cmkit solve` in a
+    # NotADirectoryError traceback, exit 1, after the whole solve
+    from cmkit import cli
+
+    def no_path(spec):
+        raise AssertionError("continue_path ran")
+
+    monkeypatch.setattr(cli, "continue_path", no_path)
+    Path(tmp_path, "afile").write_text("")
+    text = BASE + "sweep.p = 1.2, 1.5\nsweep.q = 2.0\nout.dir = afile/x\n"
+    path = write_cfg(tmp_path, text)
+    assert main([command, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}:11: out.dir cannot be made: ")
+    assert "afile is not a directory" in err and "Traceback" not in err
+
+
+def test_out_dir_that_cannot_be_made_after_parsing_is_a_config_error(tmp_path):
+    # the parse-time check sees a tree that may change before the output is
+    # written; making out.dir then fails with a ConfigError at its line
+    from cmkit.config import ensure_out_dir
+
+    cfg = parse_config(write_cfg(tmp_path, BASE + "out.dir = later/x\n"))
+    Path(tmp_path, "later").write_text("")
+    with pytest.raises(ConfigError, match=r":9: out.dir cannot be made: "):
+        ensure_out_dir(cfg)
+
+
+@pytest.mark.parametrize("line,message", [
+    ("isotropic.restarts = -1", "isotropic.restarts must be non-negative, got -1"),
+    ("isotropic.restarts = -5", "isotropic.restarts must be non-negative, got -5"),
+    ("isotropic.amplitude = nan", "isotropic.amplitude must be finite and in [0, 1), got nan"),
+    ("isotropic.amplitude = inf", "isotropic.amplitude must be finite and in [0, 1), got inf"),
+    ("isotropic.amplitude = -5", "isotropic.amplitude must be finite and in [0, 1), got -5.0"),
+    ("isotropic.amplitude = 1", "isotropic.amplitude must be finite and in [0, 1), got 1.0"),
+    ("isotropic.amplitude = 2", "isotropic.amplitude must be finite and in [0, 1), got 2.0"),
+])
+def test_bad_isotropic_keys_are_config_errors_at_their_line(tmp_path, capsys, line, message):
+    # restarts = -1 used to run as 0 restarts, -5 to end in a RuntimeError
+    # traceback and amplitude = nan in exit 1
+    text = f"n = 1\nk = 1\np = 1.5\nq = 2.0\ngrid.m_theta = 16\n{line}\n"
+    path = write_cfg(tmp_path, text)
+    assert main(["isotropic", path]) == 2
+    assert capsys.readouterr().err == f"config error: {path}:6: {message}\n"
+    assert not Path(tmp_path, "out").exists()
+
+
+def test_inadmissible_isotropic_amplitude_exits_1_naming_it(tmp_path, capsys):
+    # on the circle with k = 1 every amplitude >= 1/3 leaves Gamma_1, so no
+    # perturbed start is found: an error, not a traceback
+    text = "n = 1\nk = 1\np = 1.5\nq = 2.0\ngrid.m_theta = 16\nisotropic.amplitude = 0.9\n"
+    assert main(["isotropic", write_cfg(tmp_path, text)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "amplitude 0.9 " in err
 
 
 def test_out_of_theorem_warning_recorded(tmp_path):

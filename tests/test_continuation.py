@@ -45,16 +45,14 @@ def test_predictor_trivial_and_collinear(g1):
     h1 = constant_function(g1, 1.0)
     h2 = constant_function(g1, 1.2)
     # equal pair: previous h
-    h, clamped = predictor([(0.3, h2), (0.3, h2)], 0.5)
-    assert np.array_equal(h.values, h2.values) and not clamped
+    h = predictor([(0.3, h2), (0.3, h2)], 0.5)
+    assert np.array_equal(h.values, h2.values)
     # collinear data: exact extrapolation
-    h, clamped = predictor([(0.0, h1), (0.1, h2)], 0.2)
+    h = predictor([(0.0, h1), (0.1, h2)], 0.2)
     assert_allclose(h.values, 1.4, rtol=1e-12)
-    assert not clamped
     # positivity clamp: falls back to previous h
     h3 = constant_function(g1, 0.01)
-    h, clamped = predictor([(0.0, h2), (0.1, h3)], 0.3)
-    assert clamped
+    h = predictor([(0.0, h2), (0.1, h3)], 0.3)
     assert np.array_equal(h.values, h3.values)
 
 
@@ -140,10 +138,64 @@ def test_trace_rows_take_min_b_eig_from_the_newton_field(monkeypatch, g2):
         assert row["min_b_eig"] == float(np.min(hessian_field(h).lam[:, 0]))
 
 
-def test_f1_report_recorded(g2):
-    spec = ProblemSpec(n=2, k=1, p=1.5, q=2.0, f=constant_function(g2, 2.0))
+def test_fixed_point_path_is_one_step_of_the_loop(monkeypatch, g2):
+    # f = binom(n, k): h = 1 solves the target, so the loop's first step
+    # has dt = 1: one hessian_field for the t = 0 row, one for the
+    # corrector's start at t = 1 with target tol_newton, and no f1 check
+    from cmkit import continuation, problem
+
+    fields, solves = [], []
+    hessian_field, newton_solve = problem.hessian_field, continuation.newton_solve
+
+    def field_spy(h):
+        fields.append(h)
+        return hessian_field(h)
+
+    def solve_spy(spec, h0, t, tol=None):
+        solves.append((t, tol))
+        return newton_solve(spec, h0, t, tol=tol)
+
+    monkeypatch.setattr(problem, "hessian_field", field_spy)
+    monkeypatch.setattr(continuation, "newton_solve", solve_spy)
+    spec = ProblemSpec(n=2, k=1, p=1.5, q=2.0, f=constant_function(g2, math.comb(2, 1)))
     tr = continue_path(spec)
-    assert tr.f1_report is not None and tr.f1_report["satisfied"]
+    assert tr.success and [row["t"] for row in tr.steps] == [0.0, 1.0]
+    assert len(fields) == 2
+    assert solves == [(1.0, spec.tol_newton)]
+
+
+def test_path_with_rejected_steps_runs_no_f1_check(monkeypatch):
+    # the f1 check is a report item: the path never runs it, also when it
+    # rejects and retries steps (the circle path of
+    # test_success_after_rejected_step_has_no_error_message)
+    from cmkit import continuation, problem
+    from cmkit.errors import AdmissibilityError, SingularJacobianError
+
+    checks, rejected = [], []
+    newton_solve, validate_f1 = continuation.newton_solve, problem.validate_f1
+
+    def solve_spy(*args, **kwargs):
+        try:
+            return newton_solve(*args, **kwargs)
+        except (AdmissibilityError, SingularJacobianError):
+            rejected.append(args[2])
+            raise
+
+    def f1_spy(spec):
+        checks.append(spec)
+        return validate_f1(spec)
+
+    monkeypatch.setattr(continuation, "newton_solve", solve_spy)
+    monkeypatch.setattr(continuation, "validate_f1", f1_spy, raising=False)
+    monkeypatch.setattr(problem, "validate_f1", f1_spy)
+    g = build_grid(1, m_theta=32)
+    u = g.coords[:, 1]
+    k, p = 1, 1.5
+    spec = ProblemSpec(n=1, k=k, p=p, q=1.8,
+                       f=GridFunction(g, (1 + 2.0 * u ** 2) ** (-(k + p - 1))))
+    tr = continue_path(spec)
+    assert tr.success and rejected
+    assert checks == []
 
 
 def test_jsonl_serialization(tmp_path, g1):

@@ -509,6 +509,32 @@ def test_isotropic_window_flag():
     assert not out["window_ok"]
 
 
+def test_isotropic_inadmissible_amplitude_is_an_admissibility_error():
+    # on the circle with k = 1, b(h) = h'' + h of r* (1 + u), u a sup-normed
+    # degree-2 harmonic of amplitude a, is r* (1 - 3u) up to the stencil:
+    # no start of amplitude 0.9 is admissible, which used to end in a
+    # RuntimeError
+    spec = make_spec(n=1, k=1, p=1.5, q=2.0, f_value=1.0, grid=build_grid(1, m_theta=16))
+    with pytest.raises(AdmissibilityError, match="amplitude 0.9 "):
+        isotropic_experiment(spec, restarts=1, seed=0, amplitude=0.9)
+
+
+def test_isotropic_failed_path_gives_infinite_error_and_no_restarts(monkeypatch):
+    from cmkit import diagnostics
+    from cmkit.continuation import SolveTrace
+
+    spec = make_spec(n=1, k=1, p=2.0, q=2.5, f_value=1.0)
+    failed = SolveTrace(h=constant_function(spec.grid, 1.0), message="step size underflow")
+    monkeypatch.setattr(diagnostics, "continue_path", lambda spec: failed)
+    monkeypatch.setattr(diagnostics, "newton_solve", None)  # no restart may run
+    out = isotropic_experiment(spec, restarts=3, seed=0)
+    assert set(out) == {"h_final", "sphere_radius_error", "window_ok", "q_limit",
+                        "restart_errors", "trace"}
+    assert out["trace"] is failed and out["h_final"] is failed.h
+    assert out["sphere_radius_error"] == math.inf and out["restart_errors"] == []
+    assert out["q_limit"] == isotropic_q_limit(1, 1, 2.0)
+
+
 def test_isotropic_requires_unit_f():
     spec = make_spec(f_value=2.0)
     with pytest.raises(ValueError):

@@ -275,16 +275,15 @@ class LinearizedOperator:
         (c0, c11, c1, ctt), coef_t = self._coef
         F = np.reshape(v, (M, L))
         V = np.fft.rfft(F, axis=1)
-        out = c0 * F + c11 * g.lat_d2(F) + c1 * g.lat_d1(F) \
+        F_l, F_ll = g.lat_derivs(F)
+        out = c0 * F + c11 * F_ll + c1 * F_l \
             + ctt * np.fft.irfft(V * g._lon_syms[1], n=L, axis=1)
         if coef_t:
             F_t = np.fft.irfft(V * g._lon_syms[0], n=L, axis=1)
             out += coef_t[1] * F_t
             if "hess12" in self.weights:  # sigma_k^{12} is 0 for k = 1
-                out += coef_t[0] * g.lat_d1(F_t)
+                out += coef_t[0] * g.lat_derivs(F_t)[0]
         return out.ravel()
-
-    __matmul__ = dot
 
     def _ring_rows(self):
         # per ring j: P[i, c] weighs node (j + o, i + d) in the row of node

@@ -20,8 +20,11 @@ tolerance, because downstream symmetry checks rely on them:
     weights are exact IEEE mirrors of the southern ones; odd-m_lat rows sum
     their four taps in mirrored pairs, which the flip maps to themselves).
 
-The latitude stencils are held once, as per-ring tap arrays; the kernels,
-the frame taps and symbols and the operator matrices all come from them.
+The kernels SphereGrid.lon_derivs and SphereGrid.lat_derivs each return the
+first and second derivative from one pass.  The longitude weights are held
+once, as the circulant rows _lon_rows, and the latitude stencils as per-ring
+tap arrays; the kernels, the frame taps and symbols and the operator
+matrices all come from them.
 """
 
 import math
@@ -78,10 +81,12 @@ RING_REACH = 2
 class SphereGrid:
     """Node set, quadrature and differentiation stencils for S^n, n in {1,2}.
 
-    Construct through build_grid.  Instances are immutable in use; the
-    frame operators' taps needed by the linearization and their
-    longitude-Fourier symbols are built lazily and cached (frame_taps,
-    frame_symbols).
+    Construct through build_grid.  Instances are immutable in use.
+    lon_derivs and lat_derivs (n=2 only) are the derivative kernels, each
+    returning (first, second); the longitude weights live once, in
+    _lon_rows.  The frame operators' taps needed by the linearization and
+    their longitude-Fourier symbols are built lazily and cached
+    (frame_taps, frame_symbols).
     """
 
     def __init__(self, n, m_theta=None, m_lat=None, m_lon=None):
@@ -168,21 +173,20 @@ class SphereGrid:
         self._build_lat_stencils()
 
     def _build_lon_kernels(self, m):
-        # trigonometric differentiation kernels for the periodic direction;
-        # c1[d] multiplies h[i+d]-h[i-d], c2[d] multiplies the symmetric pair
+        # trigonometric differentiation kernels for the periodic direction,
+        # held once: row o of _lon_rows is the weight of node i + d in
+        # derivative o + 1 at i.  For 0 < d < m/2, rows[0, d] (c1) multiplies
+        # h[i+d]-h[i-d] and rows[1, d] (c2) the symmetric pair.
         half = m // 2
         d = np.arange(1, half)
         ang = np.pi * d / m
         sign = np.where(d % 2 == 0, 1.0, -1.0)
-        self._lon_c1 = -0.5 * sign / np.tan(ang)
-        self._lon_c2 = -0.5 * sign / np.sin(ang) ** 2
-        self._lon_c2_half = -0.5 if half % 2 == 0 else 0.5
-        self._lon_half = half
-        # row o: weight of node i + d in derivative o + 1 at i; and symbols
+        c1 = -0.5 * sign / np.tan(ang)
+        c2 = -0.5 * sign / np.sin(ang) ** 2
         rows = np.zeros((2, m))
-        rows[:, 1:half] = self._lon_c1, self._lon_c2
-        rows[:, m - 1:half:-1] = -self._lon_c1, self._lon_c2
-        rows[1, half] = self._lon_c2_half
+        rows[:, 1:half] = c1, c2
+        rows[:, m - 1:half:-1] = -c1, c2
+        rows[1, half] = -0.5 if half % 2 == 0 else 0.5
         rows[:, 0] = -rows.sum(axis=1)
         self._lon_rows = rows
         self._lon_syms = np.conj(np.fft.rfft(rows, axis=-1))
@@ -192,7 +196,7 @@ class SphereGrid:
         # ratio = |c1/c2|, the first j of them take the c2 side when
         # ratio[j - 1] <= |a/b| < ratio[j]; c2_head[j] sums |c2| over those,
         # c1_tail[j] |c1| over the rest.
-        r1, r2 = np.abs(self._lon_c1), np.abs(self._lon_c2)
+        r1, r2 = np.abs(c1), np.abs(c2)
         ratio = r1 / r2
         order = np.argsort(ratio)
         self._lon_ratio = ratio[order]
@@ -253,57 +257,41 @@ class SphereGrid:
 
     # -- kernels applied in difference form ----------------------------------
 
-    def _lon_padded(self, field):
-        # field with m/2 wrapped columns on either side: column half + i + d
-        # holds np.roll(field, -d)[..., i] for |d| <= m/2
-        half = self._lon_half
-        return np.concatenate([field[..., -half:], field, field[..., :half]], axis=-1)
-
-    def _lon_apply1(self, field):
-        c = self._lon_c1
-        half = self._lon_half
+    def lon_derivs(self, field):
+        """(first, second) longitude derivatives along the last axis, in one
+        loop over d from one periodically padded copy (column half + i + d
+        holds field[..., (i + d) % m]), with the weights of _lon_rows."""
+        row1, row2 = self._lon_rows
         m = field.shape[-1]
-        pad = self._lon_padded(field)
-        out = np.zeros_like(field)
-        term = np.empty_like(field)
+        half = m // 2
+        pad = np.concatenate([field[..., -half:], field, field[..., :half]], axis=-1)
+        first, second = np.zeros_like(field), np.zeros_like(field)
+        term, back = np.empty_like(field), np.empty_like(field)
         for d in range(1, half):
-            np.subtract(pad[..., half + d:half + d + m], pad[..., half - d:half - d + m],
-                        out=term)
-            term *= c[d - 1]
-            out += term
-        return out
-
-    def _lon_apply2(self, field):
-        c = self._lon_c2
-        half = self._lon_half
-        m = field.shape[-1]
-        pad = self._lon_padded(field)
-        out = np.zeros_like(field)
-        term = np.empty_like(field)
-        back = np.empty_like(field)
-        for d in range(1, half):
-            np.subtract(pad[..., half + d:half + d + m], field, out=term)
-            np.subtract(pad[..., half - d:half - d + m], field, out=back)
+            fwd, bwd = pad[..., half + d:half + d + m], pad[..., half - d:half - d + m]
+            np.subtract(fwd, bwd, out=term)
+            term *= row1[d]
+            first += term
+            np.subtract(fwd, field, out=term)
+            np.subtract(bwd, field, out=back)
             term += back
-            term *= c[d - 1]
-            out += term
-        out += self._lon_c2_half * (pad[..., 2 * half:2 * half + m] - field)
-        return out
+            term *= row2[d]
+            second += term
+        second += row2[half] * (pad[..., 2 * half:2 * half + m] - field)
+        return first, second
 
-    def _lat_apply(self, weights, field):
-        # every ring at once; three taps summed in stencil order, four (odd
-        # m_lat) in mirrored pairs, which the flip keeps on the equator ring
+    def lat_derivs(self, field):
+        """(first, second) latitude derivatives of a grid-shaped field; each
+        tap's difference flat[src] - field is formed once for both orders."""
         flat = field.ravel()
-        t = [w * (flat[src] - field) for w, src in zip(weights, self._lat_src)]
-        if len(t) == 4:
-            return (t[0] + t[3]) + (t[1] + t[2])
-        return (t[0] + t[1]) + t[2]
-
-    def lat_d1(self, field):
-        return self._lat_apply(self._lat_w1, field)
-
-    def lat_d2(self, field):
-        return self._lat_apply(self._lat_w2, field)
+        diff = [flat[src] - field for src in self._lat_src]
+        # three taps summed in stencil order, four (odd m_lat) in mirrored
+        # pairs, which the flip keeps on the equator ring
+        out = []
+        for weights in (self._lat_w1, self._lat_w2):
+            t = [w * dd for w, dd in zip(weights, diff)]
+            out.append((t[0] + t[3]) + (t[1] + t[2]) if len(t) == 4 else (t[0] + t[1]) + t[2])
+        return tuple(out)
 
     # -- frame operators as per-ring taps ------------------------------------
 
@@ -522,19 +510,19 @@ def hessian_field(h):
         b12 = (h_lt + tan(lat) h_t) / cos(lat)
         b22 = h_tt / cos^2(lat) - tan(lat) h_l + h
     (l = latitude, t = longitude; validated against b = 0 for h = <x,v>).
+    One grid.lon_derivs and one grid.lat_derivs pass give both orders of
+    each; h_lt is grid.lat_derivs(h_t)[0].
     """
     g = h.grid
     if g.n == 1:
-        b11 = g._lon_apply2(h.values) + h.values
-        return HessianField(g, b11[:, None],
-                            {"b11": b11, "g1": g._lon_apply1(h.values)})
+        h_t, h_tt = g.lon_derivs(h.values)
+        b11 = h_tt + h.values
+        return HessianField(g, b11[:, None], {"b11": b11, "g1": h_t})
 
     F = h.field
-    h_l = g.lat_d1(F)
-    h_t = g._lon_apply1(F)
-    h_ll = g.lat_d2(F)
-    h_tt = g._lon_apply2(F)
-    h_lt = g.lat_d1(h_t)
+    h_l, h_ll = g.lat_derivs(F)
+    h_t, h_tt = g.lon_derivs(F)
+    h_lt = g.lat_derivs(h_t)[0]
 
     invcos = g.invcos[:, None]
     tanlat = g.tanlat[:, None]

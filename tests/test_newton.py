@@ -109,7 +109,7 @@ def _sphere_jacobian(k, tilt, a=0.5, m_lat=32, m_lon=None):
 
 def _backward_error(J, x, rhs):
     scale = np.max(np.abs(J).sum(axis=1))
-    return np.max(np.abs(J @ x - rhs)) / (scale * np.max(np.abs(x))
+    return np.max(np.abs(J.dot(x) - rhs)) / (scale * np.max(np.abs(x))
                                           + np.max(np.abs(rhs)))
 
 

@@ -328,7 +328,7 @@ def test_jacobian_constant_mode_at_origin(g1, g2):
         p, q = 1.5, 2.2
         spec = ProblemSpec(n=n, k=k, p=p, q=q, f=constant_function(g, 1.0))
         J = assemble_jacobian(spec, evaluate(spec, constant_function(g, 1.0), 0.0))
-        act = J @ np.ones(g.node_count)
+        act = J.dot(np.ones(g.node_count))
         expect = math.comb(n - 1, k - 1) * n * (q - p) / k
         assert_allclose(act, expect, rtol=0, atol=1e-9)
 
@@ -340,7 +340,7 @@ def test_jacobian_degree_one_mode(g2):
     J = assemble_jacobian(spec, evaluate(spec, constant_function(g2, 1.0), 0.0))
     phi = coordinate_function(g2, (0.3, -0.4, 0.85)).values
     expect = math.comb(n - 1, k - 1) * (n * (q - p) / k - n) * phi
-    assert_allclose(J @ phi, expect, rtol=0, atol=5e-3)
+    assert_allclose(J.dot(phi), expect, rtol=0, atol=5e-3)
 
 
 def test_jacobian_self_adjoint_at_origin_circle(g1):
@@ -354,8 +354,8 @@ def test_jacobian_self_adjoint_at_origin_circle(g1):
     for _ in range(3):
         phi = rng.standard_normal(g1.node_count)
         psi = rng.standard_normal(g1.node_count)
-        a = math.fsum(w * phi * (J @ psi))
-        b = math.fsum(w * (J @ phi) * psi)
+        a = math.fsum(w * phi * J.dot(psi))
+        b = math.fsum(w * J.dot(phi) * psi)
         assert abs(a - b) < 1e-8 * (1 + abs(a))
 
 
@@ -371,8 +371,8 @@ def test_jacobian_self_adjoint_defect_truncation(g2):
         phi = smooth_field(g, 310, amp=1.0)
         psi = smooth_field(g, 311, amp=1.0)
         w = g.weights
-        a = math.fsum(w * phi * (J @ psi))
-        b = math.fsum(w * (J @ phi) * psi)
+        a = math.fsum(w * phi * J.dot(psi))
+        b = math.fsum(w * J.dot(phi) * psi)
         defects.append(abs(a - b) / (1 + abs(a)))
     assert defects[0] < 1e-2
     assert defects[0] / defects[1] > 3.0
@@ -392,7 +392,7 @@ def test_jacobian_matches_directional_differences(g1, g2, n, k, p, q, t):
         hm = GridFunction(g, h.values - eps * phi)
         fd = (residual(spec, hp, t).residual.values
               - residual(spec, hm, t).residual.values) / (2 * eps)
-        an = J @ phi
+        an = J.dot(phi)
         scale = np.max(np.abs(an))
         assert np.max(np.abs(fd - an)) < 1e-5 * scale
 

@@ -272,27 +272,28 @@ def test_apply_symmetry_errors(g1):
 # operator matrices agree with the kernel applications
 # ---------------------------------------------------------------------------
 
-def test_operator_matrices_match_kernels(g2):
-    mats = g2.operator_matrices()
-    h = _random_field(g2, 40)
-    F = h.field
-    assert_allclose(mats["lat1"] @ h.values, g2.lat_d1(F).ravel(),
-                    rtol=0, atol=1e-12)
-    assert_allclose(mats["lat2"] @ h.values, g2.lat_d2(F).ravel(),
-                    rtol=0, atol=1e-11)
-    assert_allclose(mats["lon1"] @ h.values, g2._lon_apply1(F).ravel(),
-                    rtol=0, atol=1e-12)
-    assert_allclose(mats["lon2"] @ h.values, g2._lon_apply2(F).ravel(),
-                    rtol=0, atol=1e-11)
+def test_operator_matrices_match_kernels():
+    # both orders of both kernels, on every sphere grid of KERNEL_GRIDS
+    for shape in [s for s in KERNEL_GRIDS if s[0] > 1]:
+        g = _kernel_grid(shape)
+        mats = g.operator_matrices()
+        h = _random_field(g, 40)
+        derivs = g.lat_derivs(h.field) + g.lon_derivs(h.field)
+        for key, out, atol in zip(("lat1", "lat2", "lon1", "lon2"), derivs,
+                                  (1e-12, 1e-11, 1e-12, 1e-11)):
+            assert_allclose(mats[key] @ h.values, out.ravel(), rtol=0, atol=atol,
+                            err_msg=f"{key} on {shape}")
 
 
-def test_operator_matrices_circle(g1):
-    mats = g1.operator_matrices()
-    h = _random_field(g1, 41)
-    assert_allclose(mats["lon1"] @ h.values, g1._lon_apply1(h.values),
-                    rtol=0, atol=1e-12)
-    assert_allclose(mats["lon2"] @ h.values, g1._lon_apply2(h.values),
-                    rtol=0, atol=1e-11)
+def test_operator_matrices_circle():
+    # both orders, on every circle grid of KERNEL_GRIDS
+    for shape in [s for s in KERNEL_GRIDS if s[0] == 1]:
+        g = _kernel_grid(shape)
+        mats = g.operator_matrices()
+        h = _random_field(g, 41)
+        for key, out, atol in zip(("lon1", "lon2"), g.lon_derivs(h.values), (1e-12, 1e-11)):
+            assert_allclose(mats[key] @ h.values, out, rtol=0, atol=atol,
+                            err_msg=f"{key} on {shape}")
 
 
 def _apply_taps(taps, F):
@@ -422,8 +423,20 @@ def _reference_lat_apply(g, entries, field):
     return out
 
 
-def _reference_lon_apply1(g, field):
-    c = g._lon_c1
+def _closed_form_lon_weights(m):
+    """The longitude kernel weights from their closed forms: for 0 < d < m/2
+    the first derivative's c1 = -(-1)^d / (2 tan(pi d/m)) and the second's
+    c2 = -(-1)^d / (2 sin^2(pi d/m)), as arrays over d = 1 .. m/2 - 1, and
+    the second's weight -(-1)^(m/2) / 2 at d = m/2."""
+    d = np.arange(1, m // 2)
+    sign = (-1.0) ** d
+    ang = np.pi * d / m
+    return (-sign / (2.0 * np.tan(ang)), -sign / (2.0 * np.sin(ang) ** 2),
+            -(-1.0) ** (m // 2) / 2.0)
+
+
+def _reference_lon_apply1(field):
+    c, _, _ = _closed_form_lon_weights(field.shape[-1])
     out = np.zeros_like(field)
     for idx in range(len(c)):
         d = idx + 1
@@ -431,14 +444,15 @@ def _reference_lon_apply1(g, field):
     return out
 
 
-def _reference_lon_apply2(g, field):
-    c = g._lon_c2
+def _reference_lon_apply2(field):
+    m = field.shape[-1]
+    _, c, c_half = _closed_form_lon_weights(m)
     out = np.zeros_like(field)
     for idx in range(len(c)):
         d = idx + 1
         out += c[idx] * ((np.roll(field, -d, axis=-1) - field)
                          + (np.roll(field, d, axis=-1) - field))
-    out += g._lon_c2_half * (np.roll(field, -g._lon_half, axis=-1) - field)
+    out += c_half * (np.roll(field, -(m // 2), axis=-1) - field)
     return out
 
 
@@ -446,25 +460,26 @@ def _reference_lon_apply2(g, field):
 def test_kernels_match_roll_and_per_row_references(shape):
     g = _kernel_grid(shape)
     F = _random_field(g, 60).values.reshape(g.shape)
-    assert np.array_equal(g._lon_apply1(F), _reference_lon_apply1(g, F))
-    assert np.array_equal(g._lon_apply2(F), _reference_lon_apply2(g, F))
+    h_t, h_tt = g.lon_derivs(F)
+    assert np.array_equal(h_t, _reference_lon_apply1(F))
+    assert np.array_equal(h_tt, _reference_lon_apply2(F))
     if g.n == 2:
         ent1, ent2 = _reference_lat_entries(g)
-        h_t = g._lon_apply1(F)
         for field in (F, h_t):
-            assert np.array_equal(g.lat_d1(field), _reference_lat_apply(g, ent1, field))
-            assert np.array_equal(g.lat_d2(field), _reference_lat_apply(g, ent2, field))
+            first, second = g.lat_derivs(field)
+            assert np.array_equal(first, _reference_lat_apply(g, ent1, field))
+            assert np.array_equal(second, _reference_lat_apply(g, ent2, field))
 
 
 @pytest.mark.parametrize("shape", KERNEL_GRIDS, ids=lambda s: f"{s[0]}x{s[1]}")
 def test_kernels_of_constants_are_exactly_zero(shape):
     g = _kernel_grid(shape)
     F = np.full(g.shape, 0.37)
-    kernels = [g._lon_apply1, g._lon_apply2]
+    derivs = g.lon_derivs(F)
     if g.n == 2:
-        kernels += [g.lat_d1, g.lat_d2]
-    for kernel in kernels:
-        assert np.all(kernel(F) == 0.0)
+        derivs += g.lat_derivs(F)
+    for out in derivs:
+        assert np.all(out == 0.0)
     hf = hessian_field(constant_function(g, 0.37))
     assert np.all(hf.lam == 0.37)
     assert np.all(hf.grad == 0.0)
@@ -506,15 +521,16 @@ def _reference_operator_matrices(g):
 
     def lon_block(m):
         half = m // 2
+        c1, c2, c2_half = _closed_form_lon_weights(m)
         row1 = np.zeros(m)
         row2 = np.zeros(m)
-        for idx in range(len(g._lon_c1)):
+        for idx in range(len(c1)):
             d = idx + 1
-            row1[d] += g._lon_c1[idx]
-            row1[m - d] -= g._lon_c1[idx]
-            row2[d] += g._lon_c2[idx]
-            row2[m - d] += g._lon_c2[idx]
-        row2[half] += g._lon_c2_half
+            row1[d] += c1[idx]
+            row1[m - d] -= c1[idx]
+            row2[d] += c2[idx]
+            row2[m - d] += c2[idx]
+        row2[half] += c2_half
         row1[0] = -row1.sum()
         row2[0] = -row2.sum()
         i = np.repeat(np.arange(m), m)

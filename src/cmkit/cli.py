@@ -110,6 +110,7 @@ def _cmd_solve(cfg):
         "success": trace.success,
         "message": trace.message,
         "steps": max(len(trace.steps) - 1, 0),
+        "solve_grid": list(trace.solve_grid),
         "wall_time": trace.wall_time,
         "residual": {"linf": ev.linf, "l2": ev.l2},
         "counters": trace.counters(),
@@ -203,8 +204,9 @@ def _cmd_isotropic(cfg):
 def _cmd_sweep(cfg):
     if not cfg.sweep_p or not cfg.sweep_q:
         raise ConfigError(f"{cfg.path}: sweep needs sweep.p and sweep.q lists")
-    # one grid for every point: its cached frame operators do not depend
-    # on (p, q), while f does, through the quadratic family's exponent.
+    # one grid for every point: its cached frame operators and its cached
+    # ring grid, on which ring-constant data are solved, do not depend on
+    # (p, q), while f does, through the quadratic family's exponent.
     # Bad f data would fail every point: a config error before the first
     grid = build_grid(cfg.n, **cfg.grid_args())
     build_f(cfg, grid)
@@ -220,6 +222,7 @@ def _cmd_sweep(cfg):
                 last = trace.steps[-1] if trace.steps else {}
                 point.update(success=trace.success,
                              steps=max(len(trace.steps) - 1, 0),
+                             solve_grid=list(trace.solve_grid),
                              **trace.counters(),
                              residual=last.get("residual"),
                              R=last.get("R"), r=last.get("r"),

@@ -17,19 +17,29 @@ sqrt(tol_newton), from which one quadratic Newton step reaches about
 tol_newton, and only the step that lands on t = 1 goes to tol_newton
 itself (Allgower & Georg, Introduction to Numerical Continuation
 Methods, 2003, ch. 6).
+
+Data constant on every ring of a sphere grid (f bitwise equal along each
+latitude, as for a polar axis) run the loop on the m_lat x 8 ring grid
+(SphereGrid.ring_grid), and h is broadcast along the rings.  That is
+exact: the longitude kernels give exact zeros on a ring-constant field
+and the latitude stencils do not depend on m_lon, so the full grid's
+residual of the broadcast h is bitwise the ring grid's, broadcast, and
+the trace rows and the t = 1 test hold on the full grid.  Other data (a
+tilted axis, one ulp of variation along a ring, the circle) run on their
+own grid.
 """
 
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import AdmissibilityError, SingularJacobianError
 from .newton import newton_solve
 from .problem import evaluate
-from .sphere import GridFunction, constant_function, even_project
+from .sphere import RING_LON, GridFunction, constant_function, even_project
 
 TRACE_KEYS = ("t", "newton_iterations", "residual", "min_b_eig", "R", "r", "ratio")
 
@@ -40,6 +50,7 @@ class SolveTrace:
 
     steps: list = field(default_factory=list)  # dict per accepted step
     h: GridFunction = None  # last accepted solution
+    solve_grid: tuple = ()  # shape of the grid the step loop ran on
     wall_time: float = 0.0
     success: bool = False
     message: str = ""
@@ -86,10 +97,25 @@ def predictor(prev, t_next):
 
 
 def continue_path(spec):
-    """Follow the solution path from t = 0 to t = 1 in one step loop (module
-    docstring). Returns a SolveTrace."""
+    """Follow the solution path from t = 0 to t = 1 in one step loop, on
+    the ring grid when f is ring-constant (module docstring). Returns a
+    SolveTrace whose h lives on spec.grid."""
     start = time.perf_counter()
-    trace = SolveTrace()
+    g, F = spec.grid, spec.f.field
+    if g.n == 2 and g.m_lon > RING_LON and np.all(F == F[:, :1]):
+        thin = GridFunction(g.ring_grid(), F[:, :RING_LON])
+        # with its own warnings list, or spec's notes would be added twice
+        trace = _follow_path(replace(spec, f=thin, warnings=[]))
+        trace.h = GridFunction(g, np.broadcast_to(trace.h.field[:, :1], g.shape))
+    else:
+        trace = _follow_path(spec)
+    trace.wall_time = time.perf_counter() - start
+    return trace
+
+
+def _follow_path(spec):
+    """The step loop of continue_path on spec's own grid."""
+    trace = SolveTrace(solve_grid=spec.grid.shape)
 
     h = constant_function(spec.grid, 1.0)
     ev = evaluate(spec, h, 0.0)
@@ -129,5 +155,4 @@ def continue_path(spec):
         trace.success = True
         trace.message = ""  # a corrector error of a rejected step is not the outcome
     trace.h = prev[1][1]
-    trace.wall_time = time.perf_counter() - start
     return trace

@@ -76,6 +76,8 @@ def fd_weights(z, x, m):
 
 # latitude rings any S^2 stencil reaches on either side of its own ring
 RING_REACH = 2
+# longitudes of SphereGrid.ring_grid: the fewest a sphere grid allows
+RING_LON = 8
 
 
 class SphereGrid:
@@ -86,7 +88,7 @@ class SphereGrid:
     returning (first, second); the longitude weights live once, in
     _lon_rows.  The frame operators' taps needed by the linearization and
     their longitude-Fourier symbols are built lazily and cached
-    (frame_taps, frame_symbols).
+    (frame_taps, frame_symbols), as is the ring grid (ring_grid).
     """
 
     def __init__(self, n, m_theta=None, m_lat=None, m_lon=None):
@@ -116,6 +118,7 @@ class SphereGrid:
             self._build_sphere()
         self._frame_taps = None
         self._frame_syms = None
+        self._ring_grid = None
 
     # -- construction -------------------------------------------------------
 
@@ -400,6 +403,18 @@ class SphereGrid:
             self._frame_syms = {key: np.conj(np.fft.rfft(taps, axis=-1))
                                 for key, taps in self.frame_taps().items()}
         return self._frame_syms
+
+    def ring_grid(self):
+        """The m_lat x RING_LON grid on this grid's latitudes (n=2), built once.
+
+        Its latitude stencils are bitwise this grid's, and on a field
+        constant on every ring the longitude kernels give exact zeros, so
+        hessian_field of such a field is, node by node, that of its
+        restriction to the ring grid.
+        """
+        if self._ring_grid is None:
+            self._ring_grid = build_grid(2, m_lat=self.m_lat, m_lon=RING_LON)
+        return self._ring_grid
 
     # -- misc ----------------------------------------------------------------
 

@@ -228,6 +228,26 @@ def test_solve_report_counts_newton_and_krylov_work(tmp_path):
     assert 0 < counters["preconditioner_builds"] <= counters["newton_iterations"]
 
 
+@pytest.mark.parametrize("axis, solve_grid", [("0,0,1", [16, 8]), ("0.6,0,0.8", [16, 32])])
+def test_solve_report_names_the_grid_of_the_step_loop(tmp_path, axis, solve_grid):
+    # polar data run the loop on the ring grid, tilted data on their own;
+    # the solution and the report's residual are the full grid's either
+    # way, and the exponent note (q > k + 1) appears once
+    from cmkit.problem import RANGE_NOTE, evaluate
+
+    path = write_cfg(tmp_path, BASE.replace("k = 1\np = 1.5\nq = 2.0", "k = 2\np = 1.5\nq = 3.2")
+                     .replace("f.kind = constant\nf.value = 2.0\n",
+                              f"f.kind = quadratic\nf.a = 0.5\nf.axis = {axis}\n"))
+    assert main(["solve", path]) == 0
+    out = os.path.join(tmp_path, "out")
+    report = json.loads(Path(out, "report.json").read_text())
+    assert report["solve_grid"] == solve_grid and report["problem"]["grid"] == [16, 32]
+    assert report["warnings"] == [RANGE_NOTE]
+    grid, spec = build_problem(parse_config(path))
+    h = read_grid_function(grid, os.path.join(out, "solution.csv"))
+    assert report["residual"]["linf"] == evaluate(spec, h, 1.0).linf <= spec.tol_newton
+
+
 def test_verify_solution_round_trip(tmp_path):
     path = write_cfg(tmp_path, BASE)
     assert main(["solve", path]) == 0

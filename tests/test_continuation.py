@@ -8,9 +8,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cmkit import GridFunction, build_grid
-from cmkit.continuation import TRACE_KEYS, continue_path, predictor
-from cmkit.problem import ProblemSpec, homotopy_f
-from cmkit.sphere import constant_function, hessian_field, odd_defect
+from cmkit.continuation import TRACE_KEYS, _follow_path, continue_path, predictor
+from cmkit.problem import ProblemSpec, evaluate, homotopy_f
+from cmkit.sphere import RING_LON, constant_function, hessian_field, odd_defect
 
 
 @pytest.fixture(scope="module")
@@ -319,3 +319,107 @@ def test_declined_circle_point_runs_no_full_svd(monkeypatch):
     tr = continue_path(spec)
     assert not tr.success and "pivot" in tr.message
     assert (g.node_count, g.node_count) not in shapes
+
+
+# ---------------------------------------------------------------------------
+# ring-constant data on the ring grid
+# ---------------------------------------------------------------------------
+
+def axis_data(g, k, p, axis=(0.0, 0.0, 1.0), a=0.5):
+    """The quadratic family (1 + a <x, axis>^2)^-(k+p-1) of the config."""
+    return GridFunction(g, (1.0 + a * (g.coords @ np.asarray(axis)) ** 2) ** -(k + p - 1))
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0])
+@pytest.mark.parametrize("k, q", [(1, 2.0), (2, 2.5)])
+@pytest.mark.parametrize("m_lat, m_lon", [(9, 16), (32, 64), (33, 64)])
+def test_ring_constant_data_are_solved_on_the_ring_grid(m_lat, m_lon, k, q, a):
+    # polar data: the loop runs on m_lat x 8 and its h, broadcast along
+    # the rings, is the full grid's answer.  Both solves stop at
+    # tol_newton, so they agree to that tolerance, not bitwise
+    g = build_grid(2, m_lat=m_lat, m_lon=m_lon)
+    spec = ProblemSpec(n=2, k=k, p=1.5, q=q, f=axis_data(g, k, 1.5, a=a))
+    reduced, full = continue_path(spec), _follow_path(spec)
+    assert reduced.success and full.success
+    assert reduced.solve_grid == (m_lat, RING_LON) and full.solve_grid == (m_lat, m_lon)
+    assert [row["t"] for row in reduced.steps] == [row["t"] for row in full.steps]
+    assert [row["newton_iterations"] for row in reduced.steps] == \
+        [row["newton_iterations"] for row in full.steps]
+    assert np.max(np.abs(reduced.h.values - full.h.values)) <= 1e-11
+    assert reduced.h.grid is g
+    # the full grid's residual of the broadcast h is the ring grid's,
+    # broadcast, bitwise; so the last trace row is the full grid's too
+    thin = g.ring_grid()
+    thin_spec = ProblemSpec(n=2, k=k, p=1.5, q=q, f=GridFunction(thin, spec.f.field[:, :RING_LON]))
+    thin_res = evaluate(thin_spec, GridFunction(thin, reduced.h.field[:, :RING_LON]), 1.0)
+    ev = evaluate(spec, reduced.h, 1.0)
+    assert np.array_equal(ev.residual.field,
+                          np.broadcast_to(thin_res.residual.field[:, :1], g.shape))
+    assert ev.linf == reduced.steps[-1]["residual"] <= spec.tol_newton
+
+
+def one_ulp_off(g, k, p):
+    f = axis_data(g, k, p)
+    vals = f.values.copy()
+    vals[3 * g.m_lon + 5] *= 1.0 + 2.0 ** -52
+    assert vals[3 * g.m_lon + 5] != f.values[3 * g.m_lon + 5]
+    return GridFunction(g, vals)
+
+
+@pytest.mark.parametrize("case", ["tilted", "one-ulp", "circle", "eight-longitudes"])
+def test_data_not_ring_constant_take_the_loop_on_their_own_grid(case):
+    k, p, q = 2, 1.5, 2.5
+    if case == "circle":
+        g = build_grid(1, m_theta=64)
+        k, q = 1, 2.0
+        f = axis_data(g, k, p, axis=(0.0, 1.0))
+    elif case == "eight-longitudes":
+        g = build_grid(2, m_lat=16, m_lon=8)
+        f = axis_data(g, k, p)
+    else:
+        g = build_grid(2, m_lat=16, m_lon=32)
+        f = axis_data(g, k, p, axis=(math.sin(0.4), 0.0, math.cos(0.4))) \
+            if case == "tilted" else one_ulp_off(g, k, p)
+    spec = ProblemSpec(n=g.n, k=k, p=p, q=q, f=f)
+    tr, loop = continue_path(spec), _follow_path(spec)
+    assert tr.success and tr.solve_grid == g.shape
+    assert tr.steps == loop.steps
+    assert np.array_equal(tr.h.values, loop.h.values)
+
+
+def test_sweep_builds_the_ring_grid_once(tmp_path, monkeypatch):
+    from cmkit import cli, config, sphere
+
+    built = []
+    build_grid = sphere.build_grid
+
+    def counting(n, **kwargs):
+        built.append((n, kwargs.get("m_lat"), kwargs.get("m_lon")))
+        return build_grid(n, **kwargs)
+
+    for module in (sphere, cli, config):
+        monkeypatch.setattr(module, "build_grid", counting)
+    path = tmp_path / "sweep.cfg"
+    path.write_text("n = 2\nk = 1\np = 1.5\nq = 2.0\ngrid.m_lat = 16\n"
+                    "grid.m_lon = 32\nf.kind = quadratic\nf.a = 0.5\n"
+                    "sweep.p = 1.2, 1.5\nsweep.q = 1.8, 2.0\nout.dir = out\n")
+    assert cli.main(["sweep", str(path)]) == 0
+    rows = [json.loads(line) for line in (tmp_path / "out" / "sweep.jsonl").read_text().splitlines()]
+    assert [row["solve_grid"] for row in rows] == [[16, RING_LON]] * 4
+    assert sorted(built) == [(2, 16, RING_LON), (2, 16, 32)]
+
+
+def test_isotropic_experiment_runs_its_path_on_the_ring_grid():
+    from cmkit.diagnostics import isotropic_experiment
+
+    # f = 1 is ring-constant and, for k = 1, not the t = 0 data binom(2, 1)
+    g = build_grid(2, m_lat=32, m_lon=64)
+    spec = ProblemSpec(n=2, k=1, p=1.2, q=2.0, f=constant_function(g, 1.0))
+    out = isotropic_experiment(spec, restarts=2, seed=0)
+    assert len(out["trace"].steps) > 2
+    assert out["trace"].solve_grid == (32, RING_LON)
+    assert out["h_final"].grid is g
+    assert out["sphere_radius_error"] <= 1e-12
+    # the perturbed restarts are full-grid Newton solves
+    assert len(out["restart_errors"]) == 2
+    assert all(e <= 1e-6 for e in out["restart_errors"])

@@ -11,7 +11,6 @@ import argparse
 import ctypes
 import dataclasses
 import itertools
-import json
 import os
 import sys
 
@@ -25,7 +24,8 @@ from .errors import (AdmissibilityError, ConfigError, DomainError, SingularJacob
                      UnsupportedParameterError)
 from .geometry import reconstruct_body, write_obj, write_polyline
 from .problem import evaluate, validate_f1
-from .sphere import build_grid, format_rows, read_grid_function, write_grid_function
+from .sphere import (build_grid, format_rows, json_text, read_grid_function,
+                     write_grid_function)
 
 
 # OpenBLAS thread setters, by the symbol names its builds export
@@ -91,8 +91,7 @@ def _apply_thread_cap():
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json_text(payload, indent=2) + "\n")
 
 
 def _cmd_solve(cfg):
@@ -124,9 +123,9 @@ def _cmd_solve(cfg):
             write_obj(mesh, os.path.join(out, "mesh.obj"))
         else:
             write_polyline(mesh, os.path.join(out, "body.csv"))
-    print(json.dumps({"success": trace.success,
-                      "residual_linf": payload["residual"]["linf"],
-                      "steps": payload["steps"]}))
+    print(json_text({"success": trace.success,
+                     "residual_linf": payload["residual"]["linf"],
+                     "steps": payload["steps"]}))
     return 0 if trace.success else 1
 
 
@@ -147,7 +146,7 @@ def _cmd_verify(cfg, solution_path):
     }
     out = ensure_out_dir(cfg)
     _write_json(os.path.join(out, "verify.json"), payload)
-    print(json.dumps(payload))
+    print(json_text(payload))
     return 0 if payload["passes"] else 1
 
 
@@ -161,9 +160,9 @@ def _cmd_manufacture(cfg):
     out = ensure_out_dir(cfg)
     write_grid_function(f, os.path.join(out, "f.csv"))
     write_grid_function(h_star, os.path.join(out, "h_star.csv"))
-    print(json.dumps({"f_min": float(np.min(f.values)),
-                      "f_max": float(np.max(f.values)),
-                      "out": out}))
+    print(json_text({"f_min": float(np.min(f.values)),
+                     "f_max": float(np.max(f.values)),
+                     "out": out}))
     return 0
 
 
@@ -179,7 +178,7 @@ def _cmd_spectrum(cfg):
         "top_analytic": diag.l0_top_eigenvalue_analytic(spec),
         "positive_count": int(np.sum(eigs > 0)),
     }
-    print(json.dumps(payload))
+    print(json_text(payload))
     return 0
 
 
@@ -195,7 +194,7 @@ def _cmd_isotropic(cfg):
     payload = {k: v for k, v in result.items() if k != "h_final" and k != "trace"}
     _write_json(os.path.join(out, "isotropic.json"), payload)
     write_grid_function(result["h_final"], os.path.join(out, "solution.csv"))
-    print(json.dumps(payload))
+    print(json_text(payload))
     ok = result["trace"].success and all(
         e <= 1e-6 for e in result["restart_errors"])
     return 0 if ok else 1
@@ -235,9 +234,9 @@ def _cmd_sweep(cfg):
                     SingularJacobianError) as exc:
                 point.update(success=False, message=str(exc))
                 all_ok = False
-            fh.write(json.dumps(point) + "\n")
+            fh.write(json_text(point) + "\n")
             fh.flush()
-    print(json.dumps({"out": path, "all_converged": all_ok}))
+    print(json_text({"out": path, "all_converged": all_ok}))
     return 0 if all_ok else 1
 
 

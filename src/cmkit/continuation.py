@@ -29,7 +29,6 @@ tilted axis, one ulp of variation along a ring, the circle) run on their
 own grid.
 """
 
-import json
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -39,7 +38,7 @@ import numpy as np
 from .errors import AdmissibilityError, SingularJacobianError
 from .newton import newton_solve
 from .problem import evaluate
-from .sphere import RING_LON, GridFunction, constant_function, even_project
+from .sphere import RING_LON, GridFunction, constant_function, even_project, json_text
 
 TRACE_KEYS = ("t", "newton_iterations", "residual", "min_b_eig", "R", "r", "ratio")
 
@@ -64,7 +63,7 @@ class SolveTrace:
     def to_jsonl(self, path):
         with open(path, "w") as fh:
             for row in self.steps:
-                fh.write(json.dumps({k: row[k] for k in TRACE_KEYS}) + "\n")
+                fh.write(json_text({k: row[k] for k in TRACE_KEYS}) + "\n")
 
 
 def _trace_row(h, t, iters, linf, min_b_eig, krylov_iters=0, builds=0):
@@ -76,11 +75,6 @@ def _trace_row(h, t, iters, linf, min_b_eig, krylov_iters=0, builds=0):
     return {"t": t, "newton_iterations": iters, "residual": linf,
             "min_b_eig": min_b_eig, "R": R, "r": r, "ratio": R / r,
             "krylov_iterations": krylov_iters, "preconditioner_builds": builds}
-
-
-def _newton_row(res, t):
-    return _trace_row(res.h, t, res.iterations, res.final_linf, res.min_b_eig,
-                      res.krylov_iterations, res.preconditioner_builds)
 
 
 def predictor(prev, t_next):
@@ -104,8 +98,7 @@ def continue_path(spec):
     g, F = spec.grid, spec.f.field
     if g.n == 2 and g.m_lon > RING_LON and np.all(F == F[:, :1]):
         thin = GridFunction(g.ring_grid(), F[:, :RING_LON])
-        # with its own warnings list, or spec's notes would be added twice
-        trace = _follow_path(replace(spec, f=thin, warnings=[]))
+        trace = _follow_path(replace(spec, f=thin))
         trace.h = GridFunction(g, np.broadcast_to(trace.h.field[:, :1], g.shape))
     else:
         trace = _follow_path(spec)
@@ -142,13 +135,14 @@ def _follow_path(spec):
             dt *= 0.5
             if dt < spec.dt_min:
                 if res is not None:
-                    trace.message = (f"step size underflow at t={t_next:g}: "
-                                     f"{res.message or 'corrector failed'}")
+                    trace.message = f"step size underflow at t={t_next:g}: {res.message}"
                 break
             continue
         t_cur = t_next
         prev = (prev[1], (t_cur, res.h))
-        trace.steps.append(_newton_row(res, t_cur))
+        trace.steps.append(_trace_row(res.h, t_cur, res.iterations, res.final_linf,
+                                      res.min_b_eig, res.krylov_iterations,
+                                      res.preconditioner_builds))
         if res.iterations <= 3:
             dt = min(dt * 1.5, spec.dt_max)
     else:

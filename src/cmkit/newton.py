@@ -78,7 +78,6 @@ class NewtonResult:
     converged: bool
     iterations: int
     final_linf: float
-    min_admissibility_margin: float
     min_b_eig: float  # smallest eigenvalue of b(h) over the nodes
     step_history: list = field(default_factory=list)  # (alpha, residual linf)
     message: str = ""
@@ -408,24 +407,17 @@ def _forcing_term(linf, linf_prev, tol):
     return min(ETA_MAX, max(eta, 0.5 * tol / linf))
 
 
-def _result(ev, tol, iterations, history, state, message=""):
-    return NewtonResult(
-        h=ev.h, converged=ev.linf <= tol, iterations=iterations,
-        final_linf=ev.linf, min_admissibility_margin=float(np.min(ev.margin)),
-        min_b_eig=float(np.min(ev.hf.lam[:, 0])),
-        step_history=history, message=message,
-        krylov_iterations=state["krylov_iterations"],
-        preconditioner_builds=state["preconditioner_builds"])
-
-
 def newton_solve(spec, h0, t, tol=None):
     """Run the damped Newton iteration from h0 at continuation parameter t
     until |F|_inf <= tol, by default spec.tol_newton.
 
-    Each iterate is evaluated once (problem.evaluate): one Evaluation per
+    One loop with one exit: the stopping test against tol ends it
+    converged, and the iteration cap (spec.max_newton) and a failed line
+    search end it with their reason in the result's message.  Each
+    iterate is evaluated once (problem.evaluate): one Evaluation per
     line-search candidate feeds its margin check, its residual, the next
-    Jacobian and the result's margin and min_b_eig.  Each Newton step is
-    solved to the forcing term of the module docstring, with the ring
+    Jacobian and the result's min_b_eig.  Each Newton step is solved to
+    the forcing term of the module docstring, with the ring
     preconditioner built at the first step and reused, or rebuilt on a
     miss, at the later ones (solve_linear).  A start that is not positive
     fails in evaluate with its DomainError (node and value).
@@ -444,10 +436,15 @@ def newton_solve(spec, h0, t, tol=None):
     history = []
     state = {"krylov_iterations": 0, "preconditioner_builds": 0}  # and P, once built
     eta = ETA_MAX
-    for it in range(spec.max_newton):
+    message = ""
+    for it in range(spec.max_newton + 1):
         linf = ev.linf
         if linf <= tol:
-            return _result(ev, tol, it, history, state)
+            break
+        if it == spec.max_newton:
+            message = (f"no convergence to {tol:.3g} in {spec.max_newton} iterations "
+                       f"(residual {linf:.3e})")
+            break
         if it > 0:
             eta = _forcing_term(linf, prev_linf, tol)
 
@@ -466,15 +463,16 @@ def newton_solve(spec, h0, t, tol=None):
                     break
             alpha *= 0.5
         if accepted is None:
-            return _result(ev, tol, it, history, state,
-                           message=f"line search failed at alpha < {ALPHA_MIN:g} "
-                                   f"(residual stuck at {linf:.3e}, target {tol:.3g})")
+            message = (f"line search failed at alpha < {ALPHA_MIN:g} "
+                       f"(residual stuck at {linf:.3e}, target {tol:.3g})")
+            break
         prev_linf = linf
         ev = accepted
         history.append((alpha, ev.linf))
 
-    converged = ev.linf <= tol
-    return _result(ev, tol, spec.max_newton, history, state,
-                   message="" if converged else
-                   f"no convergence to {tol:.3g} in {spec.max_newton} iterations "
-                   f"(residual {ev.linf:.3e})")
+    # every exit but the stopping test sets its message
+    return NewtonResult(
+        h=ev.h, converged=not message, iterations=it, final_linf=ev.linf,
+        min_b_eig=float(np.min(ev.hf.lam[:, 0])), step_history=history, message=message,
+        krylov_iterations=state["krylov_iterations"],
+        preconditioner_builds=state["preconditioner_builds"])

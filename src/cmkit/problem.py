@@ -20,7 +20,7 @@ and at h = 1 the exact operator.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -58,7 +58,6 @@ class ProblemSpec:
     dt0: float = 0.1
     dt_min: float = 1e-4
     dt_max: float = 0.5
-    warnings: list = field(default_factory=list)
 
     def __post_init__(self):
         if self.f.grid.n != self.n:
@@ -98,10 +97,6 @@ class ProblemSpec:
         if defect > 1e-12:
             raise UnsupportedParameterError(
                 f"f must be even: antipodal defect {defect:.3e} exceeds 1e-12", ("f",))
-        if self.p == self.q:
-            self.warnings.append(EQUAL_EXPONENT_NOTE)
-        elif not self.exponents_in_range():
-            self.warnings.append(RANGE_NOTE)
 
     @property
     def grid(self):
@@ -113,6 +108,13 @@ class ProblemSpec:
 
     def exponents_in_range(self):
         return 1 < self.p < self.q <= self.k + 1
+
+    @property
+    def warnings(self):
+        """Notes on exponents without a solvability guarantee."""
+        if self.p == self.q:
+            return [EQUAL_EXPONENT_NOTE]
+        return [] if self.exponents_in_range() else [RANGE_NOTE]
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +146,8 @@ class Evaluation:
     hessian_field(h), the per-node Gamma_k margin (min over i <= k of
     sigma_i), sigma_k of b(h), rho2 = h^2 + |grad h|^2, the right side rhs
     = f_t h^(p-1) rho^(k+1-q), the residual sigma_k - rhs, its max norm
-    linf and, summed on first read, its quadrature-weighted 2-norm l2."""
+    linf and, summed on first read, its quadrature-weighted 2-norm l2,
+    whose squares cannot overflow."""
 
     h: GridFunction
     t: float
@@ -159,7 +162,11 @@ class Evaluation:
     @cached_property
     def l2(self):
         res = self.residual
-        return math.sqrt(math.fsum(res.grid.weights * res.values ** 2))
+        # squares of residuals scaled into [0, 2) by a power of two cannot
+        # overflow, and the scaling is exact: where the unscaled squares
+        # neither overflowed nor underflowed, l2 keeps its bits
+        s = math.ldexp(0.5, math.frexp(self.linf)[1])
+        return s * math.sqrt(math.fsum(res.grid.weights * (res.values / s) ** 2))
 
 
 def evaluate(spec, h, t):

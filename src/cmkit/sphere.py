@@ -27,6 +27,7 @@ tap arrays; the kernels, the frame taps and symbols and the operator
 matrices all come from them.
 """
 
+import json
 import math
 
 import numpy as np
@@ -613,6 +614,24 @@ def format_rows(template, rows):
     """rows (a 2-d array) formatted by the %-template, one line per row,
     in a single % call."""
     return ((template + "\n") * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _finite(obj):
+    """obj with every non-finite float, in dicts and lists too, as None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
+
+
+def json_text(obj, indent=None):
+    """obj as strict JSON (RFC 8259), the one encoding of every JSON and
+    JSON Lines file and of every stdout line: a non-finite float, which
+    the format cannot hold, is written as null."""
+    return json.dumps(_finite(obj), indent=indent, allow_nan=False)
 
 
 def write_grid_function(gf, path):

@@ -354,6 +354,49 @@ isotropic.restarts = 1
     assert main(["isotropic", bad]) == 2
 
 
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, as RFC 8259 does."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_failed_isotropic_path_writes_strict_json(tmp_path, capsys):
+    # the path fails, so the radius error is inf: written as null
+    path = write_cfg(tmp_path, """\
+n = 2
+k = 1
+p = 1.5
+q = 2.0
+grid.m_lat = 8
+grid.m_lon = 16
+f.kind = constant
+f.value = 1
+newton.max_iter = 1
+continuation.dt_min = 0.05
+""")
+    assert main(["isotropic", path]) == 1
+    stdout = _strict_json(capsys.readouterr().out.strip().splitlines()[-1])
+    written = _strict_json(Path(tmp_path, "out", "isotropic.json").read_text())
+    assert stdout == written
+    assert written["sphere_radius_error"] is None and written["restart_errors"] == []
+
+
+def test_huge_residual_report_has_finite_l2_in_strict_json(tmp_path, capsys):
+    # the run fails honestly; its report still holds finite norms
+    path = write_cfg(tmp_path, "n = 1\nk = 1\np = 1.5\nq = 2.0\ngrid.m_theta = 16\n"
+                               "f.kind = constant\nf.value = 1e200\n")
+    assert main(["solve", path]) == 1
+    stdout = _strict_json(capsys.readouterr().out.strip().splitlines()[-1])
+    out = Path(tmp_path, "out")
+    report = _strict_json(Path(out, "report.json").read_text())
+    for line in Path(out, "trace.jsonl").read_text().splitlines():
+        _strict_json(line)
+    linf, l2 = report["residual"]["linf"], report["residual"]["l2"]
+    assert not report["success"] and stdout["residual_linf"] == linf > 1e154
+    assert 0.0 < l2 < float("inf")
+
+
 def test_sweep_command(tmp_path):
     path = write_cfg(tmp_path, """\
 n = 1

@@ -702,7 +702,7 @@ def test_output_invariants(g2):
     assert res.converged
     assert res.final_linf <= spec.tol_newton
     assert np.all(res.h.values > 0)
-    assert res.min_admissibility_margin > 0
+    assert np.min(evaluate(spec, res.h, 1.0).margin) > 0
     # evenness is exact, not approximate
     assert odd_defect(res.h) == 0.0
 
@@ -763,6 +763,27 @@ def test_nonconvergence_reports_honestly(g2):
     assert not res.converged
     assert res.final_linf > spec.tol_newton
     assert res.message != ""
+
+
+def test_each_exit_gives_its_converged_iterations_and_message(monkeypatch, g2):
+    # the stopping test, the iteration cap and a failed line search, each
+    # as (converged, iterations, message)
+    spec = ProblemSpec(n=2, k=1, p=1.5, q=2.0, f=constant_function(g2, 3.0))
+    res = newton_solve(spec, constant_function(g2, 1.0), 0.0)
+    assert (res.converged, res.iterations, res.message) == (True, 0, "")
+
+    capped = ProblemSpec(n=2, k=1, p=1.5, q=2.0, f=constant_function(g2, 3.0), max_newton=1)
+    res = newton_solve(capped, constant_function(g2, 4.0), 1.0)
+    assert (res.converged, res.iterations, res.message) == (
+        False, 1, f"no convergence to 1e-10 in 1 iterations (residual {res.final_linf:.3e})")
+
+    # a zero step leaves the residual where it is for every alpha
+    monkeypatch.setattr(newton, "solve_linear", lambda J, rhs, eta, state: np.zeros_like(rhs))
+    res = newton_solve(spec, constant_function(g2, 4.0), 1.0)
+    assert res.final_linf > 0.0 and res.step_history == []
+    assert (res.converged, res.iterations, res.message) == (
+        False, 0, f"line search failed at alpha < 1e-06 "
+                  f"(residual stuck at {res.final_linf:.3e}, target 1e-10)")
 
 
 def test_one_hessian_field_per_line_search_candidate(monkeypatch):

@@ -161,6 +161,15 @@ def test_residual_l2_is_summed_on_first_read(monkeypatch, g2):
     assert len(sums) == 1
 
 
+def test_residual_l2_is_finite_for_huge_residuals(g1):
+    # h = 1 on the circle has sigma_1 = 1 against f = 1e200: every node's
+    # residual is -1e200, whose square overflows unless scaled first
+    spec = ProblemSpec(n=1, k=1, p=1.5, q=2.0, f=constant_function(g1, 1e200))
+    rep = residual(spec, constant_function(g1, 1.0), 1.0)
+    assert np.all(rep.residual.values == 1.0 - 1e200)
+    assert_allclose(rep.l2, 1e200 * math.sqrt(math.fsum(g1.weights)), rtol=1e-15)
+
+
 def test_residual_constant_closed_form(g2):
     # h = r, f = c: residual is binom r^k - c r^(p-1) r^(k+1-q) node-wise
     r, c = 1.3, 2.2

@@ -16,16 +16,22 @@ the same ring means on rings j and M-1-j, so each block commutes with
 that reflection and splits into a symmetric and an antisymmetric block
 on half the rings.  Those are factored by a banded LU with partial
 pivoting (LAPACK gbtrf's scheme) in numpy, vectorized over modes and
-parities; no solve imports scipy.  A step is declined when a pivot of
-these blocks, not of J itself, falls below PIVOT_RTOL * |J|.
+parities; no solve imports scipy.  The scale of a step is |A|_inf, the
+infinity norm of that ring-averaged operator A (problem.ring_taps),
+formed once per J.  Each row of A is the mean of its ring's rows of J,
+so |A|_inf <= |J|_inf, equal when the coefficients are constant along
+rings: the GMRES target and the backward-error check only get stricter
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 7),
+and the pivot test, every pivot of A's blocks (not of J) above
+PIVOT_RTOL * |A|_inf, is relative to the matrix actually factored.
 
 The preconditioner is lagged (Knoll & Keyes, section 3; the chord idea
 applied to P, Kelley, Solving Nonlinear Equations with Newton's Method,
 2003): each newton_solve call builds P from the J of its first Newton
-step and reuses it for the later steps, while |J|_inf is recomputed for
-every J.  When GMRES with that P misses its target or its x fails the
-backward-error check, P is rebuilt from the current J and the step is
-solved once more, so only a fresh P declines a step, and every build
+step and reuses it for the later steps, while the scale is recomputed
+for every J.  When GMRES with that P misses its target or its x fails
+the backward-error check, P is rebuilt from the current J and the step
+is solved once more, so only a fresh P declines a step, and every build
 runs the pivot check.
 
 The GMRES step is inexact (Dembo, Eisenstat & Steihaug 1982): it only has
@@ -55,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdmissibilityError, SingularJacobianError
-from .problem import assemble_jacobian, evaluate, ring_blocks
+from .problem import assemble_jacobian, evaluate, ring_taps
 from .sphere import GridFunction, even_project, odd_defect
 
 # line-search controls
@@ -64,7 +70,7 @@ DECREASE_SLOPE = 1e-4
 MARGIN_FLOOR = 1e-10  # Gamma_k margin kept strictly off the cone boundary
 
 # linear solve
-PIVOT_RTOL = 1e-13  # smallest pivot allowed, relative to norm(J, inf)
+PIVOT_RTOL = 1e-13  # pivots must exceed this times the inf norm of the ring-averaged J
 KRYLOV_TARGET = 1e-16  # estimated normwise backward error GMRES stops at
 KRYLOV_MAX_ITER = 40  # GMRES iterations before the step counts as failed
 FORCING_GAMMA = 0.9  # Eisenstat-Walker choice 2: eta_A = gamma (|F_k|/|F_k-1|)^2
@@ -228,8 +234,8 @@ def _ring_preconditioner(blocks, scale):
     function keeps its work arrays between calls, so one preconditioner
     serves one newton_solve at a time, which builds it at its first Newton
     step and again only when a step misses with it (solve_linear).  Raises
-    SingularJacobianError when a pivot falls below PIVOT_RTOL * |J|
-    (scale).
+    SingularJacobianError unless every pivot is above PIVOT_RTOL * scale,
+    the ring-averaged operator's infinity norm (none is when that is 0).
     """
     width, M, K = blocks.shape
     L = 2 * (K - 1)
@@ -242,9 +248,9 @@ def _ring_preconditioner(blocks, scale):
     if M % 2:
         pivots[H - 1, K:] = np.inf  # the identity row of the middle ring
     # the folded blocks are twice A's parts, and so are their pivots
-    if not pivots.min() >= 2.0 * PIVOT_RTOL * scale:  # NaN fails too
+    if not pivots.min() > 2.0 * PIVOT_RTOL * scale:  # NaN fails too
         raise SingularJacobianError(
-            f"ring preconditioner pivot below 1e-13 * |J| = {PIVOT_RTOL * scale:.3e}")
+            f"ring preconditioner pivot not above 1e-13 * |mean J| = {PIVOT_RTOL * scale:.3e}")
     # (block, row, column, mode) -> (block, mode, row, column): one stack
     # of matrices per block of rings for matmul
     F = np.ascontiguousarray(_forward_steps(low, piv, b).transpose(0, 3, 1, 2))
@@ -281,7 +287,8 @@ def _gmres(matvec, rhs, precond, scale, eta=0.0):
 
     Stops when the Arnoldi estimate of |rhs - J x|_2 meets the larger of
     KRYLOV_TARGET * (scale * |x|_inf + |rhs|_inf), a normwise backward
-    error, and eta * |rhs|_inf, the forcing term of an inexact Newton
+    error whose scale, at most |J|_inf (solve_linear), only makes it
+    stricter, and eta * |rhs|_inf, the forcing term of an inexact Newton
     step.  The 2-norm estimate bounds the max-norm residual that
     solve_linear checks, and unlike the computed residual it has no
     rounding floor: that floor is near the unit roundoff on some
@@ -343,20 +350,21 @@ def _gmres(matvec, rhs, precond, scale, eta=0.0):
 def solve_linear(J, rhs, eta=0.0, state=None):
     """Solve J x = rhs, J a problem.LinearizedOperator, and verify x.
 
-    GMRES, preconditioned with the inverse of problem.ring_blocks of J's
-    weights, runs to KRYLOV_TARGET or to the forcing term eta within
-    KRYLOV_MAX_ITER iterations.  x is accepted when its normwise backward
-    error is at most 1e-10 or when |J x - rhs|_inf <= eta * |rhs|_inf.
-    With eta = 0 the step is solved to KRYLOV_TARGET.  A pivot below
-    PIVOT_RTOL * norm(J, inf), a missed target or an x that meets neither
-    bound raises SingularJacobianError; a non-finite J raises ValueError
-    first.  The pivots are those of the preconditioner, the ring-averaged
-    operator, on every grid and on the circle: where the coefficients
-    vary along the rings a step is declined when that average is
-    singular, whatever J's own pivots.
+    The ring-averaged operator A of J's weights (problem.ring_taps) is
+    formed once: its infinity norm is the scale, and the inverse of its
+    longitude-mode blocks the preconditioner.  GMRES runs to KRYLOV_TARGET
+    or to the forcing term eta within KRYLOV_MAX_ITER iterations.  x is
+    accepted when its normwise backward error, |J x - rhs|_inf / (scale
+    |x|_inf + |rhs|_inf), is at most 1e-10 or when |J x - rhs|_inf <= eta
+    * |rhs|_inf.  With eta = 0 the step is solved to KRYLOV_TARGET.  A
+    pivot not above PIVOT_RTOL * scale, a missed target or an x that
+    meets neither bound raises SingularJacobianError; a non-finite J
+    raises ValueError first.  The pivots are those of A, on every grid
+    and on the circle: where the coefficients vary along the rings a step
+    is declined when that average is singular, whatever J's own pivots.
 
     state, one dict per newton_solve, carries "precond" from call to call:
-    a P built for an earlier J is tried first (norm(J, inf) is J's own);
+    a P built for an earlier J is tried first (the scale is this J's);
     when it misses the target or fails the SVD or backward-error check,
     or when there is none, P is built from J, stored and the step solved
     with it, so only a fresh P raises.  Its "krylov_iterations" and
@@ -364,7 +372,9 @@ def solve_linear(J, rhs, eta=0.0, state=None):
     attempt's included, and the preconditioners built.
     """
     rhs = np.asarray(rhs, dtype=float)
-    scale = J.norm_inf()
+    with np.errstate(invalid="ignore"):  # an infinite weight times a zero tap
+        taps = ring_taps(J.grid, J.weights)
+    scale = float(np.abs(taps).sum(axis=(0, 2)).max())
     if not np.isfinite(scale):
         raise ValueError("Jacobian has non-finite entries")
     state = {} if state is None else state
@@ -376,7 +386,7 @@ def solve_linear(J, rhs, eta=0.0, state=None):
         except SingularJacobianError:
             pass  # P is stale for this J
     state["preconditioner_builds"] += 1
-    state["precond"] = _ring_preconditioner(ring_blocks(J.grid, J.weights), scale)
+    state["precond"] = _ring_preconditioner(np.conj(np.fft.rfft(taps, axis=-1)), scale)
     return _preconditioned_solve(J, rhs, scale, eta, state)
 
 

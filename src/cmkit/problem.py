@@ -14,9 +14,10 @@ evaluate() computes both sides and their difference, the residual, once
 per iterate into one Evaluation, which every reader of the iterate takes,
 from the corrector to the report, the diagnostics and manufactured data;
 assemble_jacobian() reads its linearization in h from it, a matrix-free
-LinearizedOperator on every grid.  ring_blocks() gives the longitude-mode
-blocks of the ring-averaged linearization: the Newton preconditioner,
-and at h = 1 the exact operator.
+LinearizedOperator on every grid.  ring_taps() gives the ring-averaged
+linearization, whose infinity norm scales the Newton step, and
+ring_blocks() its longitude-mode blocks: the Newton preconditioner, and
+at h = 1 the exact operator.
 """
 
 import math
@@ -247,11 +248,10 @@ class LinearizedOperator:
     J.v (n = 2) is one pass of the frame fields of v, as in hessian_field,
     with the weights folded in; its longitude derivatives use rfft/irfft
     with the symbols of the longitude kernels, as do both derivatives on
-    the circle.  norm_inf() is exact and O(N log m_lon): it sums each
-    row's absolute values from the same folded coefficients, the latitude
-    taps and the parity of the two longitude kernel rows.  toarray() comes
-    from the frame taps, ring by ring.  nnz counts the weights held, N
-    per key, not the nonzeros of the matrix, which is never formed.
+    the circle.  toarray() comes from the frame taps, ring by ring.  nnz
+    counts the weights held, N per key, not the nonzeros of the matrix,
+    which is never formed; the scale of a Newton step is the infinity
+    norm of its ring average, ring_taps().
     """
 
     def __init__(self, grid, weights):
@@ -306,53 +306,6 @@ class LinearizedOperator:
             cols = np.flatnonzero(T[j].any(axis=0))
             yield j, cols, W[j] @ T[j][:, cols]
 
-    def _abs_row_sums(self):
-        # sum_c |J[r, c]| per node r, from the coefficients of dot.  On its
-        # own ring, row (j, i) holds a0 at column (j, i) plus ctt * row2 +
-        # bs * row1 read from i on; the grid's sorted kernel ratios sum its
-        # columns in pairs (d, m_lon - d).  A latitude tap onto another ring
-        # adds a point a plus b * row1, both read from its column.  The tap
-        # across the pole, one per pole ring, lands on the node's own ring
-        # at shift m_lon / 2, so those two rings' own columns are summed in
-        # full.
-        g = self.grid
-        row1, row2 = g._lon_rows
-        L = row1.size
-        half = L // 2
-        if g.n == 1:
-            w = self.weights
-            a0, ctt, bs = w["diag"] + w["hess11"], w["hess11"], w["grad1"]
-        else:
-            (c0, c11, c1, ctt), coef_t = self._coef
-            c12, ct = coef_t or (0.0, 0.0)
-            w1, w2 = g._lat_w1, g._lat_w2
-            a0 = c0 - c11 * w2.sum(axis=0) - c1 * w1.sum(axis=0)
-            bs = ct - c12 * w1.sum(axis=0)
-        act, bct = np.abs(ctt), np.abs(bs)
-        tau = np.divide(act, bct, where=bct > 0, out=np.full_like(act, np.inf))
-        j = np.searchsorted(g._lon_ratio, tau, side="right")
-        sums = (np.abs(a0 + ctt * row2[0] + bs * row1[0])
-                + np.abs(ctt * row2[half] + bs * row1[half])
-                + 2.0 * (act * g._lon_c2_head[j] + bct * g._lon_c1_tail[j]))
-        if g.n == 2:
-            a = c11 * w2 + c1 * w1
-            b = c12 * w1
-            taps = np.abs(a + b * row1[0]) + np.abs(b) * np.abs(row1[1:]).sum()
-            shift = g._lat_src[:, :, 0] % L
-            for t, r in zip(*np.nonzero(shift)):
-                own = ctt[r, :, None] * row2 + bs[r, :, None] * row1 \
-                    + b[t, r, :, None] * np.roll(row1, shift[t, r])
-                own[:, 0] += a0[r]
-                own[:, shift[t, r]] += a[t, r]
-                sums[r] = np.abs(own).sum(axis=1)
-                taps[t, r] = 0.0
-            sums += taps.sum(axis=0)
-        return sums.ravel()
-
-    def norm_inf(self):
-        """The exact infinity norm of J, its largest absolute row sum."""
-        return float(self._abs_row_sums().max())
-
     def toarray(self):
         width, M, L = self.grid.frame_taps()["hess11"].shape
         J = np.zeros((M, L, M, L))
@@ -386,26 +339,33 @@ def assemble_jacobian(spec, ev):
     return LinearizedOperator(spec.grid, weights)
 
 
-def ring_blocks(grid, weights):
-    """Longitude-mode blocks of the ring-averaged linearization.
+def ring_taps(grid, weights):
+    """The ring-averaged linearization, one row per ring.
 
-    weights are the linearization_weights at some (h, t) on grid.  Every
-    coefficient is replaced by its mean over each ring (the circle has
-    one), which makes the operator commute with longitude shifts, and the
-    means are combined with the grid's frame_symbols().  Returns bands in
-    that layout, (width, M, K): [o + width // 2, j, m] couples ring j to
-    ring j + o in longitude mode m.  When h and f_t are axisymmetric
-    the coefficients are constant along rings and the blocks are the
-    Jacobian's own.
+    weights are the linearization_weights at some (h, t) on grid.  With
+    every weight replaced by its mean over each ring (the circle has one)
+    the operator commutes with longitude shifts; the row of node (j, 0)
+    of each ring is returned in the layout of SphereGrid.frame_taps(),
+    (width, M, L).  It is the mean of its ring's rows of J, aligned by
+    the shift, so its absolute sum is at most |J|_inf, and equal to it
+    when h and f_t are axisymmetric: the weights are then constant along
+    rings and the average is J itself.
     """
-    syms = grid.frame_symbols()
-    width, M, _ = syms["hess11"].shape
+    taps = grid.frame_taps()
+    width, M, _ = taps["hess11"].shape
     means = {key: w.reshape(M, -1).mean(axis=1)[:, None] for key, w in weights.items()}
-    blocks = np.zeros_like(syms["hess11"])
-    blocks[width // 2] = means.pop("diag")
+    rows = np.zeros_like(taps["hess11"])
+    rows[width // 2, :, :1] = means.pop("diag")
     for key, mean in means.items():
-        blocks += mean * syms[key]
-    return blocks
+        rows += mean * taps[key]
+    return rows
+
+
+def ring_blocks(grid, weights):
+    """The longitude-mode blocks of ring_taps(grid, weights), its conjugate
+    rfft along longitude: [o + width // 2, j, m] couples ring j to ring
+    j + o in mode m (on the circle, [0, 0, m] is the symbol of mode m)."""
+    return np.conj(np.fft.rfft(ring_taps(grid, weights), axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ tolerance, because downstream symmetry checks rely on them:
 The kernels SphereGrid.lon_derivs and SphereGrid.lat_derivs each return the
 first and second derivative from one pass.  The longitude weights are held
 once, as the circulant rows _lon_rows, and the latitude stencils as per-ring
-tap arrays; the kernels, the frame taps and symbols and the operator
-matrices all come from them.
+tap arrays; the kernels, the frame taps and the operator matrices all
+come from them.
 """
 
 import json
@@ -87,9 +87,9 @@ class SphereGrid:
     Construct through build_grid.  Instances are immutable in use.
     lon_derivs and lat_derivs (n=2 only) are the derivative kernels, each
     returning (first, second); the longitude weights live once, in
-    _lon_rows.  The frame operators' taps needed by the linearization and
-    their longitude-Fourier symbols are built lazily and cached
-    (frame_taps, frame_symbols), as is the ring grid (ring_grid).
+    _lon_rows.  The frame operators' taps needed by the linearization are
+    built lazily and cached (frame_taps), as is the ring grid (ring_grid);
+    their longitude-Fourier symbols come from problem.ring_blocks.
     """
 
     def __init__(self, n, m_theta=None, m_lat=None, m_lon=None):
@@ -118,7 +118,6 @@ class SphereGrid:
             self.m_lon = m_lon
             self._build_sphere()
         self._frame_taps = None
-        self._frame_syms = None
         self._ring_grid = None
 
     # -- construction -------------------------------------------------------
@@ -194,18 +193,6 @@ class SphereGrid:
         rows[:, 0] = -rows.sum(axis=1)
         self._lon_rows = rows
         self._lon_syms = np.conj(np.fft.rfft(rows, axis=-1))
-        # for the abs-sum of a row a*rows[1] + b*rows[0] over 0 < d < m/2:
-        # rows[1] is even and rows[0] odd in d, so the columns d and m - d
-        # sum to 2 max(|a c2[d]|, |b c1[d]|).  With d sorted by
-        # ratio = |c1/c2|, the first j of them take the c2 side when
-        # ratio[j - 1] <= |a/b| < ratio[j]; c2_head[j] sums |c2| over those,
-        # c1_tail[j] |c1| over the rest.
-        r1, r2 = np.abs(c1), np.abs(c2)
-        ratio = r1 / r2
-        order = np.argsort(ratio)
-        self._lon_ratio = ratio[order]
-        self._lon_c2_head = np.concatenate([[0.0], np.cumsum(r2[order])])
-        self._lon_c1_tail = np.concatenate([np.cumsum(r1[order][::-1])[::-1], [0.0]])
 
     def _build_lat_stencils(self):
         # difference-form stencils as tap arrays, one row per latitude ring
@@ -390,20 +377,6 @@ class SphereGrid:
         self._frame_taps = {"hess11": hess11, "hess12": hess12, "hess22": hess22,
                             "grad1": lat1, "grad2": grad2}
         return self._frame_taps
-
-    def frame_symbols(self):
-        """Longitude-Fourier symbols of the frame operators, built once.
-
-        On phi = c_s * exp(2 pi i m l / m_lon) in ring s (l the longitude
-        index) a frame operator acts as the banded matrix A_m on the c_s.
-        A cached dict keyed like frame_taps(), of the conjugate rfft of the
-        taps along d: entry [o + RING_REACH, j, m] is A_m[j, j + o]; on
-        the circle, one ring, [0, 0, m] is the symbol of mode m.
-        """
-        if self._frame_syms is None:
-            self._frame_syms = {key: np.conj(np.fft.rfft(taps, axis=-1))
-                                for key, taps in self.frame_taps().items()}
-        return self._frame_syms
 
     def ring_grid(self):
         """The m_lat x RING_LON grid on this grid's latitudes (n=2), built once.

@@ -74,6 +74,14 @@ def test_solve_linear_singular():
         solve_linear(J, np.ones(16))
 
 
+def test_solve_linear_zero_operator_is_declined_on_its_pivot():
+    # every weight 0: the scale is 0 as well, and a zero pivot must not
+    # pass the test pivot > PIVOT_RTOL * scale; GMRES never starts
+    J = _circle_operator(16, 0.0, 0.0, 0.0)
+    with pytest.raises(SingularJacobianError, match="pivot"):
+        solve_linear(J, np.ones(16))
+
+
 def test_solve_linear_variable_circle_is_not_declined():
     # the pivot check sees the ring means only: with coefficients that vary
     # around the circle J is regular, and so is the operator of their means
@@ -105,6 +113,22 @@ def _sphere_jacobian(k, tilt, a=0.5, m_lat=32, m_lon=None):
     """The matrix-free Jacobian of _sphere_case and its ring blocks."""
     spec, _, ev, weights = _sphere_case(k, tilt, a, m_lat, m_lon)
     return assemble_jacobian(spec, ev), ring_blocks(spec.grid, weights)
+
+
+def _ring_scale(J):
+    """The scale solve_linear gives J, caught at its preconditioner build:
+    the infinity norm of the ring-averaged operator."""
+    class Caught(Exception):
+        pass
+
+    def catch(blocks, scale):
+        raise Caught(scale)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(newton, "_ring_preconditioner", catch)
+        with pytest.raises(Caught) as caught:
+            solve_linear(J, np.ones(J.shape[0]))
+    return caught.value.args[0]
 
 
 def _backward_error(J, x, rhs):
@@ -163,7 +187,7 @@ def test_ring_preconditioner_inverts_polar_jacobian(k):
     # axisymmetric data and iterate: the ring means are the coefficients
     # themselves, so the mode blocks are J's own and P^-1 J = I
     J, blocks = _sphere_jacobian(k, 0.0)
-    precond = newton._ring_preconditioner(blocks, J.norm_inf())
+    precond = newton._ring_preconditioner(blocks, _ring_scale(J))
     x = np.cos(0.7 * np.arange(J.shape[0])) + 0.3
     assert np.max(np.abs(precond(J.dot(x)) - x)) <= 1e-12 * np.max(np.abs(x))
 
@@ -184,7 +208,7 @@ def test_ring_preconditioner_matches_dense_mode_solves(shape):
     V = np.fft.rfft(v.reshape(M, -1), axis=1)
     X = np.linalg.solve(A, V.T[:, :, None])[..., 0].T
     ref = np.fft.irfft(X, n=shape[1], axis=1).ravel()
-    precond = newton._ring_preconditioner(blocks, J.norm_inf())
+    precond = newton._ring_preconditioner(blocks, _ring_scale(J))
     x = precond(v)
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
     # its work array keeps nothing from one application to the next
@@ -211,7 +235,7 @@ def test_ring_preconditioner_inverts_the_reflection_average(m_lat):
     v = np.cos(0.37 * np.arange(J.shape[0])) + 0.2
     V = np.fft.rfft(v.reshape(M, -1), axis=1)
     ref = np.fft.irfft(np.linalg.solve(S, V.T[:, :, None])[..., 0].T, n=16, axis=1).ravel()
-    x = newton._ring_preconditioner(blocks, J.norm_inf())(v)
+    x = newton._ring_preconditioner(blocks, _ring_scale(J))(v)
     assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -224,15 +248,16 @@ def test_ring_preconditioner_raises_on_a_zero_pivot():
     for o in range(blocks.shape[0]):
         blocks[o, 4 - o + R, 3] = 0.0
     with pytest.raises(SingularJacobianError, match="pivot"):
-        newton._ring_preconditioner(blocks, J.norm_inf())
+        newton._ring_preconditioner(blocks, _ring_scale(J))
 
 
 def test_solve_linear_raises_when_krylov_misses_target(monkeypatch):
     J, blocks = _sphere_jacobian(2, 1.0, 2.0)
     rhs = np.sin(np.arange(J.shape[0]))
-    # singular mode blocks: no preconditioner
+    # a zero ring average: zero pivots against a zero scale, no preconditioner
     with monkeypatch.context() as m:
-        m.setattr(newton, "ring_blocks", lambda grid, weights: np.zeros_like(blocks))
+        m.setattr(newton, "ring_taps",
+                  lambda grid, weights: np.zeros_like(grid.frame_taps()["hess11"]))
         with pytest.raises(SingularJacobianError, match="preconditioner"):
             solve_linear(J, rhs)
     # GMRES cannot reach its target in one iteration on tilted data
@@ -472,22 +497,18 @@ def test_matrix_free_newton_step_builds_no_matrix(monkeypatch, g1):
 
 
 def test_tilted_path_never_forms_dense_rows(monkeypatch):
-    # norm_inf() comes from the weights and the kernels alone: a tilted
-    # 16x32 continuation forms no dense Jacobian row
+    # the scale comes from the ring means of the weights and the frame
+    # taps alone: a tilted 16x32 continuation forms no dense Jacobian row
     from cmkit.continuation import continue_path
 
-    formed, norms = [], []
-    norm_inf = LinearizedOperator.norm_inf
-
-    def counting_norm(self):
-        norms.append(self)
-        return norm_inf(self)
-
+    formed, scaled = [], []
+    taps = newton.ring_taps
     monkeypatch.setattr(LinearizedOperator, "_ring_rows", lambda self: formed.append(self))
-    monkeypatch.setattr(LinearizedOperator, "norm_inf", counting_norm)
+    monkeypatch.setattr(newton, "ring_taps",
+                        lambda grid, weights: scaled.append(grid) or taps(grid, weights))
     spec, _, _, _ = _sphere_case(2, 0.4, m_lat=16)
     tr = continue_path(spec)
-    assert tr.success and norms and not formed
+    assert tr.success and scaled and not formed
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +650,7 @@ def test_solve_linear_rebuilds_a_held_preconditioner_that_fails(monkeypatch, fai
     if failure == "gmres-miss":
         stale, wasted = (lambda v: v), newton.KRYLOV_MAX_ITER
     else:
-        stale, wasted = newton._ring_preconditioner(blocks, J.norm_inf()), 1
+        stale, wasted = newton._ring_preconditioner(blocks, _ring_scale(J)), 1
         gmres = newton._gmres
         answers = iter([lambda *args: (0.5 * gmres(*args)[0], 1), gmres])
         monkeypatch.setattr(newton, "_gmres", lambda *args: next(answers)(*args))

@@ -564,9 +564,11 @@ def _tilted_iterate(g, k, tilt):
                          ids=lambda v: str(v))
 @pytest.mark.parametrize("shape", [(16, 32), (32, 64)], ids=lambda s: f"{s[0]}x{s[1]}")
 def test_matrix_free_jacobian_matches_csr_assembly(shape, k, tilt):
-    # J.v, norm_inf() and the frame symbols against the earlier CSR
-    # assembly, for polar and tilted data; only the summation order differs
-    from cmkit.problem import LinearizedOperator, linearization_weights
+    # J.v, the Newton scale and the frame symbols against the earlier CSR
+    # assembly, for polar and tilted data; only the summation order
+    # differs.  The scale, the infinity norm of the ring-averaged
+    # operator, is at most J's and equal to it on polar data
+    from cmkit.problem import LinearizedOperator, linearization_weights, ring_blocks
 
     g = build_grid(2, m_lat=shape[0], m_lon=shape[1])
     spec, h = _tilted_iterate(g, k, tilt)
@@ -576,19 +578,42 @@ def test_matrix_free_jacobian_matches_csr_assembly(shape, k, tilt):
     J = assemble_jacobian(spec, evaluate(spec, h, 0.5))
     assert isinstance(J, LinearizedOperator) and J.shape == ref.shape
     scale = np.max(np.abs(ref).sum(axis=1))
-    assert abs(J.norm_inf() - scale) <= 1e-14 * scale
+    ring = _newton_scale(J)
+    assert ring <= scale * (1.0 + 1e-14)
+    if tilt == 0.0:
+        assert abs(ring - scale) <= 1e-14 * scale
     rng = np.random.default_rng(7)
     for v in (np.ones(g.node_count), rng.standard_normal(g.node_count),
               np.sin(np.arange(g.node_count))):
         assert np.max(np.abs(J.dot(v) - ref @ v)) <= 1e-14 * scale * np.max(np.abs(v))
+    N = g.node_count
     for key, sym in _csr_frame_symbols(g, ops).items():
-        assert np.max(np.abs(g.frame_symbols()[key] - sym)) <= 1e-14 * np.max(np.abs(sym))
+        got = ring_blocks(g, {key: np.ones(N), "diag": np.zeros(N)})
+        assert np.max(np.abs(got - sym)) <= 1e-14 * np.max(np.abs(sym))
     # the mixed and longitude-gradient weights vanish on axisymmetric data
     zero = {key for key in ("grad2", "hess12") if key in weights and not weights[key].any()}
     if tilt == 0.0:
         assert zero == ({"grad2", "hess12"} if k == 2 else {"grad2"})
     else:
         assert zero == set()
+
+
+def _newton_scale(J):
+    # the scale newton.solve_linear gives J, caught where it builds the
+    # preconditioner
+    from cmkit import newton
+
+    class Caught(Exception):
+        pass
+
+    def catch(blocks, scale):
+        raise Caught(scale)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(newton, "_ring_preconditioner", catch)
+        with pytest.raises(Caught) as caught:
+            newton.solve_linear(J, np.ones(J.shape[0]))
+    return caught.value.args[0]
 
 
 def _dense_abs_row_sums(J):
@@ -607,11 +632,12 @@ NORM_CASES = [((64,), 1, 0.0), ((256,), 1, 0.0)] + [
 
 @pytest.mark.parametrize("shape,k,tilt", NORM_CASES,
                          ids=["x".join(map(str, s)) + f"-{k}-{t}" for s, k, t in NORM_CASES])
-def test_norm_inf_matches_dense_row_sums(shape, k, tilt):
-    # every abs row sum, and their max norm_inf(), against the dense rows:
-    # at a polar or tilted iterate, and with random-sign weights, whose
-    # ratios |v_tt / v_t coefficient| fall on both sides of every paired
-    # max and reach both pole rings
+def test_newton_scale_is_the_norm_of_the_ring_average(shape, k, tilt):
+    # the scale of the Newton step against the dense rows, at a polar or
+    # tilted iterate and with random-sign weights, which reach both pole
+    # rings: it is the infinity norm of the operator of the ring means of
+    # the weights, at most J's own, and J's own where the weights are
+    # constant along rings (polar iterates on S^2)
     from cmkit.problem import LinearizedOperator, linearization_weights
 
     if len(shape) == 1:
@@ -622,11 +648,17 @@ def test_norm_inf_matches_dense_row_sums(shape, k, tilt):
     weights = linearization_weights(spec, evaluate(spec, h, 0.5))
     rng = np.random.default_rng(len(shape) * 100 + k)
     signed = {key: rng.standard_normal(w.size) for key, w in weights.items()}
+    rings = g.shape[0] if g.n == 2 else 1
     for w in (weights, signed):
-        J = LinearizedOperator(g, w)
-        ref = _dense_abs_row_sums(J)
-        assert np.max(np.abs(J._abs_row_sums() - ref) / ref) <= 1e-14
-        assert abs(J.norm_inf() - ref.max()) <= 1e-14 * ref.max()
+        means = {key: np.repeat(v.reshape(rings, -1).mean(axis=1), v.size // rings)
+                 for key, v in w.items()}
+        scale = _newton_scale(LinearizedOperator(g, w))
+        ring = _dense_abs_row_sums(LinearizedOperator(g, means)).max()
+        norm = _dense_abs_row_sums(LinearizedOperator(g, w)).max()
+        assert abs(scale - ring) <= 1e-14 * ring
+        assert scale <= norm * (1.0 + 1e-14)
+        if w is weights and g.n == 2 and tilt == 0.0:
+            assert abs(scale - norm) <= 1e-14 * norm
 
 
 @pytest.mark.parametrize("shape,k", [((64,), 1), ((512,), 1), ((8, 16), 1), ((8, 16), 2),
@@ -672,11 +704,11 @@ def test_jacobian_representation(n, shape, was_dense):
     assert isinstance(J, LinearizedOperator)
     assert J.shape == (g.node_count,) * 2 and J.nnz > 0
     v = np.cos(np.arange(g.node_count))
-    assert_allclose(J.dot(v), J.toarray() @ v, rtol=0, atol=1e-13 * J.norm_inf())
+    A = J.toarray()
+    scale = np.max(np.abs(A).sum(axis=1))
+    assert_allclose(J.dot(v), A @ v, rtol=0, atol=1e-13 * scale)
     if was_dense:
         x = solve_linear(J, v)
-        A = J.toarray()
-        scale = np.max(np.abs(A).sum(axis=1))
         assert np.max(np.abs(A @ x - v)) <= 1e-10 * (scale * np.max(np.abs(x))
                                                      + np.max(np.abs(v)))
 

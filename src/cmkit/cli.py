@@ -23,6 +23,7 @@ from .continuation import continue_path
 from .errors import (AdmissibilityError, ConfigError, DomainError, SingularJacobianError,
                      UnsupportedParameterError)
 from .geometry import reconstruct_body, write_obj, write_polyline
+from .newton import PIVOT_RTOL
 from .problem import evaluate, validate_f1
 from .sphere import (build_grid, format_rows, json_text, read_grid_function,
                      write_grid_function)
@@ -173,10 +174,12 @@ def _cmd_spectrum(cfg):
     with open(os.path.join(out, "spectrum.csv"), "w") as fh:
         fh.write("eigenvalue\n")
         fh.write(format_rows("%.17g", eigs[:, None]))
+    # a zero eigenvalue (p = q) is a rounding residue of either sign: not positive
     payload = {
         "top": float(eigs[0]),
         "top_analytic": diag.l0_top_eigenvalue_analytic(spec),
-        "positive_count": int(np.sum(eigs > 0)),
+        "positive_count": int(np.sum(eigs > PIVOT_RTOL * np.max(np.abs(eigs)))),
+        "warnings": list(spec.warnings),
     }
     print(json_text(payload))
     return 0

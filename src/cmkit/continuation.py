@@ -38,7 +38,7 @@ import numpy as np
 from .errors import AdmissibilityError, SingularJacobianError
 from .newton import newton_solve
 from .problem import evaluate
-from .sphere import RING_LON, GridFunction, constant_function, even_project, json_text
+from .sphere import RING_LON, GridFunction, constant_function, json_text
 
 TRACE_KEYS = ("t", "newton_iterations", "residual", "min_b_eig", "R", "r", "ratio")
 
@@ -79,12 +79,12 @@ def _trace_row(h, t, iters, linf, min_b_eig, krylov_iters=0, builds=0):
 
 def predictor(prev, t_next):
     """Linear extrapolation to t_next from the last two accepted (t, h)
-    pairs, even-projected; the last accepted h when the pairs share their
-    t or the extrapolation loses positivity anywhere."""
+    pairs, exactly even as they are; the last accepted h when the pairs
+    share their t or the extrapolation loses positivity anywhere."""
     (t1, h1), (t2, h2) = prev
     if t2 != t1:
         s = (t_next - t2) / (t2 - t1)
-        cand = even_project(GridFunction(h2.grid, h2.values + s * (h2.values - h1.values)))
+        cand = GridFunction(h2.grid, h2.values + s * (h2.values - h1.values))
         if np.all(cand.values > 0):
             return cand
     return h2.copy()

@@ -23,7 +23,7 @@ from .errors import AdmissibilityError
 from .continuation import continue_path
 from .newton import newton_solve
 from .problem import (ProblemSpec, admissibility_margin, ellipticity_weights, evaluate,
-                      linearization_weights, ring_blocks)
+                      linearization_weights, parity_fold, ring_blocks, ring_taps)
 from .sphere import (
     GridFunction,
     constant_function,
@@ -112,7 +112,7 @@ def af_inequality_check(h, k, testfn, hf):
     from one pass of the elementary symmetric functions.  The zero-mean
     condition is enforced here by subtracting the weighted mean
     (reported).  Equality holds exactly for f = <x/h, v>; the check flags
-    near-equality and certifies it by fitting such a v.
+    near-equality, which the caller certifies with fit_equality_direction.
     """
     g = h.grid
     e = _prefix_sigmas(hf.lam, k)
@@ -165,29 +165,27 @@ def fit_equality_direction(h, testfn):
 
 def l0_spectrum(spec):
     """Eigenvalues (sorted descending) of the linearization at h = 1, t = 0,
-    restricted to the even subspace: N/2 real values, from its ring_blocks.
+    restricted to the even subspace: N/2 real values, one mode at a time.
 
     The antipodal map sends ring j to ring M-1-j with the sign (-1)^m in
     longitude mode m, so the even part of mode m is spanned by e_j +
-    (-1)^m e_(M-1-j); a self-paired ring (odd m_lat's equator, the
-    circle's one ring) is even only for even m.  Modes other than 0 and
-    the Nyquist mode carry a cosine and a sine and count twice.
+    (-1)^m e_(M-1-j): half of problem.parity_fold's symmetric block for
+    even m, and for odd m half its antisymmetric block without odd M's
+    middle ring (odd m_lat's equator, the circle's one ring).  Modes other
+    than 0 and the Nyquist mode carry a cosine and a sine and count twice.
     """
-    g = spec.grid
-    ev = evaluate(spec, constant_function(g, 1.0), 0.0)
-    blocks = ring_blocks(g, linearization_weights(spec, ev))
+    ev = evaluate(spec, constant_function(spec.grid, 1.0), 0.0)
+    blocks = ring_blocks(ring_taps(spec.grid, linearization_weights(spec, ev)))
     width, M, K = blocks.shape
-    # the dense block of every mode: A[m, j, j + o - width // 2] = blocks[o, j, m]
-    A = sum(blocks[o].T[:, :, None] * np.eye(M, k=o - width // 2) for o in range(width))
+    folded = parity_fold(blocks).reshape(width, (M + 1) // 2, 2, K)
     count = np.full(K, 2)
     count[[0, -1]] = 1
-    eye = np.eye(M)
     ev = []
     for parity, d in ((0, (M + 1) // 2), (1, M // 2)):
-        E = (eye + (-1) ** parity * eye[::-1])[:, :d]
-        E /= E.diagonal()  # a self-paired ring's column is e_j, not 2 e_j
-        # A E = E F, and the first d rows of E are the identity
-        lam = np.linalg.eigvals((A[parity::2] @ E)[:, :d])
+        band = folded[:, :d, parity, parity::2]
+        # the dense block of every mode: A[m, j, j + o - width // 2] = band[o, j, m] / 2
+        A = 0.5 * sum(band[o].T[:, :, None] * np.eye(d, k=o - width // 2) for o in range(width))
+        lam = np.linalg.eigvals(A)
         ev.append(np.repeat(lam.real, count[parity::2], axis=0).ravel())
     # the analytic spectrum is real; discrete asymmetry introduces at most
     # rounding-level imaginary parts on the resolved modes

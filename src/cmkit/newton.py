@@ -14,9 +14,9 @@ splits the operator into m_lon/2 + 1 banded blocks, one per Fourier mode
 axisymmetric iterates and data it is J^-1.  Even iterates and data give
 the same ring means on rings j and M-1-j, so each block commutes with
 that reflection and splits into a symmetric and an antisymmetric block
-on half the rings.  Those are factored by a banded LU with partial
-pivoting (LAPACK gbtrf's scheme) in numpy, vectorized over modes and
-parities; no solve imports scipy.  The scale of a step is |A|_inf, the
+on half the rings (problem.parity_fold), factored by a banded LU with
+partial pivoting (LAPACK gbtrf's scheme) in numpy, vectorized over modes
+and parities; no solve imports scipy.  The scale of a step is |A|_inf, the
 infinity norm of that ring-averaged operator A (problem.ring_taps),
 formed once per J.  Each row of A is the mean of its ring's rows of J,
 so |A|_inf <= |J|_inf, equal when the coefficients are constant along
@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdmissibilityError, SingularJacobianError
-from .problem import assemble_jacobian, evaluate, ring_taps
+from .problem import assemble_jacobian, evaluate, parity_fold, ring_blocks, ring_taps
 from .sphere import GridFunction, even_project, odd_defect
 
 # line-search controls
@@ -89,43 +89,6 @@ class NewtonResult:
     message: str = ""
     krylov_iterations: int = 0  # GMRES iterations over all Newton steps
     preconditioner_builds: int = 0  # ring preconditioners built, rebuilds included
-
-
-def _fold(blocks):
-    """Split every mode's block into its symmetric and antisymmetric part.
-
-    blocks is the (width, M, K) output of problem.ring_blocks.  With R the
-    reflection of ring j to ring M-1-j, A + R A R maps vectors with
-    c_(M-1-j) = +-c_j into themselves; on the first H = ceil(M/2) rings
-    it acts as a banded block whose couplings past the fold land on the
-    mirrored rings, with sign +-.  Returns those blocks in the same
-    layout, (width, H, 2K): the symmetric parts of the K modes, then the
-    antisymmetric parts.  On odd M the antisymmetric part has c = 0 on
-    the middle ring, which gets an identity row.  For even iterates and
-    data A = R A R up to rounding, so this is twice A on each part.
-    """
-    width, M, K = blocks.shape
-    R = width // 2
-    H = (M + 1) // 2
-    top = blocks[:, :H] + blocks[::-1, ::-1, :][:, :H]
-    out = np.empty((width, H, 2, K), complex)
-    out[:, :, 0] = top
-    out[:, :, 1] = top
-    # coupling [R + o, j] of ring j to ring j + o >= H lands on its mirror,
-    # ring M-1-j-o < H, at offset M-1-2j-o from ring j
-    reach = np.arange(H)[:, None] + np.arange(-R, R + 1)
-    jj, oo = np.nonzero((reach >= H) & (reach < M))
-    fold = M - 1 - 2 * jj - oo + 2 * R
-    out[oo, jj] = 0.0
-    out[fold, jj, 0] += top[oo, jj]
-    out[fold, jj, 1] -= top[oo, jj]
-    if M % 2:
-        mid = H - 1
-        out[:, mid, 1] = 0.0
-        out[R, mid, 1] = 1.0
-        above = np.arange(max(0, mid - R), mid)
-        out[R + mid - above, above, 1] = 0.0
-    return out.reshape(width, H, 2 * K)
 
 
 def _band_lu(blocks, rows):
@@ -225,12 +188,12 @@ def _backward_steps(U, b):
 def _ring_preconditioner(blocks, scale):
     """Inverse of the ring-averaged Jacobian, one longitude mode at a time.
 
-    blocks is the output of problem.ring_blocks.  Folds every mode's block
-    into its symmetric and antisymmetric part with _fold, factors those
-    with _band_lu and returns v -> P^-1 v: rfft along longitude, the sum
-    and difference of rings j and M-1-j, the substitutions RING_BLOCK
-    rings at a time (one batched matmul per block of rings and sweep, with
-    the maps of _forward_steps and _backward_steps), and back.  The
+    blocks is the output of problem.ring_blocks.  Factors their
+    problem.parity_fold with _band_lu and returns v -> P^-1 v: rfft along
+    longitude, the sum and difference of rings j and M-1-j, the
+    substitutions RING_BLOCK rings at a time (one batched matmul per block
+    of rings and sweep, with the maps of _forward_steps and
+    _backward_steps), and back.  The
     function keeps its work arrays between calls, so one preconditioner
     serves one newton_solve at a time, which builds it at its first Newton
     step and again only when a step misses with it (solve_linear).  Raises
@@ -243,7 +206,7 @@ def _ring_preconditioner(blocks, scale):
     H = (M + 1) // 2
     b = min(RING_BLOCK, H)
     nb = -(-H // b)
-    U, low, piv = _band_lu(_fold(blocks), nb * b)
+    U, low, piv = _band_lu(parity_fold(blocks), nb * b)
     pivots = np.abs(U[:H, 0])
     if M % 2:
         pivots[H - 1, K:] = np.inf  # the identity row of the middle ring
@@ -386,7 +349,7 @@ def solve_linear(J, rhs, eta=0.0, state=None):
         except SingularJacobianError:
             pass  # P is stale for this J
     state["preconditioner_builds"] += 1
-    state["precond"] = _ring_preconditioner(np.conj(np.fft.rfft(taps, axis=-1)), scale)
+    state["precond"] = _ring_preconditioner(ring_blocks(taps), scale)
     return _preconditioned_solve(J, rhs, scale, eta, state)
 
 

@@ -15,9 +15,10 @@ per iterate into one Evaluation, which every reader of the iterate takes,
 from the corrector to the report, the diagnostics and manufactured data;
 assemble_jacobian() reads its linearization in h from it, a matrix-free
 LinearizedOperator on every grid.  ring_taps() gives the ring-averaged
-linearization, whose infinity norm scales the Newton step, and
-ring_blocks() its longitude-mode blocks: the Newton preconditioner, and
-at h = 1 the exact operator.
+linearization, whose infinity norm scales the Newton step, ring_blocks()
+its longitude-mode blocks and parity_fold() their parts symmetric and
+antisymmetric about the equator: the Newton preconditioner factors them,
+and at h = 1 they give diagnostics.l0_spectrum the exact even spectrum.
 """
 
 import math
@@ -361,11 +362,46 @@ def ring_taps(grid, weights):
     return rows
 
 
-def ring_blocks(grid, weights):
-    """The longitude-mode blocks of ring_taps(grid, weights), its conjugate
+def ring_blocks(taps):
+    """The longitude-mode blocks of taps = ring_taps(...), their conjugate
     rfft along longitude: [o + width // 2, j, m] couples ring j to ring
     j + o in mode m (on the circle, [0, 0, m] is the symbol of mode m)."""
-    return np.conj(np.fft.rfft(ring_taps(grid, weights), axis=-1))
+    return np.conj(np.fft.rfft(taps, axis=-1))
+
+
+def parity_fold(blocks):
+    """Split every mode's block into its symmetric and antisymmetric part.
+
+    blocks is the (width, M, K) output of ring_blocks.  With R the
+    reflection of ring j to ring M-1-j, A + R A R maps vectors with
+    c_(M-1-j) = +-c_j into themselves; on the first H = ceil(M/2) rings
+    it acts as a banded block whose couplings past the fold land on the
+    mirrored rings, with sign +-.  Returns those blocks in the same
+    layout, (width, H, 2K): the symmetric parts of the K modes, then the
+    antisymmetric parts.  On odd M the antisymmetric part has c = 0 on
+    the middle ring, which gets an identity row.  For even iterates and
+    data A = R A R up to rounding, so this is twice A on each part.
+    """
+    width, M, K = blocks.shape
+    R = width // 2
+    H = (M + 1) // 2
+    top = blocks[:, :H] + blocks[::-1, ::-1, :][:, :H]
+    out = np.stack((top, top), axis=2)  # (width, H, 2, K)
+    # coupling [R + o, j] of ring j to ring j + o >= H lands on its mirror,
+    # ring M-1-j-o < H, at offset M-1-2j-o from ring j
+    reach = np.arange(H)[:, None] + np.arange(-R, R + 1)
+    jj, oo = np.nonzero((reach >= H) & (reach < M))
+    fold = M - 1 - 2 * jj - oo + 2 * R
+    out[oo, jj] = 0.0
+    out[fold, jj, 0] += top[oo, jj]
+    out[fold, jj, 1] -= top[oo, jj]
+    if M % 2:
+        mid = H - 1
+        out[:, mid, 1] = 0.0
+        out[R, mid, 1] = 1.0
+        above = np.arange(max(0, mid - R), mid)
+        out[R + mid - above, above, 1] = 0.0
+    return out.reshape(width, H, 2 * K)
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,25 @@ def test_spectrum_command(tmp_path, capsys):
     assert Path(tmp_path, "out", "spectrum.csv").read_text() == ref
 
 
+@pytest.mark.parametrize("m_lat, q, positive, note", [
+    (24, "1.5", 0, "EQUAL_EXPONENT_NOTE"), (32, "1.5", 0, "EQUAL_EXPONENT_NOTE"),
+    (24, "1.501", 1, None), (32, "1.501", 1, None)])
+def test_spectrum_positive_count_leaves_out_rounding_residue(tmp_path, capsys,
+                                                             m_lat, q, positive, note):
+    # at p = q the top even eigenvalue is 0 analytically and computed as
+    # +-1e-14, whose sign is not a positive eigenvalue; at q - p = 1e-3 it
+    # is 1e-3 and counts
+    from cmkit import problem
+
+    path = write_cfg(tmp_path, BASE.replace("q = 2.0", f"q = {q}")
+                     .replace("m_lat = 16", f"m_lat = {m_lat}")
+                     .replace("m_lon = 32", f"m_lon = {2 * m_lat}"))
+    assert main(["spectrum", path]) == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert payload["positive_count"] == positive
+    assert payload["warnings"] == ([getattr(problem, note)] if note else [])
+
+
 def test_isotropic_command(tmp_path, capsys):
     path = write_cfg(tmp_path, """\
 n = 2

@@ -56,6 +56,27 @@ def test_predictor_trivial_and_collinear(g1):
     assert np.array_equal(h.values, h3.values)
 
 
+def test_predictor_keeps_corrector_iterates_exactly_even(monkeypatch):
+    # the corrector's iterates are bitwise even and node-wise extrapolation
+    # keeps them so: every prediction of a tilted 16x32 path
+    from cmkit import continuation
+
+    g = build_grid(2, m_lat=16, m_lon=32)
+    k, p = 2, 1.5
+    f = axis_data(g, k, p, axis=(math.sin(0.4), 0.0, math.cos(0.4)))
+    predicted = []
+
+    def spy(prev, t_next):
+        h = predictor(prev, t_next)
+        predicted.append((prev[0][0] != prev[1][0], odd_defect(h)))
+        return h
+    monkeypatch.setattr(continuation, "predictor", spy)
+    assert continue_path(ProblemSpec(n=2, k=k, p=p, q=2.5, f=f)).success
+    # the extrapolating steps, not just the fallbacks to the last h
+    assert sum(extrapolated for extrapolated, _ in predicted) >= 3
+    assert all(defect == 0.0 for _, defect in predicted)
+
+
 # ---------------------------------------------------------------------------
 # paths
 # ---------------------------------------------------------------------------

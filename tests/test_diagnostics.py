@@ -357,6 +357,41 @@ def test_spectrum_at_h1_is_bitwise_the_power_formula(monkeypatch, shape, k):
     assert np.array_equal(l0_spectrum(spec), ev)
 
 
+def _even_projection_spectrum(spec):
+    # the spectrum from the dense block of every mode times the even basis
+    # E of its parity, e_j + (-1)^m e_(M-1-j), as computed before the
+    # spectrum read the preconditioner's parity fold
+    from cmkit.problem import ring_blocks, ring_taps
+
+    g = spec.grid
+    weights = linearization_weights(spec, evaluate(spec, constant_function(g, 1.0), 0.0))
+    blocks = ring_blocks(ring_taps(g, weights))
+    width, M, K = blocks.shape
+    A = sum(blocks[o].T[:, :, None] * np.eye(M, k=o - width // 2) for o in range(width))
+    count = np.full(K, 2)
+    count[[0, -1]] = 1
+    eye = np.eye(M)
+    ev = []
+    for parity, d in ((0, (M + 1) // 2), (1, M // 2)):
+        E = (eye + (-1) ** parity * eye[::-1])[:, :d]
+        E /= E.diagonal()
+        lam = np.linalg.eigvals((A[parity::2] @ E)[:, :d])
+        ev.append(np.repeat(lam.real, count[parity::2], axis=0).ravel())
+    return np.sort(np.concatenate(ev))[::-1]
+
+
+@pytest.mark.parametrize("p, q", [(1.5, None), (1.5, 1.5)], ids=["in-window", "p=q"])
+@pytest.mark.parametrize("shape, k", [((256,), 1), ((8, 16), 1), ((8, 16), 2), ((9, 16), 1),
+                                      ((9, 16), 2), ((24, 48), 1), ((24, 48), 2)],
+                         ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
+def test_spectrum_is_bitwise_the_even_projection(shape, k, p, q):
+    # the fold is twice each parity's block exactly at h = 1, so halving
+    # it gives the even-basis restriction bit for bit
+    g = _spectrum_grid(shape)
+    spec = make_spec(n=g.n, k=k, p=p, q=k + 0.5 if q is None else q, grid=g)
+    assert np.array_equal(l0_spectrum(spec), _even_projection_spectrum(spec))
+
+
 def _leading_even_degrees(spec):
     # binom(n,k)(q-p) - binom(n-1,k-1) l(l+n-1) for l = 0, 2, 4, 6, once per
     # even harmonic of degree l: 2l+1 on S^2, 2 on S^1 (1 for l = 0)

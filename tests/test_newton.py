@@ -15,7 +15,9 @@ from cmkit.problem import (
     assemble_jacobian,
     evaluate,
     linearization_weights,
+    parity_fold,
     ring_blocks,
+    ring_taps,
 )
 from cmkit.sphere import constant_function, hessian_field, odd_defect
 
@@ -112,7 +114,7 @@ def _sphere_case(k, tilt, a=0.5, m_lat=32, m_lon=None):
 def _sphere_jacobian(k, tilt, a=0.5, m_lat=32, m_lon=None):
     """The matrix-free Jacobian of _sphere_case and its ring blocks."""
     spec, _, ev, weights = _sphere_case(k, tilt, a, m_lat, m_lon)
-    return assemble_jacobian(spec, ev), ring_blocks(spec.grid, weights)
+    return assemble_jacobian(spec, ev), ring_blocks(ring_taps(spec.grid, weights))
 
 
 def _ring_scale(J):
@@ -215,7 +217,7 @@ def test_ring_preconditioner_matches_dense_mode_solves(shape):
     precond(np.full_like(v, np.nan))
     assert np.array_equal(precond(v), x)
     # the LU runs on the folded blocks, half the rings each
-    _, _, piv = newton._band_lu(newton._fold(blocks), (M + 1) // 2)
+    _, _, piv = newton._band_lu(parity_fold(blocks), (M + 1) // 2)
     assert np.count_nonzero(piv) > 0
 
 

@@ -568,7 +568,7 @@ def test_matrix_free_jacobian_matches_csr_assembly(shape, k, tilt):
     # assembly, for polar and tilted data; only the summation order
     # differs.  The scale, the infinity norm of the ring-averaged
     # operator, is at most J's and equal to it on polar data
-    from cmkit.problem import LinearizedOperator, linearization_weights, ring_blocks
+    from cmkit.problem import LinearizedOperator, linearization_weights, ring_blocks, ring_taps
 
     g = build_grid(2, m_lat=shape[0], m_lon=shape[1])
     spec, h = _tilted_iterate(g, k, tilt)
@@ -588,7 +588,7 @@ def test_matrix_free_jacobian_matches_csr_assembly(shape, k, tilt):
         assert np.max(np.abs(J.dot(v) - ref @ v)) <= 1e-14 * scale * np.max(np.abs(v))
     N = g.node_count
     for key, sym in _csr_frame_symbols(g, ops).items():
-        got = ring_blocks(g, {key: np.ones(N), "diag": np.zeros(N)})
+        got = ring_blocks(ring_taps(g, {key: np.ones(N), "diag": np.zeros(N)}))
         assert np.max(np.abs(got - sym)) <= 1e-14 * np.max(np.abs(sym))
     # the mixed and longitude-gradient weights vanish on axisymmetric data
     zero = {key for key in ("grad2", "hess12") if key in weights and not weights[key].any()}

@@ -333,7 +333,7 @@ def test_frame_symbols_act_on_longitude_modes(m_lat):
     # on phi = c_s exp(2 pi i m l / m_lon) in ring s, every frame operator
     # (the frame fields of hessian_field) acts as its banded mode-m symbol
     # on the ring amplitudes c: the ring blocks of that operator alone
-    from cmkit.problem import ring_blocks
+    from cmkit.problem import ring_blocks, ring_taps
     from cmkit.sphere import RING_REACH
 
     g = build_grid(2, m_lat=m_lat, m_lon=64)
@@ -341,7 +341,8 @@ def test_frame_symbols_act_on_longitude_modes(m_lat):
     N = g.node_count
     parts = {"hess11": "b11", "hess12": "b12", "hess22": "b22", "grad1": "g1", "grad2": "g2"}
     assert g.frame_taps().keys() == parts.keys()
-    syms = {key: ring_blocks(g, {key: np.ones(N), "diag": np.zeros(N)}) for key in parts}
+    syms = {key: ring_blocks(ring_taps(g, {key: np.ones(N), "diag": np.zeros(N)}))
+            for key in parts}
     rng = np.random.default_rng(5)
     for m in (0, 1, 7, L // 2):
         c = rng.standard_normal(M) + 1j * rng.standard_normal(M)

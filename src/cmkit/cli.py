@@ -109,6 +109,7 @@ def _cmd_solve(cfg):
         "warnings": list(spec.warnings),
         "success": trace.success,
         "message": trace.message,
+        "fallback": trace.fallback,
         "steps": max(len(trace.steps) - 1, 0),
         "solve_grid": list(trace.solve_grid),
         "wall_time": trace.wall_time,
@@ -206,8 +207,9 @@ def _cmd_isotropic(cfg):
 def _cmd_sweep(cfg):
     if not cfg.sweep_p or not cfg.sweep_q:
         raise ConfigError(f"{cfg.path}: sweep needs sweep.p and sweep.q lists")
-    # one grid for every point: its cached frame operators and its cached
-    # ring grid, on which ring-constant data are solved, do not depend on
+    # one grid for every point: its cached frame operators, its cached
+    # ring grid, on which ring-constant data are solved, and its cached
+    # coarse grid, from which other data are sequenced, do not depend on
     # (p, q), while f does, through the quadratic family's exponent.
     # Bad f data would fail every point: a config error before the first
     grid = build_grid(cfg.n, **cfg.grid_args())
@@ -231,7 +233,8 @@ def _cmd_sweep(cfg):
                              ratio=last.get("ratio"),
                              min_b_eig=last.get("min_b_eig"),
                              wall_time=trace.wall_time,
-                             message=trace.message)
+                             message=trace.message,
+                             fallback=trace.fallback)
                 all_ok = all_ok and trace.success
             except (ConfigError, DomainError, AdmissibilityError,
                     SingularJacobianError) as exc:

@@ -24,9 +24,22 @@ latitude, as for a polar axis) run the loop on the m_lat x 8 ring grid
 exact: the longitude kernels give exact zeros on a ring-constant field
 and the latitude stencils do not depend on m_lon, so the full grid's
 residual of the broadcast h is bitwise the ring grid's, broadcast, and
-the trace rows and the t = 1 test hold on the full grid.  Other data (a
-tilted axis, one ulp of variation along a ring, the circle) run on their
-own grid.
+the trace rows and the t = 1 test hold on the full grid.
+
+Other data on S^2 (a tilted axis, one ulp of variation along a ring)
+are sequenced (nested iteration: Briggs, Henson & McCormick, A Multigrid
+Tutorial, 2000).  The loop runs on the grid's coarse grid
+(SphereGrid.coarse_grid, the halving chain down to COARSE_LAT rings)
+with f interpolated there, and its h at t = 1, interpolated to the
+requested grid (sphere.interpolate), starts one Newton solve at t = 1
+and tol_newton on that grid, which decides the answer.  By mesh
+independence that solve takes a few iterations however fine the grid
+(Allgower, Boehmer, Potra & Rheinboldt, SIAM J. Numer. Anal. 23, 1986).
+The trace keeps the coarse rows and gains the fine solve's row at t = 1.
+If the coarse path or the fine solve fails, the loop runs on the
+requested grid as it would unsequenced, and its trace is returned with
+the reason in SolveTrace.fallback.  The circle and grids with no coarse
+grid run the loop on their own grid.
 """
 
 import math
@@ -35,10 +48,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AdmissibilityError, SingularJacobianError
+from .errors import AdmissibilityError, DomainError, SingularJacobianError
 from .newton import newton_solve
 from .problem import evaluate
-from .sphere import RING_LON, GridFunction, constant_function, json_text
+from .sphere import RING_LON, GridFunction, constant_function, interpolate, json_text
 
 TRACE_KEYS = ("t", "newton_iterations", "residual", "min_b_eig", "R", "r", "ratio")
 
@@ -53,6 +66,7 @@ class SolveTrace:
     wall_time: float = 0.0
     success: bool = False
     message: str = ""
+    fallback: str = ""  # why sequencing gave way to the unsequenced loop
 
     def counters(self):
         """Newton and GMRES iterations and preconditioner builds, summed
@@ -77,6 +91,12 @@ def _trace_row(h, t, iters, linf, min_b_eig, krylov_iters=0, builds=0):
             "krylov_iterations": krylov_iters, "preconditioner_builds": builds}
 
 
+def _result_row(res, t):
+    """The trace row of a converged NewtonResult at t."""
+    return _trace_row(res.h, t, res.iterations, res.final_linf, res.min_b_eig,
+                      res.krylov_iterations, res.preconditioner_builds)
+
+
 def predictor(prev, t_next):
     """Linear extrapolation to t_next from the last two accepted (t, h)
     pairs, exactly even as they are; the last accepted h when the pairs
@@ -92,17 +112,44 @@ def predictor(prev, t_next):
 
 def continue_path(spec):
     """Follow the solution path from t = 0 to t = 1 in one step loop, on
-    the ring grid when f is ring-constant (module docstring). Returns a
-    SolveTrace whose h lives on spec.grid."""
+    the ring grid when f is ring-constant and sequenced from the coarse
+    grid otherwise on S^2 (module docstring). Returns a SolveTrace whose h
+    lives on spec.grid."""
     start = time.perf_counter()
     g, F = spec.grid, spec.f.field
     if g.n == 2 and g.m_lon > RING_LON and np.all(F == F[:, :1]):
         thin = GridFunction(g.ring_grid(), F[:, :RING_LON])
         trace = _follow_path(replace(spec, f=thin))
         trace.h = GridFunction(g, np.broadcast_to(trace.h.field[:, :1], g.shape))
+    elif g.n == 2 and (coarse := g.coarse_grid()) is not None:
+        trace = _sequenced(spec, coarse)
     else:
         trace = _follow_path(spec)
     trace.wall_time = time.perf_counter() - start
+    return trace
+
+
+def _sequenced(spec, coarse):
+    """The loop on the coarse grid, then one Newton solve at t = 1 on
+    spec.grid from its interpolated h; the loop on spec.grid, with the
+    reason in its trace's fallback, when either fails."""
+    fine = spec.grid
+    stage = f"coarse path on {coarse.m_lat}x{coarse.m_lon}"
+    try:
+        trace = _follow_path(replace(spec, f=interpolate(spec.f, coarse)))
+        reason = trace.message
+        if trace.success:
+            stage = f"Newton solve at t=1 on {fine.m_lat}x{fine.m_lon}"
+            res = newton_solve(spec, interpolate(trace.h, fine), 1.0)
+            reason = res.message
+            if res.converged:
+                trace.steps.append(_result_row(res, 1.0))
+                trace.h = res.h
+                return trace
+    except (DomainError, AdmissibilityError, SingularJacobianError) as exc:
+        reason = str(exc)
+    trace = _follow_path(spec)
+    trace.fallback = f"{stage} failed: {reason}"
     return trace
 
 
@@ -140,9 +187,7 @@ def _follow_path(spec):
             continue
         t_cur = t_next
         prev = (prev[1], (t_cur, res.h))
-        trace.steps.append(_trace_row(res.h, t_cur, res.iterations, res.final_linf,
-                                      res.min_b_eig, res.krylov_iterations,
-                                      res.preconditioner_builds))
+        trace.steps.append(_result_row(res, t_cur))
         if res.iterations <= 3:
             dt = min(dt * 1.5, spec.dt_max)
     else:

@@ -15,7 +15,7 @@ which pin regression ceilings instead of guessing constants.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -173,9 +173,16 @@ def l0_spectrum(spec):
     even m, and for odd m half its antisymmetric block without odd M's
     middle ring (odd m_lat's equator, the circle's one ring).  Modes other
     than 0 and the Nyquist mode carry a cosine and a sine and count twice.
+    At h = 1, t = 0 every weight is one constant, so on S^2 they are
+    evaluated on the ring grid and broadcast along the rings.
     """
-    ev = evaluate(spec, constant_function(spec.grid, 1.0), 0.0)
-    blocks = ring_blocks(ring_taps(spec.grid, linearization_weights(spec, ev)))
+    g = spec.grid
+    at = replace(spec, f=constant_function(g.ring_grid(), 1.0)) if g.n == 2 else spec
+    weights = linearization_weights(at, evaluate(at, constant_function(at.grid, 1.0), 0.0))
+    if g.n == 2:
+        weights = {key: np.broadcast_to(w.reshape(g.m_lat, -1)[:, :1], g.shape)
+                   for key, w in weights.items()}
+    blocks = ring_blocks(ring_taps(g, weights))
     width, M, K = blocks.shape
     folded = parity_fold(blocks).reshape(width, (M + 1) // 2, 2, K)
     count = np.full(K, 2)

@@ -24,7 +24,8 @@ The kernels SphereGrid.lon_derivs and SphereGrid.lat_derivs each return the
 first and second derivative from one pass.  The longitude weights are held
 once, as the circulant rows _lon_rows, and the latitude stencils as per-ring
 tap arrays; the kernels, the frame taps and the operator matrices all
-come from them.
+come from them.  interpolate moves a grid function between sphere grids,
+with an even result, for grid sequencing (continuation).
 """
 
 import json
@@ -79,6 +80,11 @@ def fd_weights(z, x, m):
 RING_REACH = 2
 # longitudes of SphereGrid.ring_grid: the fewest a sphere grid allows
 RING_LON = 8
+# latitude rings of the coarsest SphereGrid.coarse_grid, and the fewest
+# either grid of interpolate may have
+COARSE_LAT = 16
+# latitude nodes of interpolate's Lagrange stencils, half on either side
+INTERP_POINTS = 6
 
 
 class SphereGrid:
@@ -88,8 +94,9 @@ class SphereGrid:
     lon_derivs and lat_derivs (n=2 only) are the derivative kernels, each
     returning (first, second); the longitude weights live once, in
     _lon_rows.  The frame operators' taps needed by the linearization are
-    built lazily and cached (frame_taps), as is the ring grid (ring_grid);
-    their longitude-Fourier symbols come from problem.ring_blocks.
+    built lazily and cached (frame_taps), as are the ring grid (ring_grid)
+    and the coarse grid (coarse_grid); their longitude-Fourier symbols
+    come from problem.ring_blocks.
     """
 
     def __init__(self, n, m_theta=None, m_lat=None, m_lon=None):
@@ -119,6 +126,7 @@ class SphereGrid:
             self._build_sphere()
         self._frame_taps = None
         self._ring_grid = None
+        self._coarse_grid = None
 
     # -- construction -------------------------------------------------------
 
@@ -390,6 +398,22 @@ class SphereGrid:
             self._ring_grid = build_grid(2, m_lat=self.m_lat, m_lon=RING_LON)
         return self._ring_grid
 
+    def coarse_grid(self):
+        """The coarsest grid of the halving chain (m_lat / 2^j, m_lon / 2^j)
+        with at least COARSE_LAT rings and an even m_lon of at least
+        RING_LON (n=2), built once; None when this grid has no coarser
+        member (m_lat < 2 COARSE_LAT, odd m_lat, odd m_lon / 2).  Its
+        longitudes are every 2^j-th of this grid's.
+        """
+        M, L = self.shape
+        while M % 2 == 0 and M // 2 >= COARSE_LAT and L % 4 == 0 and L // 2 >= RING_LON:
+            M, L = M // 2, L // 2
+        if (M, L) == self.shape:
+            return None
+        if self._coarse_grid is None:
+            self._coarse_grid = build_grid(2, m_lat=M, m_lon=L)
+        return self._coarse_grid
+
     # -- misc ----------------------------------------------------------------
 
     def surface_measure(self):
@@ -577,6 +601,49 @@ def apply_symmetry(h, kind, steps=0):
             raise ValueError("lat_flip requires n=2")
         return GridFunction(g, h.field[::-1])
     raise ValueError(f"unknown symmetry kind {kind!r}")
+
+
+def interpolate(gf, grid):
+    """gf interpolated to another sphere grid, as a bitwise even GridFunction.
+
+    Longitude first: trigonometric interpolation by a zero-padded rfft
+    going up, the Nyquist term split between +m and -m, and sampling
+    going down, which needs the target's longitudes among the source's.
+    Then latitude: INTERP_POINTS-point Lagrange weights (fd_weights) along
+    the double-Fourier-sphere meridian, which continues across each pole
+    through the longitude theta + pi, as the latitude stencils do.  Both
+    steps act in difference form, on the deviation from one source value,
+    so a constant maps to itself bitwise; the output goes through
+    even_project.  Both grids need n=2 and at least COARSE_LAT rings.
+    """
+    src = gf.grid
+    for g in (src, grid):
+        if g.n != 2 or g.m_lat < COARSE_LAT:
+            raise ValueError(f"interpolate needs n=2 grids with m_lat >= {COARSE_LAT}, got {g!r}")
+    L0, L = src.m_lon, grid.m_lon
+    if L < L0 and L0 % L:
+        raise ValueError(f"cannot sample {L} longitudes from {L0}: they are not nested")
+    F = gf.field
+    if L > L0:
+        spec = np.fft.rfft(F - F[:, :1], axis=1) * (L / L0)
+        spec[:, L0 // 2] *= 0.5
+        F = F[:, :1] + np.fft.irfft(spec, n=L, axis=1)
+    elif L < L0:
+        F = F[:, ::L0 // L]
+
+    # the meridian: half a stencil of rings past either pole, read at theta + pi
+    P = INTERP_POINTS // 2
+    lat = src.lats
+    flip = np.roll(F, L // 2, axis=1)
+    x = np.concatenate([-np.pi - lat[P - 1::-1], lat, np.pi - lat[:-P - 1:-1]])
+    rows = np.concatenate([flip[P - 1::-1], F, flip[:-P - 1:-1]])
+    # nodes s - P + 1 .. s + P around the bracket x[s] <= z < x[s + 1]
+    first = np.searchsorted(x, grid.lats, side="right") - P
+    taps = first[:, None] + np.arange(INTERP_POINTS)
+    w = np.array([fd_weights(z, x[t], 0)[0] for z, t in zip(grid.lats, taps)])
+    base = rows[first + P - 1]
+    out = base + np.einsum("jt,jtl->jl", w, rows[taps] - base[:, None])
+    return even_project(GridFunction(grid, out))
 
 
 # ---------------------------------------------------------------------------

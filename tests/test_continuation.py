@@ -1,5 +1,6 @@
 """Continuation path tests."""
 
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from cmkit import GridFunction, build_grid
 from cmkit.continuation import TRACE_KEYS, _follow_path, continue_path, predictor
+from cmkit.errors import SingularJacobianError
 from cmkit.problem import ProblemSpec, evaluate, homotopy_f
 from cmkit.sphere import RING_LON, constant_function, hessian_field, odd_defect
 
@@ -429,6 +431,18 @@ def test_sweep_builds_the_ring_grid_once(tmp_path, monkeypatch):
     assert [row["solve_grid"] for row in rows] == [[16, RING_LON]] * 4
     assert sorted(built) == [(2, 16, RING_LON), (2, 16, 32)]
 
+    # tilted data on 32x64 are sequenced from the one coarse grid
+    built.clear()
+    path.write_text("n = 2\nk = 1\np = 1.5\nq = 2.0\ngrid.m_lat = 32\n"
+                    "grid.m_lon = 64\nf.kind = quadratic\nf.a = 0.5\n"
+                    f"f.axis = {math.sin(0.4)}, 0.0, {math.cos(0.4)}\n"
+                    "sweep.p = 1.2, 1.5\nsweep.q = 1.8, 2.0\nout.dir = out\n")
+    assert cli.main(["sweep", str(path)]) == 0
+    rows = [json.loads(line) for line in (tmp_path / "out" / "sweep.jsonl").read_text().splitlines()]
+    assert [row["solve_grid"] for row in rows] == [[16, 32]] * 4
+    assert [row["fallback"] for row in rows] == [""] * 4
+    assert sorted(built) == [(2, 16, 32), (2, 32, 64)]
+
 
 def test_isotropic_experiment_runs_its_path_on_the_ring_grid():
     from cmkit.diagnostics import isotropic_experiment
@@ -444,3 +458,78 @@ def test_isotropic_experiment_runs_its_path_on_the_ring_grid():
     # the perturbed restarts are full-grid Newton solves
     assert len(out["restart_errors"]) == 2
     assert all(e <= 1e-6 for e in out["restart_errors"])
+
+
+# ---------------------------------------------------------------------------
+# grid sequencing: the path on the coarse grid, one Newton solve on the grid
+# ---------------------------------------------------------------------------
+
+TILT = (math.sin(0.4), 0.0, math.cos(0.4))
+
+
+@pytest.mark.parametrize("m_lat, m_lon, k, q, a", [
+    (32, 64, 1, 2.0, 0.5), (32, 64, 1, 2.0, 2.0), (32, 64, 2, 2.5, 0.5), (32, 64, 2, 2.5, 2.0),
+    (64, 128, 2, 2.5, 0.5)])
+def test_sequenced_solve_matches_the_loop_on_the_full_grid(m_lat, m_lon, k, q, a):
+    # both answers stop at tol_newton on the full grid, so they agree to
+    # that tolerance, not bitwise
+    g = build_grid(2, m_lat=m_lat, m_lon=m_lon)
+    spec = ProblemSpec(n=2, k=k, p=1.5, q=q, f=axis_data(g, k, 1.5, axis=TILT, a=a))
+    seq, full = continue_path(spec), _follow_path(spec)
+    assert seq.success and full.success
+    assert seq.solve_grid == (16, 32) and seq.fallback == ""
+    assert seq.h.grid is g
+    assert np.max(np.abs(seq.h.values - full.h.values)) <= 1e-10 * np.max(full.h.values)
+    # the last row is the full grid's Newton solve; the others the coarse path's
+    last = seq.steps[-1]
+    assert last["t"] == 1.0 and seq.steps[-2]["t"] == 1.0
+    assert last["residual"] == evaluate(spec, seq.h, 1.0).linf <= spec.tol_newton
+    assert 0 < last["newton_iterations"] <= 3
+    assert seq.counters()["newton_iterations"] == sum(row["newton_iterations"] for row in seq.steps)
+
+
+@pytest.mark.parametrize("how", ["fine-fails", "fine-raises", "coarse-fails"])
+def test_failed_sequencing_falls_back_to_the_loop_bitwise(monkeypatch, how):
+    from cmkit import continuation
+    from cmkit.newton import NewtonResult
+
+    g = build_grid(2, m_lat=32, m_lon=64)
+    spec = ProblemSpec(n=2, k=2, p=1.5, q=2.5, f=axis_data(g, 2, 1.5, axis=TILT))
+    loop = _follow_path(spec)
+    fine_calls = []
+    newton_solve = continuation.newton_solve
+
+    def failing(sp, h0, t, tol=None):
+        # every coarse solve, or the first full-grid one: sequencing's
+        if how == "coarse-fails" and sp.grid is not g:
+            return NewtonResult(h=h0, converged=False, iterations=0, final_linf=1.0,
+                                min_b_eig=0.0, message="forced")
+        if sp.grid is g:
+            fine_calls.append(t)
+            if len(fine_calls) == 1 and how == "fine-raises":
+                raise SingularJacobianError("forced")
+            if len(fine_calls) == 1 and how == "fine-fails":
+                res = newton_solve(sp, h0, t, tol=tol)
+                return dataclasses.replace(res, converged=False, message="forced")
+        return newton_solve(sp, h0, t, tol=tol)
+
+    monkeypatch.setattr(continuation, "newton_solve", failing)
+    tr = continue_path(spec)
+    if how == "coarse-fails":
+        assert tr.fallback.startswith("coarse path on 16x32 failed: step size underflow")
+    else:
+        assert tr.fallback == "Newton solve at t=1 on 32x64 failed: forced"
+    assert tr.success and tr.message == "" and tr.solve_grid == (32, 64)
+    assert tr.steps == loop.steps
+    assert np.array_equal(tr.h.values, loop.h.values)
+
+
+@pytest.mark.parametrize("m_lat, m_lon", [(33, 66), (32, 8)])
+def test_grids_with_no_coarse_grid_are_not_sequenced(m_lat, m_lon):
+    g = build_grid(2, m_lat=m_lat, m_lon=m_lon)
+    assert g.coarse_grid() is None
+    spec = ProblemSpec(n=2, k=2, p=1.5, q=2.5, f=axis_data(g, 2, 1.5, axis=TILT))
+    tr, loop = continue_path(spec), _follow_path(spec)
+    assert tr.success and tr.solve_grid == g.shape and tr.fallback == ""
+    assert tr.steps == loop.steps
+    assert np.array_equal(tr.h.values, loop.h.values)

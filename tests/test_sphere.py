@@ -1,5 +1,7 @@
 """Grid construction and sphere calculus tests."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,7 +17,8 @@ from cmkit import (
     read_grid_function,
     write_grid_function,
 )
-from cmkit.sphere import constant_function, coordinate_function, odd_defect
+from cmkit.sphere import (COARSE_LAT, constant_function, coordinate_function, interpolate,
+                          odd_defect)
 
 
 @pytest.fixture(scope="module")
@@ -575,6 +578,90 @@ def test_operator_matrices_match_entry_by_entry_reference(shape):
         assert np.array_equal(A.indptr, B.indptr)
         assert np.array_equal(A.indices, B.indices)
         assert A.data.tobytes() == B.data.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# interpolation between sphere grids
+# ---------------------------------------------------------------------------
+
+INTERP_PAIRS = [((16, 32), (64, 128)), ((64, 128), (16, 32)), ((16, 32), (24, 48)),
+                ((33, 64), (16, 32)), ((32, 64), (32, 64))]
+
+
+def _grid(shape):
+    return build_grid(2, m_lat=shape[0], m_lon=shape[1])
+
+
+def _smooth_even(g):
+    x, y, z = g.coords.T
+    return GridFunction(g, np.exp(0.7 * z ** 2 + 0.5 * x * y - 0.3 * x ** 2))
+
+
+@pytest.mark.parametrize("src, dst", INTERP_PAIRS, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_interpolate_maps_constants_to_themselves_bitwise(src, dst):
+    for c in (1.0, 0.1, 2.0 / 3.0, 7.123456789012345e5):
+        out = interpolate(constant_function(_grid(src), c), _grid(dst))
+        assert out.grid.shape == dst
+        assert np.all(out.values == c)
+
+
+@pytest.mark.parametrize("src, dst", INTERP_PAIRS, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_interpolate_output_is_bitwise_even(src, dst):
+    g = _grid(src)
+    out = interpolate(even_project(_random_field(g, 5)), _grid(dst))
+    assert odd_defect(out) == 0.0
+
+
+def test_interpolate_is_exact_on_longitude_trigonometric_data():
+    # even longitude modes below the coarse grid's Nyquist mode 16, the
+    # same on every ring: the meridian reads the same value past the poles
+    def trig(g):
+        lon = g.lons
+        return GridFunction(g, np.broadcast_to(
+            1.0 + 0.3 * np.cos(2 * lon) - 0.2 * np.sin(6 * lon) + 0.1 * np.cos(14 * lon),
+            g.shape))
+
+    coarse, fine = _grid((16, 32)), _grid((64, 128))
+    assert_allclose(interpolate(trig(coarse), fine).values, trig(fine).values,
+                    rtol=0, atol=1e-14)
+    assert_allclose(interpolate(trig(fine), coarse).values, trig(coarse).values,
+                    rtol=0, atol=1e-14)
+
+
+def test_interpolation_error_falls_at_the_design_order():
+    # longitude is spectral, so the latitude stencils' order, 6, sets the
+    # rate: halving the source's spacing divides the error by about 2^6
+    def error(src, dst):
+        dst = _grid(dst)
+        return np.max(np.abs(interpolate(_smooth_even(_grid(src)), dst).values
+                             - _smooth_even(dst).values))
+
+    up = error((16, 32), (64, 128)), error((32, 64), (64, 128))
+    down = error((64, 128), (16, 32)), error((128, 256), (16, 32))
+    assert up[0] < 1e-3 and down[0] < 1e-7
+    assert math.log2(up[0] / up[1]) > 5.5
+    assert math.log2(down[0] / down[1]) > 5.5
+
+
+@pytest.mark.parametrize("src, dst", [((16, 32), (8, 16)), ((8, 16), (16, 32)),
+                                      ((64, 128), (16, 48)), ((16, 32), (1, 64))],
+                         ids=["target-8-rings", "source-8-rings", "not-nested", "circle"])
+def test_interpolate_refuses_grids_it_does_not_serve(src, dst):
+    target = build_grid(1, m_theta=dst[1]) if dst[0] == 1 else _grid(dst)
+    with pytest.raises(ValueError):
+        interpolate(constant_function(_grid(src), 1.0), target)
+
+
+def test_coarse_grid_halves_down_to_sixteen_rings_and_is_built_once():
+    assert COARSE_LAT == 16
+    for shape, coarse in [((32, 64), (16, 32)), ((64, 128), (16, 32)), ((128, 256), (16, 32)),
+                          ((48, 96), (24, 48)), ((64, 40), (16, 10)), ((64, 20), (32, 10)),
+                          ((32, 16), (16, 8))]:
+        g = _grid(shape)
+        assert g.coarse_grid().shape == coarse
+        assert g.coarse_grid() is g.coarse_grid()
+    for shape in [(16, 32), (31, 64), (33, 66), (32, 8), (32, 12), (24, 48)]:
+        assert _grid(shape).coarse_grid() is None
 
 
 # ---------------------------------------------------------------------------

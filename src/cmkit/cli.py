@@ -99,9 +99,10 @@ def _cmd_solve(cfg):
     _, spec = build_problem(cfg)
     trace = continue_path(spec)
     out = ensure_out_dir(cfg)
-    write_grid_function(trace.h, os.path.join(out, "solution.csv"))
-    trace.to_jsonl(os.path.join(out, "trace.jsonl"))
-    ev = evaluate(spec, trace.h, 1.0)  # for the report, diagnostics and mesh
+    # for the report, diagnostics and mesh: the corrector's, when it has one;
+    # released before solution.csv and trace.jsonl are written
+    ev = trace.ev if trace.ev is not None else evaluate(spec, trace.h, 1.0)
+    trace.ev = None
     f1 = validate_f1(spec)
     payload = {
         "problem": {"n": spec.n, "k": spec.k, "p": spec.p, "q": spec.q,
@@ -125,6 +126,10 @@ def _cmd_solve(cfg):
             write_obj(mesh, os.path.join(out, "mesh.obj"))
         else:
             write_polyline(mesh, os.path.join(out, "body.csv"))
+        del mesh
+    del ev
+    write_grid_function(trace.h, os.path.join(out, "solution.csv"))
+    trace.to_jsonl(os.path.join(out, "trace.jsonl"))
     print(json_text({"success": trace.success,
                      "residual_linf": payload["residual"]["linf"],
                      "steps": payload["steps"]}))
@@ -236,6 +241,7 @@ def _cmd_sweep(cfg):
                              message=trace.message,
                              fallback=trace.fallback)
                 all_ok = all_ok and trace.success
+                del trace  # and its Evaluation, before the next point's solve
             except (ConfigError, DomainError, AdmissibilityError,
                     SingularJacobianError) as exc:
                 point.update(success=False, message=str(exc))

@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError, SingularJacobianError
 from .newton import newton_solve
-from .problem import evaluate
+from .problem import Evaluation, evaluate
 from .sphere import RING_LON, GridFunction, constant_function, interpolate, json_text
 
 TRACE_KEYS = ("t", "newton_iterations", "residual", "min_b_eig", "R", "r", "ratio")
@@ -67,6 +67,9 @@ class SolveTrace:
     success: bool = False
     message: str = ""
     fallback: str = ""  # why sequencing gave way to the unsequenced loop
+    # the corrector's Evaluation of h at t = 1 on the spec's grid, when the
+    # path succeeded there; None after the ring grid, whose h is broadcast
+    ev: Evaluation = None
 
     def counters(self):
         """Newton and GMRES iterations and preconditioner builds, summed
@@ -121,6 +124,7 @@ def continue_path(spec):
         thin = GridFunction(g.ring_grid(), F[:, :RING_LON])
         trace = _follow_path(replace(spec, f=thin))
         trace.h = GridFunction(g, np.broadcast_to(trace.h.field[:, :1], g.shape))
+        trace.ev = None
     elif g.n == 2 and (coarse := g.coarse_grid()) is not None:
         trace = _sequenced(spec, coarse)
     else:
@@ -139,12 +143,13 @@ def _sequenced(spec, coarse):
         trace = _follow_path(replace(spec, f=interpolate(spec.f, coarse)))
         reason = trace.message
         if trace.success:
+            trace.ev = None  # the coarse grid's; the fine solve gives its own
             stage = f"Newton solve at t=1 on {fine.m_lat}x{fine.m_lon}"
             res = newton_solve(spec, interpolate(trace.h, fine), 1.0)
             reason = res.message
             if res.converged:
                 trace.steps.append(_result_row(res, 1.0))
-                trace.h = res.h
+                trace.h, trace.ev = res.h, res.ev
                 return trace
     except (DomainError, AdmissibilityError, SingularJacobianError) as exc:
         reason = str(exc)
@@ -173,10 +178,10 @@ def _follow_path(spec):
     while t_cur < 1.0:
         t_next = min(t_cur + dt, 1.0)
         tol = spec.tol_newton if t_next == 1.0 else math.sqrt(spec.tol_newton)
+        res = None  # the last step's result and its Evaluation go before the next solve
         try:
             res = newton_solve(spec, predictor(prev, t_next), t_next, tol=tol)
         except (AdmissibilityError, SingularJacobianError) as exc:
-            res = None
             trace.message = f"corrector error at t={t_next:g}: {exc}"
         if res is None or not res.converged:
             dt *= 0.5
@@ -193,5 +198,6 @@ def _follow_path(spec):
     else:
         trace.success = True
         trace.message = ""  # a corrector error of a rejected step is not the outcome
+        trace.ev = res.ev  # the last step's, at t = 1
     trace.h = prev[1][1]
     return trace

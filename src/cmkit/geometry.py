@@ -176,16 +176,26 @@ def _refine_sphere(g, align, rad, best):
 # ---------------------------------------------------------------------------
 
 def write_obj(mesh, path):
-    """Wavefront OBJ (n = 2 only): v/vn records at 17 significant digits,
-    quads split into two triangles, faces as v//vn."""
-    if mesh.grid.n != 2:
+    """Wavefront OBJ (n = 2 only): v/vn records at 17 significant digits
+    (%.17g), quads split into two triangles, faces as v//vn (1-based).
+    Each distinct normal z (by its bits; sin(lat), one per ring, for the
+    grid's normals) and each node's token i//i are formatted once; the
+    bytes are those of formatting every number of every record."""
+    g = mesh.grid
+    if g.n != 2:
         raise ValueError("OBJ export is for n = 2; use write_polyline for n = 1")
-    # 1-based quad a, b, c, d -> triangles a, b, c and a, c, d
-    tris = (mesh.faces + 1)[:, [0, 0, 1, 1, 2, 2, 0, 0, 2, 2, 3, 3]]
+    z = mesh.normals[:, 2]
+    _, first, which = np.unique(z.view(np.int64), return_index=True, return_inverse=True)
+    normals = np.empty(mesh.normals.shape, dtype=object)
+    normals[:, :2] = mesh.normals[:, :2]
+    normals[:, 2] = np.array(["%.17g" % v for v in z[first].tolist()], dtype=object)[which]
+    tokens = np.array([f"{i}//{i}" for i in range(1, g.node_count + 1)], dtype=object)
+    # quad a, b, c, d -> triangles a, b, c and a, c, d
+    tris = tokens[mesh.faces[:, [0, 1, 2, 0, 2, 3]]]
     with open(path, "w") as fh:
         fh.write(format_rows("v %.17g %.17g %.17g", mesh.vertices))
-        fh.write(format_rows("vn %.17g %.17g %.17g", mesh.normals))
-        fh.write(format_rows("f %d//%d %d//%d %d//%d\nf %d//%d %d//%d %d//%d", tris))
+        fh.write(format_rows("vn %.17g %.17g %s", normals))
+        fh.write(format_rows("f %s %s %s\nf %s %s %s", tris))
 
 
 def write_polyline(mesh, path):

@@ -61,7 +61,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdmissibilityError, SingularJacobianError
-from .problem import assemble_jacobian, evaluate, parity_fold, ring_blocks, ring_taps
+from .problem import (Evaluation, assemble_jacobian, evaluate, parity_fold, ring_blocks,
+                      ring_taps)
 from .sphere import GridFunction, even_project, odd_defect
 
 # line-search controls
@@ -89,6 +90,7 @@ class NewtonResult:
     message: str = ""
     krylov_iterations: int = 0  # GMRES iterations over all Newton steps
     preconditioner_builds: int = 0  # ring preconditioners built, rebuilds included
+    ev: Evaluation = None  # the Evaluation of h at the call's t
 
 
 def _band_lu(blocks, rows):
@@ -389,11 +391,12 @@ def newton_solve(spec, h0, t, tol=None):
     search end it with their reason in the result's message.  Each
     iterate is evaluated once (problem.evaluate): one Evaluation per
     line-search candidate feeds its margin check, its residual, the next
-    Jacobian and the result's min_b_eig.  Each Newton step is solved to
-    the forcing term of the module docstring, with the ring
-    preconditioner built at the first step and reused, or rebuilt on a
-    miss, at the later ones (solve_linear).  A start that is not positive
-    fails in evaluate with its DomainError (node and value).
+    Jacobian and the result's min_b_eig, and the last one is the result's
+    ev.  Each Newton step is solved to the forcing term of the module
+    docstring, with the ring preconditioner built at the first step and
+    reused, or rebuilt on a miss, at the later ones (solve_linear).  A
+    start that is not positive fails in evaluate with its DomainError
+    (node and value).
     """
     if odd_defect(h0) > 1e-12:
         raise ValueError("initial iterate must be even "
@@ -448,4 +451,4 @@ def newton_solve(spec, h0, t, tol=None):
         h=ev.h, converged=not message, iterations=it, final_linf=ev.linf,
         min_b_eig=float(np.min(ev.hf.lam[:, 0])), step_history=history, message=message,
         krylov_iterations=state["krylov_iterations"],
-        preconditioner_builds=state["preconditioner_builds"])
+        preconditioner_builds=state["preconditioner_builds"], ev=ev)

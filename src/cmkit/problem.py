@@ -290,7 +290,7 @@ class LinearizedOperator:
             F_t = np.fft.irfft(V * g._lon_syms[0], n=L, axis=1)
             out += coef_t[1] * F_t
             if "hess12" in self.weights:  # sigma_k^{12} is 0 for k = 1
-                out += coef_t[0] * g.lat_derivs(F_t)[0]
+                out += coef_t[0] * g.lat_derivs(F_t, order=1)[0]
         return out.ravel()
 
     def _ring_rows(self):

@@ -26,6 +26,11 @@ once, as the circulant rows _lon_rows, and the latitude stencils as per-ring
 tap arrays; the kernels, the frame taps and the operator matrices all
 come from them.  interpolate moves a grid function between sphere grids,
 with an even result, for grid sequencing (continuation).
+
+The same exactness makes the antipodal map free to use: hessian_field of
+an exactly even field computes its southern rings (and the equator ring of
+odd-height grids) and copies the northern ones from them, bit for bit
+what the whole-grid computation gives.
 """
 
 import json
@@ -85,6 +90,8 @@ RING_LON = 8
 COARSE_LAT = 16
 # latitude nodes of interpolate's Lagrange stencils, half on either side
 INTERP_POINTS = 6
+# the bits of -0.0 read as an int64: the smallest int64
+_NEG_ZERO_BITS = np.iinfo(np.int64).min
 
 
 class SphereGrid:
@@ -92,11 +99,12 @@ class SphereGrid:
 
     Construct through build_grid.  Instances are immutable in use.
     lon_derivs and lat_derivs (n=2 only) are the derivative kernels, each
-    returning (first, second); the longitude weights live once, in
-    _lon_rows.  The frame operators' taps needed by the linearization are
-    built lazily and cached (frame_taps), as are the ring grid (ring_grid)
-    and the coarse grid (coarse_grid); their longitude-Fourier symbols
-    come from problem.ring_blocks.
+    returning (first, second); lat_derivs can stop at the first order and
+    at a given ring.  The longitude weights live once, in _lon_rows.  The
+    frame operators' taps needed by the linearization are built lazily and
+    cached (frame_taps), as are the ring grid (ring_grid) and the coarse
+    grid (coarse_grid); their longitude-Fourier symbols come from
+    problem.ring_blocks.
     """
 
     def __init__(self, n, m_theta=None, m_lat=None, m_lon=None):
@@ -259,12 +267,16 @@ class SphereGrid:
     def lon_derivs(self, field):
         """(first, second) longitude derivatives along the last axis, in one
         loop over d from one periodically padded copy (column half + i + d
-        holds field[..., (i + d) % m]), with the weights of _lon_rows."""
+        holds field[..., (i + d) % m]), with the weights of _lon_rows.  A
+        field constant along every ring gets the +0.0 arrays the loop would
+        give it, without the loop."""
         row1, row2 = self._lon_rows
         m = field.shape[-1]
         half = m // 2
-        pad = np.concatenate([field[..., -half:], field, field[..., :half]], axis=-1)
         first, second = np.zeros_like(field), np.zeros_like(field)
+        if (field == field[..., :1]).all():
+            return first, second
+        pad = np.concatenate([field[..., -half:], field, field[..., :half]], axis=-1)
         term, back = np.empty_like(field), np.empty_like(field)
         for d in range(1, half):
             fwd, bwd = pad[..., half + d:half + d + m], pad[..., half - d:half - d + m]
@@ -279,18 +291,58 @@ class SphereGrid:
         second += row2[half] * (pad[..., 2 * half:2 * half + m] - field)
         return first, second
 
-    def lat_derivs(self, field):
-        """(first, second) latitude derivatives of a grid-shaped field; each
-        tap's difference flat[src] - field is formed once for both orders."""
-        flat = field.ravel()
-        diff = [flat[src] - field for src in self._lat_src]
+    def lat_derivs(self, field, rings=None, order=2):
+        """The latitude derivatives of orders 1 .. order (2 or 1) of a
+        grid-shaped field, on its first `rings` rings (all by default);
+        the field may end RING_REACH rings past the last one asked.  Each
+        tap's difference flat[src] - field is formed once for every order,
+        and a ring's values do not depend on how many are asked."""
+        diff = field.ravel()[self._lat_src[:, :rings]] - field[:rings]
         # three taps summed in stencil order, four (odd m_lat) in mirrored
         # pairs, which the flip keeps on the equator ring
         out = []
-        for weights in (self._lat_w1, self._lat_w2):
-            t = [w * dd for w, dd in zip(weights, diff)]
+        for weights in (self._lat_w1, self._lat_w2)[:order]:
+            t = weights[:, :rings] * diff
             out.append((t[0] + t[3]) + (t[1] + t[2]) if len(t) == 4 else (t[0] + t[1]) + t[2])
         return tuple(out)
+
+    # -- the antipodal map on grid-shaped stacks -------------------------------
+
+    def _antipodes(self, stack):
+        """Views (south, north) of stack (..., m_lat, m_lon), shaped (...,
+        m_lat // 2, 2, m_lon / 2): the southern rings, and node for node
+        their antipodes (ring m_lat-1-j, longitude i + m_lon/2)."""
+        S, half = self.m_lat // 2, self.m_lon // 2
+        shape = stack.shape[:-2] + (S, 2, half)
+        south = stack[..., :S, :].reshape(shape)
+        north = stack[..., ::-1, :][..., :S, :].reshape(shape)[..., ::-1, :]
+        return south, north
+
+    def _hemisphere_rings(self, field):
+        """How many leading rings of a grid-shaped field hessian_field
+        computes: ceil(m_lat / 2), the southern rings and the equator ring
+        of odd m_lat, when the field is exactly even (its bits equal its
+        antipodes', the equator ring's included) and holds no -0.0; m_lat
+        otherwise."""
+        bits = field.view(np.int64)
+        south, north = self._antipodes(bits)
+        even = (south == north).all()
+        if self.m_lat % 2:  # the equator ring is its own antipodal ring
+            eq = bits[self.m_lat // 2].reshape(2, -1)
+            even = even and (eq[0] == eq[1]).all()
+        if even and bits.min() > _NEG_ZERO_BITS:
+            return self.m_lat - self.m_lat // 2
+        return self.m_lat
+
+    def _mirror(self, stack, odd=False):
+        """Fill the northern rings of stack (..., m_lat, m_lon) in place from
+        the southern ones by the antipodal map; negated, as 0.0 - x, when
+        odd."""
+        south, north = self._antipodes(stack)
+        if odd:
+            np.subtract(0.0, south, out=north)
+        else:
+            north[...] = south
 
     # -- frame operators as per-ring taps ------------------------------------
 
@@ -524,7 +576,24 @@ def hessian_field(h):
         b22 = h_tt / cos^2(lat) - tan(lat) h_l + h
     (l = latitude, t = longitude; validated against b = 0 for h = <x,v>).
     One grid.lon_derivs and one grid.lat_derivs pass give both orders of
-    each; h_lt is grid.lat_derivs(h_t)[0].
+    each; h_lt is the first order of grid.lat_derivs(h_t).
+
+    An exactly even field (grid._hemisphere_rings) is computed on its first
+    ceil(m_lat / 2) rings, the southern ones and the equator ring of odd
+    m_lat, and grid._mirror fills the northern rings: lambda, b11, b22 and
+    g2 are copied, b12 and g1 = h_l negated.  That is bit for bit the
+    whole-grid computation.  A northern ring reads the mirrored values of
+    its antipodal ring through taps of equal weight (longitude, second
+    order in latitude) or negated weight (first order in latitude, and
+    tan(lat)), so each of its terms is the southern one or its exact
+    negation.  A sum of negated terms is the negated sum, except that a
+    zero sum is +0.0 on both rings, which is what 0.0 - x gives: every
+    latitude stencil row has weights of both signs, and neither the field
+    nor h_t holds -0.0, so the terms of a zero sum are never all -0.0.  In
+    b22, tan(lat) h_l is the same on both rings up to the sign of a zero,
+    which h_tt / cos^2(lat), never -0.0, absorbs.  lon_derivs runs on
+    RING_REACH more rings than are computed: the taps of h_lt on the last
+    ones read them.
     """
     g = h.grid
     if g.n == 1:
@@ -533,21 +602,38 @@ def hessian_field(h):
         return HessianField(g, b11[:, None], {"b11": b11, "g1": h_t})
 
     F = h.field
-    h_l, h_ll = g.lat_derivs(F)
-    h_t, h_tt = g.lon_derivs(F)
-    h_lt = g.lat_derivs(h_t)[0]
+    M, L = g.shape
+    H = g._hemisphere_rings(F)
+    south = F[:H]
+    h_l, h_ll = g.lat_derivs(F, rings=H)
+    # the taps of h_lt on ring H-1 read h_t up to ring H-1+RING_REACH
+    h_t, h_tt = g.lon_derivs(F[:H + RING_REACH])
+    h_lt, = g.lat_derivs(h_t, rings=H, order=1)
+    h_t, h_tt = h_t[:H], h_tt[:H]
 
-    invcos = g.invcos[:, None]
-    tanlat = g.tanlat[:, None]
-    b11 = h_ll + F
-    b12 = invcos * (h_lt + tanlat * h_t)
-    b22 = (invcos ** 2 * h_tt - tanlat * h_l) + F
+    # the southern rings are computed into the full arrays, in place:
+    # b11, b22, g2 and the eigenvalues (even), then b12 and g1 (odd)
+    out = np.empty((7, M, L))
+    b11, b22, g2, lo, hi, b12, g1 = out[:, :H]
+    invcos = g.invcos[:H, None]
+    tanlat = g.tanlat[:H, None]
+    np.add(h_ll, south, out=b11)
+    np.multiply(invcos, h_lt + tanlat * h_t, out=b12)
+    np.add(invcos ** 2 * h_tt - tanlat * h_l, south, out=b22)
+    np.multiply(invcos, h_t, out=g2)
+    g1[...] = h_l
 
     mid = 0.5 * (b11 + b22)
     rad = np.hypot(0.5 * (b11 - b22), b12)
-    lam = np.column_stack([(mid - rad).ravel(), (mid + rad).ravel()])
-    return HessianField(g, lam, {"b11": b11, "b12": b12, "b22": b22,
-                                 "g1": h_l, "g2": invcos * h_t})
+    np.subtract(mid, rad, out=lo)
+    np.add(mid, rad, out=hi)
+    if H < M:
+        g._mirror(out[:5])
+        g._mirror(out[5:], odd=True)
+    b11, b22, g2, _, _, b12, g1 = out
+    # lam[:, 0] and lam[:, 1] are the contiguous rows lo and hi
+    return HessianField(g, out[3:5].reshape(2, -1).T,
+                        {"b11": b11, "b12": b12, "b22": b22, "g1": g1, "g2": g2})
 
 
 def laplace_beltrami(h):
@@ -676,16 +762,20 @@ def json_text(obj, indent=None):
 
 def write_grid_function(gf, path):
     """CSV with header lat,lon,value (n=2) or theta,value (n=1), node order,
-    17 significant digits."""
+    every number as %.17g.  On n=2 each latitude is formatted once per
+    ring and each longitude once per meridian into one template of the
+    lines, which one % call fills with the values; the bytes are those of
+    formatting all three numbers of every node."""
     g = gf.grid
-    if g.n == 1:
-        header, cols = "theta,value", (g.thetas, gf.values)
-    else:
-        M, L = g.shape
-        header, cols = "lat,lon,value", (np.repeat(g.lats, L), np.tile(g.lons, M), gf.values)
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        fh.write(format_rows(",".join(["%.17g"] * len(cols)), np.column_stack(cols)))
+        if g.n == 1:
+            fh.write("theta,value\n")
+            fh.write(format_rows("%.17g,%.17g", np.column_stack([g.thetas, gf.values])))
+            return
+        cells = [",%.17g,%%.17g\n" % lon for lon in g.lons.tolist()]
+        rings = ["%.17g" % lat for lat in g.lats.tolist()]
+        fh.write("lat,lon,value\n")
+        fh.write("".join(lat + lat.join(cells) for lat in rings) % tuple(gf.values.tolist()))
 
 
 def read_grid_function(grid, path):

@@ -234,8 +234,9 @@ def _write_polyline_per_row(mesh, path):
 AWKWARD = (-0.0, 0.0, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0, 5e-324, -1.7976931348623157e308, 1e16)
 
 
-@pytest.mark.parametrize("n,kw", [(1, dict(m_theta=64)), (2, dict(m_lat=9, m_lon=16)),
-                                  (2, dict(m_lat=32, m_lon=64))])
+@pytest.mark.parametrize("n,kw", [(1, dict(m_theta=64)), (2, dict(m_lat=8, m_lon=16)),
+                                  (2, dict(m_lat=9, m_lon=16)), (2, dict(m_lat=32, m_lon=64)),
+                                  (2, dict(m_lat=33, m_lon=66))])
 def test_mesh_writers_match_per_row_writers(tmp_path, n, kw):
     g = build_grid(n, **kw)
     mesh = body(legendre_body(g))

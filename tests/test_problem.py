@@ -737,3 +737,51 @@ def test_f1_quadratic_families(g2):
         if not ok:
             assert rep["worst_margin"] < 0
             assert 0 <= rep["worst_node"] < g2.node_count
+
+
+@pytest.mark.parametrize("axis, evaluations", [(f"{math.sin(0.4)}, 0.0, {math.cos(0.4)}", []),
+                                               ("0, 0, 1", [(32, 64)])])
+def test_solve_reads_the_correctors_evaluation_of_its_answer(tmp_path, monkeypatch, axis,
+                                                             evaluations):
+    # a sequenced solve ends in a Newton solve at t = 1 on the requested
+    # grid, whose Evaluation of the answer the report, the diagnostics and
+    # the mesh read: nothing is evaluated after the path, and the files are
+    # those of evaluating the answer again.  A ring-grid answer, broadcast
+    # to the full grid, is evaluated there once.
+    import json
+
+    from cmkit import cli, continuation
+
+    cfg = tmp_path / "solve.cfg"
+    cfg.write_text("n = 2\nk = 2\np = 1.5\nq = 2.5\ngrid.m_lat = 32\ngrid.m_lon = 64\n"
+                   f"f.kind = quadratic\nf.a = 0.5\nf.axis = {axis}\n"
+                   "out.dir = out\nout.mesh = true\n")
+    calls = []
+
+    def spy(spec, h, t):
+        calls.append(spec.grid.shape)
+        return evaluate(spec, h, t)
+
+    def read_outputs():
+        out = tmp_path / "out"
+        report = json.loads((out / "report.json").read_text())
+        report.pop("wall_time")
+        return report, (out / "mesh.obj").read_bytes(), (out / "solution.csv").read_bytes()
+
+    monkeypatch.setattr(cli, "evaluate", spy)
+    assert cli.main(["solve", str(cfg)]) == 0
+    assert calls == evaluations
+    carried = read_outputs()
+    assert carried[0]["solve_grid"] == ([16, 32] if not evaluations else [32, 8])
+
+    # as before the Evaluation was carried: the answer evaluated again
+    def without_evaluation(spec):
+        trace = continuation.continue_path(spec)
+        trace.ev = None
+        return trace
+
+    calls.clear()
+    monkeypatch.setattr(cli, "continue_path", without_evaluation)
+    assert cli.main(["solve", str(cfg)]) == 0
+    assert calls == [(32, 64)]
+    assert read_outputs() == carried

@@ -17,8 +17,8 @@ from cmkit import (
     read_grid_function,
     write_grid_function,
 )
-from cmkit.sphere import (COARSE_LAT, constant_function, coordinate_function, interpolate,
-                          odd_defect)
+from cmkit.sphere import (COARSE_LAT, RING_REACH, constant_function, coordinate_function,
+                          interpolate, odd_defect)
 
 
 @pytest.fixture(scope="module")
@@ -581,6 +581,117 @@ def test_operator_matrices_match_entry_by_entry_reference(shape):
 
 
 # ---------------------------------------------------------------------------
+# one hemisphere for even fields
+# ---------------------------------------------------------------------------
+
+HEMISPHERE_GRIDS = [(8, 16), (9, 16), (16, 8), (32, 8), (16, 32), (33, 66), (64, 128)]
+
+
+def _bits(a):
+    # equality of bits: the sign of a zero counts
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _reference_hessian_field(h):
+    # hessian_field before its hemisphere path: every ring of every field
+    # from the roll and per-row reference kernels; (lam, components)
+    g = h.grid
+    F = h.field
+    ent1, ent2 = _reference_lat_entries(g)
+    h_l, h_ll = _reference_lat_apply(g, ent1, F), _reference_lat_apply(g, ent2, F)
+    h_t, h_tt = _reference_lon_apply1(F), _reference_lon_apply2(F)
+    h_lt = _reference_lat_apply(g, ent1, h_t)
+    invcos = g.invcos[:, None]
+    tanlat = g.tanlat[:, None]
+    b11 = h_ll + F
+    b12 = invcos * (h_lt + tanlat * h_t)
+    b22 = (invcos ** 2 * h_tt - tanlat * h_l) + F
+    mid = 0.5 * (b11 + b22)
+    rad = np.hypot(0.5 * (b11 - b22), b12)
+    lam = np.column_stack([(mid - rad).ravel(), (mid + rad).ravel()])
+    return lam, {"b11": b11, "b12": b12, "b22": b22, "g1": h_l, "g2": invcos * h_t}
+
+
+def _assert_hessian_field_is_the_reference(h):
+    hf = hessian_field(h)
+    lam, comps = _reference_hessian_field(h)
+    assert np.array_equal(_bits(hf.lam), _bits(lam))
+    assert hf.components.keys() == comps.keys()
+    for key, comp in comps.items():
+        assert np.array_equal(_bits(hf.components[key]), _bits(comp)), key
+
+
+def _even_fields(g):
+    # an even random field, and even quadratic data on a tilted and on the
+    # polar axis (ring-constant): what the solver differentiates
+    tilted = np.array([math.sin(0.4), 0.0, math.cos(0.4)])
+    return {"random": even_project(_random_field(g, 70)),
+            "tilted": GridFunction(g, 1.1 * (1.0 + 0.05 * (g.coords @ tilted) ** 2)),
+            "polar": GridFunction(g, 1.1 * (1.0 + 0.05 * g.coords[:, 2] ** 2))}
+
+
+@pytest.mark.parametrize("shape", HEMISPHERE_GRIDS, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_hemisphere_path_is_bitwise_the_whole_grid_computation(shape):
+    g = _grid(shape)
+    for name, h in _even_fields(g).items():
+        assert g._hemisphere_rings(h.field) == (shape[0] + 1) // 2, name
+        _assert_hessian_field_is_the_reference(h)
+
+
+@pytest.mark.parametrize("shape", HEMISPHERE_GRIDS, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_fields_not_exactly_even_take_the_whole_grid(shape):
+    g = _grid(shape)
+    v = _even_fields(g)["tilted"].values
+    # one ulp off at one node: on the first ring, and on ring m_lat // 2,
+    # which on odd m_lat is the equator ring, its own antipodal ring
+    off = v.copy()
+    off[5] = np.nextafter(off[5], 2.0)
+    off_mid = v.copy()
+    mid = (shape[0] // 2) * shape[1] + 1
+    off_mid[mid] = np.nextafter(off_mid[mid], 2.0)
+    # bitwise even, but holding -0.0 (at a node and at its antipode)
+    signed = v.copy()
+    signed[[3, g.antipodal_perm[3]]] = -0.0
+    for w in (off, off_mid, signed):
+        assert g._hemisphere_rings(w.reshape(g.shape)) == shape[0]
+        _assert_hessian_field_is_the_reference(GridFunction(g, w))
+
+
+def test_first_order_latitude_rows_weigh_both_signs():
+    # the hemisphere path's exact negation relies on it: a zero sum of a
+    # row's terms is then +0.0 on a ring and on its antipodal ring alike
+    for shape in [s for s in KERNEL_GRIDS if s[0] > 1] + HEMISPHERE_GRIDS:
+        w = _kernel_grid(shape)._lat_w1[..., 0]
+        assert np.all((w > 0).any(axis=0) & (w < 0).any(axis=0)), shape
+
+
+@pytest.mark.parametrize("shape", [(1, 64), (1, 256), (16, 8), (9, 16), (64, 128)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_lon_derivs_of_ring_constant_fields_are_positive_zeros(shape):
+    g = _kernel_grid(shape)
+    rings = np.random.default_rng(71).standard_normal(shape[0])
+    F = np.repeat(rings, shape[1]).reshape(g.shape)
+    for out, ref in zip(g.lon_derivs(F), (_reference_lon_apply1(F), _reference_lon_apply2(F))):
+        assert np.all(out == 0.0) and not np.signbit(out).any()
+        assert np.array_equal(_bits(out), _bits(ref))
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (9, 16), (33, 66)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_lat_derivs_of_fewer_rings_and_orders_are_slices_of_the_whole(shape):
+    g = _grid(shape)
+    M = shape[0]
+    F = _random_field(g, 72).field
+    first, second = g.lat_derivs(F)
+    for rings in (1, M // 2, M - M // 2, M):
+        part = g.lat_derivs(F, rings=rings)
+        assert np.array_equal(_bits(part[0]), _bits(first[:rings]))
+        assert np.array_equal(_bits(part[1]), _bits(second[:rings]))
+        # the field may stop where the asked rings' taps stop reading
+        only, = g.lat_derivs(F[:rings + RING_REACH], rings=rings, order=1)
+        assert np.array_equal(_bits(only), _bits(first[:rings]))
+
+
+# ---------------------------------------------------------------------------
 # interpolation between sphere grids
 # ---------------------------------------------------------------------------
 
@@ -706,7 +817,7 @@ def _write_grid_function_per_row(gf, path):
 AWKWARD = (-0.0, 0.0, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0, 5e-324, 1.7976931348623157e308, 1e16)
 
 
-@pytest.mark.parametrize("shape", [(64,), (9, 16), (32, 64)],
+@pytest.mark.parametrize("shape", [(64,), (8, 16), (9, 16), (32, 64), (33, 66)],
                          ids=lambda s: "x".join(map(str, s)))
 def test_write_grid_function_matches_per_row_writer(tmp_path, shape):
     if len(shape) == 1:

@@ -56,7 +56,7 @@ SingularJacobianError, and continuation halves its step.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class NewtonResult:
     iterations: int
     final_linf: float
     min_b_eig: float  # smallest eigenvalue of b(h) over the nodes
-    step_history: list = field(default_factory=list)  # (alpha, residual linf)
     message: str = ""
     krylov_iterations: int = 0  # GMRES iterations over all Newton steps
     preconditioner_builds: int = 0  # ring preconditioners built, rebuilds included
@@ -409,7 +408,6 @@ def newton_solve(spec, h0, t, tol=None):
         raise AdmissibilityError("initial iterate is not k-admissible",
                                  node=i, margin=float(ev.margin[i]))
 
-    history = []
     state = {"krylov_iterations": 0, "preconditioner_builds": 0}  # and P, once built
     eta = ETA_MAX
     message = ""
@@ -444,11 +442,10 @@ def newton_solve(spec, h0, t, tol=None):
             break
         prev_linf = linf
         ev = accepted
-        history.append((alpha, ev.linf))
 
     # every exit but the stopping test sets its message
     return NewtonResult(
         h=ev.h, converged=not message, iterations=it, final_linf=ev.linf,
-        min_b_eig=float(np.min(ev.hf.lam[:, 0])), step_history=history, message=message,
+        min_b_eig=float(np.min(ev.hf.lam[:, 0])), message=message,
         krylov_iterations=state["krylov_iterations"],
         preconditioner_builds=state["preconditioner_builds"], ev=ev)

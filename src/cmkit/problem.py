@@ -207,11 +207,11 @@ def admissibility_margin(spec, h):
 def ellipticity_weights(hf, k):
     """sigma_k^{ij} = d sigma_k / d b_ij at b(h), as per-node weights.
 
-    Keys name the SphereGrid.frame_taps() entry each weight scales
-    (hess11, hess12, hess22).  The off-diagonal weight is doubled, as it
-    multiplies both b12 and b21, and left out where it vanishes
-    identically: sigma_1^{ij} is the identity, sigma_2^{ij} for n = 2 the
-    adjugate of b.
+    Keys name the frame component of hess(phi) + phi*I each weight scales
+    (hess11, hess12, hess22: hessian_field's b11, b12, b22).  The
+    off-diagonal weight is doubled, as it multiplies both b12 and b21, and
+    left out where it vanishes identically: sigma_1^{ij} is the identity,
+    sigma_2^{ij} for n = 2 the adjugate of b.
     """
     N = hf.grid.node_count
     if hf.grid.n == 1:
@@ -226,11 +226,11 @@ def ellipticity_weights(hf, k):
 def linearization_weights(spec, ev):
     """Per-node coefficients of the linearization at the Evaluation ev.
 
-    The row scale of each frame operator, keyed as in
-    SphereGrid.frame_taps() (sigma_k^{ij} from ellipticity_weights
-    and the two gradient weights), and 'diag', the zeroth-order term.
-    The right side's derivatives in h and in rho^2 are c1 = (p-1) rhs / h
-    and c2 = (k+1-q) rhs / rho^2, from ev's own rhs and rho2.
+    The row scale of each frame field of phi it multiplies: sigma_k^{ij}
+    from ellipticity_weights, 'grad1', 'grad2' of the frame gradient (g1,
+    g2 in hessian_field), and 'diag', the zeroth-order term.  The right
+    side's derivatives in h and in rho^2 are c1 = (p-1) rhs / h and c2 =
+    (k+1-q) rhs / rho^2, from ev's own rhs and rho2.
     """
     hv = ev.h.values
     c1 = (spec.p - 1.0) * ev.rhs / hv
@@ -243,16 +243,36 @@ def linearization_weights(spec, ev):
     return weights
 
 
+def _stencil_coefficients(grid, weights):
+    """Weights keyed as linearization_weights, per node in grid shape or
+    per ring as (rings, 1), a missing key zero, as coefficients of the
+    stencil_taps operators, in J.v's order.  The one home of the frame
+    formulas (l, t = latitude, longitude; s = tan(lat), c = 1/cos(lat)):
+        hess11 = phi_ll + phi, hess12 = c (phi_lt + s phi_t), grad1 = phi_l,
+        hess22 = c^2 phi_tt - s phi_l + phi, grad2 = c phi_t;
+    on the circle hess11 = phi_tt + phi and grad1 = phi_t.
+    """
+    zero = np.zeros_like(next(iter(weights.values())))
+    w = dict.fromkeys(("diag", "hess11", "hess12", "hess22", "grad1", "grad2"), zero) | weights
+    if grid.n == 1:
+        return {"identity": w["diag"] + w["hess11"], "lon2": w["hess11"], "lon1": w["grad1"]}
+    invcos, tanlat = grid.invcos[:, None], grid.tanlat[:, None]
+    w12 = invcos * w["hess12"]
+    return {"identity": w["diag"] + w["hess11"] + w["hess22"], "lat2": w["hess11"],
+            "lat1": w["grad1"] - tanlat * w["hess22"], "lon2": invcos ** 2 * w["hess22"],
+            "lon1": tanlat * w12 + invcos * w["grad2"], "lat1_lon1": w12}
+
+
 class LinearizedOperator:
     """The linearization at one iterate: the grid and its linearization_weights.
 
-    J.v (n = 2) is one pass of the frame fields of v, as in hessian_field,
-    with the weights folded in; its longitude derivatives use rfft/irfft
-    with the symbols of the longitude kernels, as do both derivatives on
-    the circle.  toarray() comes from the frame taps, ring by ring.  nnz
-    counts the weights held, N per key, not the nonzeros of the matrix,
-    which is never formed; the scale of a Newton step is the infinity
-    norm of its ring average, ring_taps().
+    J.v is one pass over the kernels of v with the nonzero coefficients of
+    _stencil_coefficients; its longitude derivatives use rfft/irfft with
+    the symbols of the longitude kernels.  toarray() comes from the same
+    coefficients over the stencil taps, ring by ring.  nnz counts the
+    weights held, N per key, not the nonzeros of the matrix, which is
+    never formed; the scale of a Newton step is the infinity norm of its
+    ring average, ring_taps().
     """
 
     def __init__(self, grid, weights):
@@ -263,52 +283,43 @@ class LinearizedOperator:
 
     @cached_property
     def _coef(self):
-        # of v, lat2 v, lat1 v, v_tt; then of lat1 v_t, v_t (0 if axisymmetric)
+        # the nonzero stencil coefficients; the longitude orders J.v reads, and their symbols
         g = self.grid
         w = {key: val.reshape(g.shape) for key, val in self.weights.items()}
-        invcos, tanlat = g.invcos[:, None], g.tanlat[:, None]
-        w12 = invcos * w.get("hess12", 0.0)
-        coef_t = (w12, tanlat * w12 + invcos * w["grad2"])
-        return ((w["diag"] + w["hess11"] + w["hess22"], w["hess11"],
-                 w["grad1"] - tanlat * w["hess22"], invcos ** 2 * w["hess22"]),
-                coef_t if any(np.any(c) for c in coef_t) else ())
+        coef = {key: c for key, c in _stencil_coefficients(g, w).items() if np.count_nonzero(c)}
+        lon = ("lon1", "lon2") if {"lon1", "lat1_lon1"} & coef.keys() else ("lon2",)
+        return coef, lon, g._lon_syms[-len(lon):].reshape(len(lon), *[1] * (g.n - 1), -1)
 
     def dot(self, v):
         g = self.grid
-        if g.n == 1:
-            w = self.weights
-            d1, d2 = np.fft.irfft(np.fft.rfft(v) * g._lon_syms, n=v.size)
-            return (w["diag"] + w["hess11"]) * v + w["hess11"] * d2 + w["grad1"] * d1
-        M, L = g.shape
-        (c0, c11, c1, ctt), coef_t = self._coef
-        F = np.reshape(v, (M, L))
-        V = np.fft.rfft(F, axis=1)
-        F_l, F_ll = g.lat_derivs(F)
-        out = c0 * F + c11 * F_ll + c1 * F_l \
-            + ctt * np.fft.irfft(V * g._lon_syms[1], n=L, axis=1)
-        if coef_t:
-            F_t = np.fft.irfft(V * g._lon_syms[0], n=L, axis=1)
-            out += coef_t[1] * F_t
-            if "hess12" in self.weights:  # sigma_k^{12} is 0 for k = 1
-                out += coef_t[0] * g.lat_derivs(F_t, order=1)[0]
+        coef, lon, syms = self._coef
+        F = v.reshape(g.shape)
+        d = dict(zip(lon, np.fft.irfft(np.fft.rfft(F) * syms, n=F.shape[-1])), identity=F)
+        if g.n == 2:
+            d["lat1"], d["lat2"] = g.lat_derivs(F)
+        if "lat1_lon1" in coef:
+            d["lat1_lon1"], = g.lat_derivs(d["lon1"], order=1)
+        first, *rest = coef
+        out = coef[first] * d[first]
+        for key in rest:
+            out += coef[key] * d[key]
         return out.ravel()
 
     def _ring_rows(self):
         # per ring j: P[i, c] weighs node (j + o, i + d) in the row of node
         # (j, i), (o + R, d) = divmod(cols[c], m_lon); all-zero columns left out
-        taps = dict(self.grid.frame_taps(), diag=np.zeros_like(self.grid.frame_taps()["hess11"]))
-        width, M, L = taps["diag"].shape
-        taps["diag"][width // 2, :, 0] = 1.0
-        keys = [key for key in taps if key in self.weights and self.weights[key].any()]
-        # T[j] (K, width * L) holds the taps and W[j] (L, K) the weights of ring j
-        T = np.stack([taps[key] for key in keys]).transpose(2, 0, 1, 3).reshape(M, len(keys), -1)
-        W = np.stack([self.weights[key].reshape(M, L) for key in keys], axis=2)
+        taps = self.grid.stencil_taps()
+        M, L = taps["identity"].shape[1:]
+        # W[j] (L, K) holds the coefficients of ring j and T[j] (K, width * L) its taps
+        coef = self._coef[0]
+        W = np.stack([np.broadcast_to(coef.get(key, 0.0), (M, L)) for key in taps], axis=2)
+        T = self.grid._tap_stack
         for j in range(M):
             cols = np.flatnonzero(T[j].any(axis=0))
             yield j, cols, W[j] @ T[j][:, cols]
 
     def toarray(self):
-        width, M, L = self.grid.frame_taps()["hess11"].shape
+        width, M, L = self.grid.stencil_taps()["identity"].shape
         J = np.zeros((M, L, M, L))
         i = np.arange(L)[:, None]
         for j, cols, P in self._ring_rows():
@@ -346,20 +357,18 @@ def ring_taps(grid, weights):
     weights are the linearization_weights at some (h, t) on grid.  With
     every weight replaced by its mean over each ring (the circle has one)
     the operator commutes with longitude shifts; the row of node (j, 0)
-    of each ring is returned in the layout of SphereGrid.frame_taps(),
-    (width, M, L).  It is the mean of its ring's rows of J, aligned by
-    the shift, so its absolute sum is at most |J|_inf, and equal to it
-    when h and f_t are axisymmetric: the weights are then constant along
-    rings and the average is J itself.
+    of each ring, from the stencil coefficients of those means, is
+    returned in the layout of SphereGrid.stencil_taps(), (width, M, L).
+    It is the mean of its ring's rows of J, aligned by the shift, so its
+    absolute sum is at most |J|_inf, and equal to it when h and f_t are
+    axisymmetric: the weights are then constant along rings.
     """
-    taps = grid.frame_taps()
-    width, M, _ = taps["hess11"].shape
-    means = {key: w.reshape(M, -1).mean(axis=1)[:, None] for key, w in weights.items()}
-    rows = np.zeros_like(taps["hess11"])
-    rows[width // 2, :, :1] = means.pop("diag")
-    for key, mean in means.items():
-        rows += mean * taps[key]
-    return rows
+    taps = grid.stencil_taps()
+    width, M, L = taps["identity"].shape
+    means = np.stack(list(weights.values())).reshape(len(weights), M, -1).mean(axis=2)
+    coef = _stencil_coefficients(grid, dict(zip(weights, means[:, :, None])))
+    C = np.concatenate([coef[key] for key in taps], axis=1)[:, None]
+    return (C @ grid._tap_stack).reshape(M, width, L).transpose(1, 0, 2)
 
 
 def ring_blocks(taps):

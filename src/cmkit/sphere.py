@@ -23,9 +23,11 @@ tolerance, because downstream symmetry checks rely on them:
 The kernels SphereGrid.lon_derivs and SphereGrid.lat_derivs each return the
 first and second derivative from one pass.  The longitude weights are held
 once, as the circulant rows _lon_rows, and the latitude stencils as per-ring
-tap arrays; the kernels, the frame taps and the operator matrices all
-come from them.  interpolate moves a grid function between sphere grids,
-with an even result, for grid sequencing (continuation).
+tap arrays; the kernels, their per-ring taps (stencil_taps) and the
+operator matrices all come from them.  The linearization's frame algebra
+over these stencils lives in the problem module.  interpolate moves a grid
+function between sphere grids, with an even result, for grid sequencing
+(continuation).
 
 The same exactness makes the antipodal map free to use: hessian_field of
 an exactly even field computes its southern rings (and the equator ring of
@@ -47,16 +49,17 @@ def fd_weights(z, x, m):
     """Weights of the derivatives 0..m at z over the nodes x.
 
     Returns an (m+1, len(x)) array; row k holds the k-th derivative
-    weights in the given node order.  The recursion is sign-homogeneous in
-    the node differences: negating z and every node negates the odd-order
-    rows bitwise and leaves the even-order rows bitwise unchanged, which
-    the latitude-flip symmetry of the grid depends on.
+    weights in the given node order; points z of shape B with node sets x
+    of shape B + (n,) give B + (m+1, n), bitwise the per-point calls.  The
+    recursion is sign-homogeneous in the node differences: negating z and
+    every node negates the odd-order rows bitwise and leaves the even-order
+    rows bitwise unchanged, which the latitude-flip symmetry depends on.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
     n = len(x)
-    w = np.zeros((m + 1, n))
     c1 = 1.0
     c4 = x[0] - z
+    w = np.zeros((m + 1, n) + np.shape(c4))
     w[0, 0] = 1.0
     for i in range(1, n):
         mn = min(i, m)
@@ -74,7 +77,7 @@ def fd_weights(z, x, m):
                 w[k, j] = (c4 * w[k, j] - k * w[k - 1, j]) / c3
             w[0, j] = c4 * w[0, j] / c3
         c1 = c2
-    return w
+    return np.moveaxis(w, (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +104,8 @@ class SphereGrid:
     lon_derivs and lat_derivs (n=2 only) are the derivative kernels, each
     returning (first, second); lat_derivs can stop at the first order and
     at a given ring.  The longitude weights live once, in _lon_rows.  The
-    frame operators' taps needed by the linearization are built lazily and
-    cached (frame_taps), as are the ring grid (ring_grid) and the coarse
-    grid (coarse_grid); their longitude-Fourier symbols come from
-    problem.ring_blocks.
+    kernels' per-ring taps are built lazily and cached (stencil_taps), as
+    are the ring grid (ring_grid) and the coarse grid (coarse_grid).
     """
 
     def __init__(self, n, m_theta=None, m_lat=None, m_lon=None):
@@ -132,7 +133,7 @@ class SphereGrid:
             self.m_lat = m_lat
             self.m_lon = m_lon
             self._build_sphere()
-        self._frame_taps = None
+        self._stencil_taps = self._tap_stack = None
         self._ring_grid = None
         self._coarse_grid = None
 
@@ -228,19 +229,17 @@ class SphereGrid:
         w2 = np.zeros((M, T))
 
         south = M // 2  # rows 0..south-1 have lat < 0
-        for j in range(south):
-            if j == 0:
-                nodes = [-np.pi - lat[0], lat[0], lat[1], lat[2]]
-                src[0, :3] = (0, 1, 2)
-                shift[0, 0] = L // 2
-            else:
-                # 4-point stencils: first-derivative truncation O(dx^3) so the
-                # 1/cos(lat) frame factors near the poles cost only one order
-                nodes = [lat[j - 1], lat[j], lat[j + 1], lat[j + 2]]
-                src[j, :3] = (j - 1, j + 1, j + 2)
-            w = fd_weights(lat[j], nodes, 2)
-            w1[j, :3] = w[1, [0, 2, 3]]
-            w2[j, :3] = w[2, [0, 2, 3]]
+        # 4-point stencils on rings j-1 .. j+2: first-derivative truncation
+        # O(dx^3) so the 1/cos(lat) frame factors near the poles cost only
+        # one order.  Row 0's ring -1 is ring 0 across the pole, at latitude
+        # -pi - lat[0] and longitude theta + pi.
+        nodes = np.concatenate([[-np.pi - lat[0]], lat])
+        w = fd_weights(lat[:south], nodes[np.arange(south)[:, None] + np.arange(4)], 2)
+        src[:south, :3] = np.arange(south)[:, None] + (-1, 1, 2)
+        src[0, 0] = 0
+        shift[0, 0] = L // 2
+        w1[:south, :3] = w[:, 1, [0, 2, 3]]
+        w2[:south, :3] = w[:, 2, [0, 2, 3]]
         if M % 2:
             # equator row of odd-height grids: symmetric 5-point stencil with
             # the weights explicitly (anti)symmetrized
@@ -344,7 +343,7 @@ class SphereGrid:
         else:
             north[...] = south
 
-    # -- frame operators as per-ring taps ------------------------------------
+    # -- the kernels as operators --------------------------------------------
 
     def operator_matrices(self):
         """Sparse CSR versions of the derivative operators, built per call.
@@ -354,7 +353,7 @@ class SphereGrid:
         'lat2'.  These reproduce the kernel applications up to summation
         order; the latitude ones are built from the kernels' own tap
         arrays.  No solve uses them: they are a reference for the kernels
-        and the frame taps, and they need scipy, which cmkit's test extra
+        and the stencil taps, and they need scipy, which cmkit's test extra
         installs.
         """
         from scipy import sparse
@@ -395,48 +394,41 @@ class SphereGrid:
             "lat2": lat_matrix(self._lat_w2),
         }
 
-    def frame_taps(self):
-        """The frame operators of the linearization as per-ring taps, built once.
+    def stencil_taps(self):
+        """The kernels as per-ring taps, built once.
 
-        'hess11', 'hess12', 'hess22' map phi to the frame components of
-        hess(phi) + phi*I, 'grad1', 'grad2' to the frame gradient, as in
-        hessian_field (n=1: 'hess11', 'grad1').  They commute with longitude
-        shifts, so a cached dict of the first row of each ring is returned:
-        arrays (2*RING_REACH + 1, m_lat, m_lon) ((1, 1, m_theta) for n=1)
-        whose entry [o + RING_REACH, j, d] weighs node (j + o, i + d) in the
-        row of node (j, i), zero where ring j + o does not exist.
+        'identity', 'lon1' and 'lon2' on every grid; on S^2 also 'lat1' and
+        'lat2' (lat_derivs) and 'lat1_lon1', the first latitude derivative
+        of the first longitude one.  They commute with longitude shifts, so
+        a cached dict of the first row of each ring is returned: arrays
+        (2*RING_REACH + 1, m_lat, m_lon) ((1, 1, m_theta) for n=1) whose
+        entry [o + RING_REACH, j, d] weighs node (j + o, i + d) in the row
+        of node (j, i), zero where ring j + o does not exist.  They are
+        views, in key order, of one ring-major array, _tap_stack (m_lat,
+        key, (2*RING_REACH + 1) m_lon), so that a ring's row of any sum of
+        the kernels is one matrix product.
         """
-        if self._frame_taps is not None:
-            return self._frame_taps
-        row1, row2 = self._lon_rows
-        if self.n == 1:
-            self._frame_taps = {"hess11": (row2 + np.eye(1, row2.size))[None],
-                                "grad1": row1[None, None]}
-            return self._frame_taps
-        R = RING_REACH
-        M, L = self.shape
-        invcos = self.invcos[None, :, None]
-        tanlat = self.tanlat[:, None]
-        ring, lon = np.divmod(self._lat_src[:, :, 0], L)
-        lat1, hess11 = np.zeros((2, 2 * R + 1, M, L))
-        for taps, w in ((lat1, self._lat_w1[..., 0]), (hess11, self._lat_w2[..., 0])):
-            np.add.at(taps, (ring - np.arange(M) + R, np.arange(M), lon), w)
-            taps[R, :, 0] -= w.sum(axis=0)  # the self term
-        hess11[R, :, 0] += 1.0
-        # lat1 after lon1: a latitude tap at longitude offset e carries the
-        # lon1 row shifted by e (e is 0, or m_lon/2 across a pole)
-        hess12 = sum(lat1[:, :, e, None] * np.roll(row1, e)
-                     for e in np.flatnonzero(lat1.any(axis=(0, 1))))
-        hess12[R] += tanlat * row1
-        hess12 *= invcos
-        hess22 = -tanlat * lat1
-        hess22[R] += invcos[0] ** 2 * row2
-        hess22[R, :, 0] += 1.0
-        grad2 = np.zeros_like(lat1)
-        grad2[R] = invcos[0] * row1
-        self._frame_taps = {"hess11": hess11, "hess12": hess12, "hess22": hess22,
-                            "grad1": lat1, "grad2": grad2}
-        return self._frame_taps
+        if self._stencil_taps is not None:
+            return self._stencil_taps
+        R = RING_REACH if self.n == 2 else 0
+        M, L = self.shape if self.n == 2 else (1, self.m_theta)
+        keys = ("identity", "lon1", "lon2") + (("lat1", "lat2", "lat1_lon1") if self.n == 2 else ())
+        stack = np.zeros((M, len(keys), 2 * R + 1, L))
+        taps = {key: stack[:, i].transpose(1, 0, 2) for i, key in enumerate(keys)}
+        taps["identity"][R, :, 0] = 1.0
+        taps["lon1"][R], taps["lon2"][R] = self._lon_rows
+        if self.n == 2:
+            ring, lon = np.divmod(self._lat_src[:, :, 0], L)
+            for key, w in (("lat1", self._lat_w1[..., 0]), ("lat2", self._lat_w2[..., 0])):
+                np.add.at(taps[key], (ring - np.arange(M) + R, np.arange(M), lon), w)
+                taps[key][R, :, 0] -= w.sum(axis=0)  # the self term
+            # a latitude tap at longitude offset e carries the lon1 row
+            # shifted by e (e is 0, or m_lon/2 across a pole)
+            for e in np.flatnonzero(taps["lat1"].any(axis=(0, 1))):
+                taps["lat1_lon1"] += taps["lat1"][:, :, e, None] * np.roll(self._lon_rows[0], e)
+        self._tap_stack = stack.reshape(M, len(keys), -1)
+        self._stencil_taps = taps
+        return taps
 
     def ring_grid(self):
         """The m_lat x RING_LON grid on this grid's latitudes (n=2), built once.
@@ -726,7 +718,7 @@ def interpolate(gf, grid):
     # nodes s - P + 1 .. s + P around the bracket x[s] <= z < x[s + 1]
     first = np.searchsorted(x, grid.lats, side="right") - P
     taps = first[:, None] + np.arange(INTERP_POINTS)
-    w = np.array([fd_weights(z, x[t], 0)[0] for z, t in zip(grid.lats, taps)])
+    w = fd_weights(grid.lats, x[taps], 0)[:, 0]
     base = rows[first + P - 1]
     out = base + np.einsum("jt,jtl->jl", w, rows[taps] - base[:, None])
     return even_project(GridFunction(grid, out))

@@ -300,8 +300,9 @@ def test_operator_matrices_circle():
 
 
 def _apply_taps(taps, F):
-    # a frame_taps() entry applied node by node: the weight of node
-    # (j + o, i + d) in the row of node (j, i), summed over o and d
+    # per-ring taps (stencil_taps, ring_taps) applied node by node: the
+    # weight of node (j + o, i + d) in the row of node (j, i), summed over
+    # o and d
     width, M, L = taps.shape
     R = width // 2
     out = np.zeros((M, L))
@@ -312,22 +313,49 @@ def _apply_taps(taps, F):
     return out
 
 
+@pytest.mark.parametrize("shape", [(1, 64), (9, 16), (16, 32), (33, 64)],
+                         ids=["c64", "9x16", "16x32", "33x64"])
+def test_stencil_taps_match_kernels(shape):
+    # each stencil_taps entry, applied node by node, is its kernel: the
+    # identity, lon_derivs, lat_derivs and lat1 of lon_derivs' first order
+    g = _kernel_grid(shape)
+    taps = g.stencil_taps()
+    assert g.stencil_taps() is taps  # built once per grid
+    h = _random_field(g, 43)
+    F = np.reshape(h.values, (-1, shape[1]))
+    lon1, lon2 = g.lon_derivs(F)
+    expect = {"identity": F, "lon1": lon1, "lon2": lon2}
+    if g.n == 2:
+        expect["lat1"], expect["lat2"] = g.lat_derivs(F)
+        expect["lat1_lon1"], = g.lat_derivs(lon1, order=1)
+    assert taps.keys() == expect.keys()
+    for key, out in expect.items():
+        got = _apply_taps(taps[key], F)
+        scale = np.max(np.abs(taps[key]).sum(axis=(0, 2))) * np.max(np.abs(F))
+        assert np.max(np.abs(got - out)) <= 1e-14 * scale, f"{key} on {shape}"
+
+
+def _frame_taps(g, key):
+    # the frame operator of one linearization weight alone, as per-ring taps
+    from cmkit.problem import ring_taps
+
+    N = g.node_count
+    return ring_taps(g, {key: np.ones(N), "diag": np.zeros(N)})
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_frame_operators_match_hessian_field(g1, g2, n):
     # the frame operators, held as per-ring taps, reproduce the frame
     # fields of hessian_field
     g = g1 if n == 1 else build_grid(2, m_lat=9, m_lon=16)
-    taps = g.frame_taps()
-    assert g.frame_taps() is taps  # built once per grid
     h = _random_field(g, 42)
     c = hessian_field(h).components
     parts = {"hess11": "b11", "grad1": "g1"}
     if n == 2:
         parts.update(hess12="b12", hess22="b22", grad2="g2")
-    assert taps.keys() == parts.keys()
     for key, comp in parts.items():
         expect = np.reshape(c[comp], (-1, g.shape[-1]))
-        got = _apply_taps(taps[key], np.reshape(h.values, expect.shape))
+        got = _apply_taps(_frame_taps(g, key), np.reshape(h.values, expect.shape))
         assert_allclose(got, expect, rtol=0, atol=1e-14 * np.max(np.abs(expect)))
 
 
@@ -336,16 +364,14 @@ def test_frame_symbols_act_on_longitude_modes(m_lat):
     # on phi = c_s exp(2 pi i m l / m_lon) in ring s, every frame operator
     # (the frame fields of hessian_field) acts as its banded mode-m symbol
     # on the ring amplitudes c: the ring blocks of that operator alone
-    from cmkit.problem import ring_blocks, ring_taps
+    from cmkit.problem import ring_blocks
     from cmkit.sphere import RING_REACH
 
     g = build_grid(2, m_lat=m_lat, m_lon=64)
     M, L = g.shape
-    N = g.node_count
     parts = {"hess11": "b11", "hess12": "b12", "hess22": "b22", "grad1": "g1", "grad2": "g2"}
-    assert g.frame_taps().keys() == parts.keys()
-    syms = {key: ring_blocks(ring_taps(g, {key: np.ones(N), "diag": np.zeros(N)}))
-            for key in parts}
+    taps = {key: _frame_taps(g, key) for key in parts}
+    syms = {key: ring_blocks(taps[key]) for key in parts}
     rng = np.random.default_rng(5)
     for m in (0, 1, 7, L // 2):
         c = rng.standard_normal(M) + 1j * rng.standard_normal(M)
@@ -359,7 +385,7 @@ def test_frame_symbols_act_on_longitude_modes(m_lat):
             for o in range(-RING_REACH, RING_REACH + 1):
                 j = np.arange(max(0, -o), min(M, M - o))
                 amp[j] += band[o + RING_REACH, j] * c[j + o]
-            scale = np.max(np.abs(g.frame_taps()[key]).sum(axis=(0, 2))) * np.max(np.abs(c))
+            scale = np.max(np.abs(taps[key]).sum(axis=(0, 2))) * np.max(np.abs(c))
             assert np.max(np.abs(got - amp[:, None] * wave)) <= 1e-14 * scale
 
 
@@ -474,6 +500,21 @@ def test_kernels_match_roll_and_per_row_references(shape):
             first, second = g.lat_derivs(field)
             assert np.array_equal(first, _reference_lat_apply(g, ent1, field))
             assert np.array_equal(second, _reference_lat_apply(g, ent2, field))
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_fd_weights_batch_is_bitwise_per_point(m):
+    # a batch of points and node sets gives each point the bits of its
+    # own call
+    from cmkit.sphere import fd_weights
+
+    rng = np.random.default_rng(9)
+    x = np.sort(rng.uniform(-1.5, 1.5, (3, 7, 5)), axis=-1)
+    z = rng.uniform(-1.5, 1.5, (3, 7))
+    batch = fd_weights(z, x, m)
+    assert batch.shape == (3, 7, m + 1, 5)
+    for b in np.ndindex(z.shape):
+        assert np.array_equal(batch[b].view(np.int64), fd_weights(z[b], x[b], m).view(np.int64))
 
 
 @pytest.mark.parametrize("shape", KERNEL_GRIDS, ids=lambda s: f"{s[0]}x{s[1]}")

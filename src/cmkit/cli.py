@@ -20,8 +20,7 @@ from . import diagnostics as diag
 from .config import (build_f, build_h_star, build_problem, ensure_out_dir,
                      parameter_error, parse_config)
 from .continuation import continue_path
-from .errors import (AdmissibilityError, ConfigError, DomainError, SingularJacobianError,
-                     UnsupportedParameterError)
+from .errors import ConfigError, UnsupportedParameterError
 from .geometry import reconstruct_body, write_obj, write_polyline
 from .newton import PIVOT_RTOL
 from .problem import evaluate, validate_f1
@@ -242,8 +241,7 @@ def _cmd_sweep(cfg):
                              fallback=trace.fallback)
                 all_ok = all_ok and trace.success
                 del trace  # and its Evaluation, before the next point's solve
-            except (ConfigError, DomainError, AdmissibilityError,
-                    SingularJacobianError) as exc:
+            except ConfigError as exc:
                 point.update(success=False, message=str(exc))
                 all_ok = False
             fh.write(json_text(point) + "\n")
@@ -299,7 +297,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, AdmissibilityError, SingularJacobianError, ValueError) as exc:
+    except ValueError as exc:  # DomainError and AdmissibilityError among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command}")

@@ -5,7 +5,8 @@ data at t = 1.
 The data homotopy has the exact solution h = 1 at t = 0, so the path
 starts from a zero-residual state.  One step loop follows it: a secant
 predictor, the damped Newton corrector, and a step size that halves on
-corrector failure and grows after fast successes.  If h = 1 already
+an unconverged corrector result, whose message is the path's when the
+step size underflows, and grows after fast successes.  If h = 1 already
 solves the target problem (in particular for data equal to the t = 0
 constant), the loop's first step has dt = 1.  The path does no report
 work: items such as the f1 check (problem.validate_f1) are the caller's.
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import AdmissibilityError, DomainError, SingularJacobianError
+from .errors import DomainError
 from .newton import newton_solve
 from .problem import Evaluation, evaluate
 from .sphere import RING_LON, GridFunction, constant_function, interpolate, json_text
@@ -151,7 +152,7 @@ def _sequenced(spec, coarse):
                 trace.steps.append(_result_row(res, 1.0))
                 trace.h, trace.ev = res.h, res.ev
                 return trace
-    except (DomainError, AdmissibilityError, SingularJacobianError) as exc:
+    except DomainError as exc:
         reason = str(exc)
     trace = _follow_path(spec)
     trace.fallback = f"{stage} failed: {reason}"
@@ -179,15 +180,11 @@ def _follow_path(spec):
         t_next = min(t_cur + dt, 1.0)
         tol = spec.tol_newton if t_next == 1.0 else math.sqrt(spec.tol_newton)
         res = None  # the last step's result and its Evaluation go before the next solve
-        try:
-            res = newton_solve(spec, predictor(prev, t_next), t_next, tol=tol)
-        except (AdmissibilityError, SingularJacobianError) as exc:
-            trace.message = f"corrector error at t={t_next:g}: {exc}"
-        if res is None or not res.converged:
+        res = newton_solve(spec, predictor(prev, t_next), t_next, tol=tol)
+        if not res.converged:
             dt *= 0.5
             if dt < spec.dt_min:
-                if res is not None:
-                    trace.message = f"step size underflow at t={t_next:g}: {res.message}"
+                trace.message = f"step size underflow at t={t_next:g}: {res.message}"
                 break
             continue
         t_cur = t_next
@@ -197,7 +194,6 @@ def _follow_path(spec):
             dt = min(dt * 1.5, spec.dt_max)
     else:
         trace.success = True
-        trace.message = ""  # a corrector error of a rejected step is not the outcome
         trace.ev = res.ev  # the last step's, at t = 1
     trace.h = prev[1][1]
     return trace

@@ -169,8 +169,8 @@ def l0_spectrum(spec):
 
     The antipodal map sends ring j to ring M-1-j with the sign (-1)^m in
     longitude mode m, so the even part of mode m is spanned by e_j +
-    (-1)^m e_(M-1-j): half of problem.parity_fold's symmetric block for
-    even m, and for odd m half its antisymmetric block without odd M's
+    (-1)^m e_(M-1-j): problem.parity_fold's symmetric block for even m,
+    and for odd m its antisymmetric block without odd M's
     middle ring (odd m_lat's equator, the circle's one ring).  Modes other
     than 0 and the Nyquist mode carry a cosine and a sine and count twice.
     At h = 1, t = 0 every weight is one constant, so on S^2 they are
@@ -190,8 +190,8 @@ def l0_spectrum(spec):
     ev = []
     for parity, d in ((0, (M + 1) // 2), (1, M // 2)):
         band = folded[:, :d, parity, parity::2]
-        # the dense block of every mode: A[m, j, j + o - width // 2] = band[o, j, m] / 2
-        A = 0.5 * sum(band[o].T[:, :, None] * np.eye(d, k=o - width // 2) for o in range(width))
+        # the dense block of every mode: A[m, j, j + o - width // 2] = band[o, j, m]
+        A = sum(band[o].T[:, :, None] * np.eye(d, k=o - width // 2) for o in range(width))
         lam = np.linalg.eigvals(A)
         ev.append(np.repeat(lam.real, count[parity::2], axis=0).ravel())
     # the analytic spectrum is real; discrete asymmetry introduces at most

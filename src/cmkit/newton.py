@@ -51,8 +51,8 @@ Convergence is still decided by the nonlinear residual against tol,
 the call's target: tol_newton unless the caller gives another.
 Continuation gives sqrt(tol_newton) to the steps before t = 1, whose
 iterates only seed the next prediction (continuation module docstring).
-A step whose GMRES misses its target with a fresh P raises
-SingularJacobianError, and continuation halves its step.
+A step declined with a fresh P ends newton_solve unconverged, with the
+reason in its message, and continuation halves its step.
 """
 
 import math
@@ -60,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AdmissibilityError, SingularJacobianError
+from .errors import SingularJacobianError
 from .problem import (Evaluation, assemble_jacobian, evaluate, parity_fold, ring_blocks,
                       ring_taps)
 from .sphere import GridFunction, even_project, odd_defect
@@ -211,8 +211,7 @@ def _ring_preconditioner(blocks, scale):
     pivots = np.abs(U[:H, 0])
     if M % 2:
         pivots[H - 1, K:] = np.inf  # the identity row of the middle ring
-    # the folded blocks are twice A's parts, and so are their pivots
-    if not pivots.min() > 2.0 * PIVOT_RTOL * scale:  # NaN fails too
+    if not pivots.min() > PIVOT_RTOL * scale:  # NaN fails too
         raise SingularJacobianError(
             f"ring preconditioner pivot not above 1e-13 * |mean J| = {PIVOT_RTOL * scale:.3e}")
     # (block, row, column, mode) -> (block, mode, row, column): one stack
@@ -231,8 +230,8 @@ def _ring_preconditioner(blocks, scale):
                 for i in range(nb - 1, -1, -1)]
 
     def apply(v):
-        V = np.fft.rfft(v.reshape(M, L), axis=1)
-        # sums and differences are twice the parts, as the blocks are
+        # half the sums and differences are the parts, as the blocks are
+        V = 0.5 * np.fft.rfft(v.reshape(M, L), axis=1)
         np.add(V[:H], V[::-1][:H], out=symmetric)
         np.subtract(V[:H], V[::-1][:H], out=antisymmetric)
         z[:, H:] = 0.0
@@ -386,16 +385,17 @@ def newton_solve(spec, h0, t, tol=None):
     until |F|_inf <= tol, by default spec.tol_newton.
 
     One loop with one exit: the stopping test against tol ends it
-    converged, and the iteration cap (spec.max_newton) and a failed line
-    search end it with their reason in the result's message.  Each
-    iterate is evaluated once (problem.evaluate): one Evaluation per
-    line-search candidate feeds its margin check, its residual, the next
-    Jacobian and the result's min_b_eig, and the last one is the result's
-    ev.  Each Newton step is solved to the forcing term of the module
-    docstring, with the ring preconditioner built at the first step and
-    reused, or rebuilt on a miss, at the later ones (solve_linear).  A
-    start that is not positive fails in evaluate with its DomainError
-    (node and value).
+    converged; a start outside Gamma_k, a declined step (solve_linear), the
+    iteration cap (spec.max_newton) and a failed line search end it with
+    their reason in the result's message.  Each iterate is evaluated once
+    (problem.evaluate): one Evaluation per line-search candidate feeds its
+    margin check, its residual, the next Jacobian and the result's
+    min_b_eig, and the last one is the result's ev.  Each Newton step is
+    solved to the forcing term of the module docstring, with the ring
+    preconditioner built at the first step and reused, or rebuilt on a
+    miss, at the later ones.  Only an odd start (ValueError), one that is
+    not positive (evaluate's DomainError) and a non-finite Jacobian
+    (ValueError) raise.
     """
     if odd_defect(h0) > 1e-12:
         raise ValueError("initial iterate must be even "
@@ -403,17 +403,15 @@ def newton_solve(spec, h0, t, tol=None):
     if tol is None:
         tol = spec.tol_newton
     ev = evaluate(spec, even_project(h0), t)
-    if np.min(ev.margin) <= 0:
-        i = int(np.argmin(ev.margin))
-        raise AdmissibilityError("initial iterate is not k-admissible",
-                                 node=i, margin=float(ev.margin[i]))
+    i = int(np.argmin(ev.margin))
+    message = "" if ev.margin[i] > 0 else \
+        f"initial iterate is not k-admissible (margin {ev.margin[i]:.3e} at node {i})"
 
     state = {"krylov_iterations": 0, "preconditioner_builds": 0}  # and P, once built
     eta = ETA_MAX
-    message = ""
     for it in range(spec.max_newton + 1):
         linf = ev.linf
-        if linf <= tol:
+        if message or linf <= tol:
             break
         if it == spec.max_newton:
             message = (f"no convergence to {tol:.3g} in {spec.max_newton} iterations "
@@ -423,7 +421,11 @@ def newton_solve(spec, h0, t, tol=None):
             eta = _forcing_term(linf, prev_linf, tol)
 
         # J dies with the step: it holds a dozen node arrays the line search does not need
-        delta = solve_linear(assemble_jacobian(spec, ev), -ev.residual.values, eta, state)
+        try:
+            delta = solve_linear(assemble_jacobian(spec, ev), -ev.residual.values, eta, state)
+        except SingularJacobianError as exc:
+            message = str(exc)
+            break
 
         alpha = 1.0
         accepted = None

@@ -382,19 +382,19 @@ def parity_fold(blocks):
     """Split every mode's block into its symmetric and antisymmetric part.
 
     blocks is the (width, M, K) output of ring_blocks.  With R the
-    reflection of ring j to ring M-1-j, A + R A R maps vectors with
+    reflection of ring j to ring M-1-j, (A + R A R) / 2 maps vectors with
     c_(M-1-j) = +-c_j into themselves; on the first H = ceil(M/2) rings
     it acts as a banded block whose couplings past the fold land on the
     mirrored rings, with sign +-.  Returns those blocks in the same
     layout, (width, H, 2K): the symmetric parts of the K modes, then the
     antisymmetric parts.  On odd M the antisymmetric part has c = 0 on
     the middle ring, which gets an identity row.  For even iterates and
-    data A = R A R up to rounding, so this is twice A on each part.
+    data A = R A R up to rounding, so this is A on each part.
     """
     width, M, K = blocks.shape
     R = width // 2
     H = (M + 1) // 2
-    top = blocks[:, :H] + blocks[::-1, ::-1, :][:, :H]
+    top = 0.5 * (blocks[:, :H] + blocks[::-1, ::-1, :][:, :H])
     out = np.stack((top, top), axis=2)  # (width, H, 2, K)
     # coupling [R + o, j] of ring j to ring j + o >= H lands on its mirror,
     # ring M-1-j-o < H, at offset M-1-2j-o from ring j

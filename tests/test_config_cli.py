@@ -401,6 +401,38 @@ continuation.dt_min = 0.05
     assert written["sphere_radius_error"] is None and written["restart_errors"] == []
 
 
+def test_declined_isotropic_restart_is_inf_and_outputs_are_written(monkeypatch, tmp_path,
+                                                                  capsys):
+    # every linear step after the path has returned is declined: the
+    # restart's corrector ends unconverged, its error is inf (null), and the
+    # command still writes its outputs and exits 1
+    from cmkit import diagnostics, newton
+    from cmkit.errors import SingularJacobianError
+
+    returned = []
+    continue_path, solve_linear = diagnostics.continue_path, newton.solve_linear
+
+    def path_then_mark(spec):
+        trace = continue_path(spec)
+        returned.append(trace.success)
+        return trace
+
+    def declining(*args, **kwargs):
+        if returned:
+            raise SingularJacobianError("forced")
+        return solve_linear(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "continue_path", path_then_mark)
+    monkeypatch.setattr(newton, "solve_linear", declining)
+    path = write_cfg(tmp_path, "n = 1\nk = 1\np = 1.5\nq = 2.0\ngrid.m_theta = 32\n"
+                               "f.kind = constant\nf.value = 1\nisotropic.restarts = 1\n")
+    assert main(["isotropic", path]) == 1
+    assert returned == [True]
+    written = _strict_json(Path(tmp_path, "out", "isotropic.json").read_text())
+    assert written["sphere_radius_error"] <= 1e-6 and written["restart_errors"] == [None]
+    assert Path(tmp_path, "out", "solution.csv").is_file()
+
+
 def test_huge_residual_report_has_finite_l2_in_strict_json(tmp_path, capsys):
     # the run fails honestly; its report still holds finite norms
     path = write_cfg(tmp_path, "n = 1\nk = 1\np = 1.5\nq = 2.0\ngrid.m_theta = 16\n"

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from cmkit import GridFunction, build_grid
 from cmkit.continuation import TRACE_KEYS, _follow_path, continue_path, predictor
-from cmkit.errors import SingularJacobianError
+from cmkit.errors import DomainError
 from cmkit.problem import ProblemSpec, evaluate, homotopy_f
 from cmkit.sphere import RING_LON, constant_function, hessian_field, odd_defect
 
@@ -192,17 +193,15 @@ def test_path_with_rejected_steps_runs_no_f1_check(monkeypatch):
     # rejects and retries steps (the circle path of
     # test_success_after_rejected_step_has_no_error_message)
     from cmkit import continuation, problem
-    from cmkit.errors import AdmissibilityError, SingularJacobianError
 
     checks, rejected = [], []
     newton_solve, validate_f1 = continuation.newton_solve, problem.validate_f1
 
     def solve_spy(*args, **kwargs):
-        try:
-            return newton_solve(*args, **kwargs)
-        except (AdmissibilityError, SingularJacobianError):
+        res = newton_solve(*args, **kwargs)
+        if not res.converged:
             rejected.append(args[2])
-            raise
+        return res
 
     def f1_spy(spec):
         checks.append(spec)
@@ -248,7 +247,7 @@ def test_abort_returns_partial_trace(g2):
 
 
 def test_success_after_rejected_step_has_no_error_message(monkeypatch):
-    # on this circle path the corrector raises once, at t = 0.25 (the
+    # on this circle path the corrector fails once, at t = 0.25 (the
     # predicted iterate leaves Gamma_1); the retry with half the step
     # succeeds
     from cmkit import continuation
@@ -257,11 +256,10 @@ def test_success_after_rejected_step_has_no_error_message(monkeypatch):
     newton_solve = continuation.newton_solve
 
     def recording(*args, **kwargs):
-        try:
-            return newton_solve(*args, **kwargs)
-        except Exception as exc:
-            errors.append(exc)
-            raise
+        res = newton_solve(*args, **kwargs)
+        if not res.converged:
+            errors.append((args[2], res.message))
+        return res
 
     monkeypatch.setattr(continuation, "newton_solve", recording)
     g = build_grid(1, m_theta=32)
@@ -270,7 +268,8 @@ def test_success_after_rejected_step_has_no_error_message(monkeypatch):
     spec = ProblemSpec(n=1, k=k, p=p, q=1.8,
                        f=GridFunction(g, (1 + 2.0 * u ** 2) ** (-(k + p - 1))))
     tr = continue_path(spec)
-    assert errors
+    assert [t for t, _ in errors] == [0.25]
+    assert errors[0][1].startswith("initial iterate is not k-admissible (margin ")
     assert tr.success
     assert tr.message == ""
 
@@ -342,6 +341,19 @@ def test_declined_circle_point_runs_no_full_svd(monkeypatch):
     tr = continue_path(spec)
     assert not tr.success and "pivot" in tr.message
     assert (g.node_count, g.node_count) not in shapes
+
+
+def test_declined_circle_point_ends_in_step_size_underflow_with_the_pivot():
+    # the config's circle point k = 1, p = 1.5, q = 2.5 with a = 0.5 on its
+    # default axis: each declined step is an unconverged corrector result,
+    # so the path ends as any failed path does, with the last one's reason
+    g = build_grid(1, m_theta=256)
+    u = g.coords[:, 1]
+    spec = ProblemSpec(n=1, k=1, p=1.5, q=2.5, f=GridFunction(g, (1.0 + 0.5 * u ** 2) ** -1.5))
+    tr = continue_path(spec)
+    assert not tr.success and len(tr.steps) == 1
+    assert re.match(r"^step size underflow at t=\S+: ring preconditioner pivot not above",
+                    tr.message)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +519,7 @@ def test_failed_sequencing_falls_back_to_the_loop_bitwise(monkeypatch, how):
         if sp.grid is g:
             fine_calls.append(t)
             if len(fine_calls) == 1 and how == "fine-raises":
-                raise SingularJacobianError("forced")
+                raise DomainError("forced")
             if len(fine_calls) == 1 and how == "fine-fails":
                 res = newton_solve(sp, h0, t, tol=tol)
                 return dataclasses.replace(res, converged=False, message="forced")
@@ -522,6 +534,31 @@ def test_failed_sequencing_falls_back_to_the_loop_bitwise(monkeypatch, how):
     assert tr.success and tr.message == "" and tr.solve_grid == (32, 64)
     assert tr.steps == loop.steps
     assert np.array_equal(tr.h.values, loop.h.values)
+
+
+def test_inadmissible_interpolated_start_falls_back_naming_node_and_margin(monkeypatch):
+    # the coarse path succeeds, but the start it hands the 32x64 solve
+    # leaves Gamma_2: the fine solve returns at its start, and the fallback
+    # says where and by how much
+    from cmkit import continuation
+
+    g = build_grid(2, m_lat=32, m_lon=64)
+    spec = ProblemSpec(n=2, k=2, p=1.5, q=2.5, f=axis_data(g, 2, 1.5, axis=TILT))
+    dent = GridFunction(g, 1.0 - 0.9 * g.coords[:, 2] ** 2)
+    interp = continuation.interpolate
+
+    def dented(gf, grid):
+        return dent if grid is g else interp(gf, grid)
+
+    monkeypatch.setattr(continuation, "interpolate", dented)
+    tr = continue_path(spec)
+    margin = evaluate(spec, dent, 1.0).margin
+    i = int(np.argmin(margin))
+    assert margin[i] <= 0
+    assert tr.fallback == ("Newton solve at t=1 on 32x64 failed: initial iterate is not "
+                           f"k-admissible (margin {margin[i]:.3e} at node {i})")
+    assert tr.success and tr.message == "" and tr.solve_grid == (32, 64)
+    assert tr.steps[-1]["t"] == 1.0 and tr.steps[-1]["residual"] <= spec.tol_newton
 
 
 @pytest.mark.parametrize("m_lat, m_lon", [(33, 66), (32, 8)])

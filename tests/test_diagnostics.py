@@ -385,8 +385,8 @@ def _even_projection_spectrum(spec):
                                       ((9, 16), 2), ((24, 48), 1), ((24, 48), 2)],
                          ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else str(v))
 def test_spectrum_is_bitwise_the_even_projection(shape, k, p, q):
-    # the fold is twice each parity's block exactly at h = 1, so halving
-    # it gives the even-basis restriction bit for bit
+    # the fold is each parity's block exactly at h = 1, so it gives the
+    # even-basis restriction bit for bit
     g = _spectrum_grid(shape)
     spec = make_spec(n=g.n, k=k, p=p, q=k + 0.5 if q is None else q, grid=g)
     assert np.array_equal(l0_spectrum(spec), _even_projection_spectrum(spec))

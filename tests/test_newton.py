@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from cmkit import GridFunction, build_grid
-from cmkit.errors import AdmissibilityError, DomainError, SingularJacobianError
+from cmkit.errors import DomainError, SingularJacobianError
 from cmkit import newton
 from cmkit.newton import newton_solve, solve_linear
 from cmkit.problem import (
@@ -139,8 +139,8 @@ def _backward_error(J, x, rhs):
                                           + np.max(np.abs(rhs)))
 
 
-def test_solve_linear_sparse_path(monkeypatch):
-    # the matrix-free path on a tilted 16x32 grid: the preconditioner's
+def test_solve_linear_preconditions_with_the_operators_ring_blocks(monkeypatch):
+    # a matrix-free step on a tilted 16x32 grid: the preconditioner's
     # blocks come from the operator's own weights, and the step meets its
     # target
     J, blocks = _sphere_jacobian(2, 0.4, m_lat=16)
@@ -158,7 +158,7 @@ def test_solve_linear_sparse_path(monkeypatch):
 @pytest.mark.parametrize("k,tilt,a", [(1, 0.0, 0.5), (1, 0.4, 0.5), (2, 0.0, 0.5),
                                       (2, 0.4, 0.5), (2, 1.0, 2.0)],
                          ids=["1-0.0", "1-0.4", "2-0.0", "2-0.4", "2-1.0-a2"])
-def test_solve_linear_sparse_jacobian_matches_dense_lu(monkeypatch, k, tilt, a):
+def test_solve_linear_matches_lapack_lu_of_the_assembled_matrix(monkeypatch, k, tilt, a):
     # the preconditioned Krylov step on a matrix-free 32x64 Jacobian
     # against LAPACK on the same matrix, for axisymmetric (polar) and
     # tilted data
@@ -270,10 +270,11 @@ def test_solve_linear_raises_when_krylov_misses_target(monkeypatch):
 
 def test_krylov_miss_halves_the_continuation_step(monkeypatch):
     # a tilted 16x32 path on which no Newton step can meet the Krylov
-    # target: every attempt raises SingularJacobianError and continuation
-    # halves dt until it underflows.  ETA_MAX = 0 keeps every forcing term
-    # at 0, so the target is the exact-step one that one GMRES iteration
-    # cannot meet; a loose forcing term could be met.
+    # target: every attempt's corrector ends unconverged with the GMRES
+    # miss as its message, and continuation halves dt until it underflows.
+    # ETA_MAX = 0 keeps every forcing term at 0, so the target is the
+    # exact-step one that one GMRES iteration cannot meet; a loose forcing
+    # term could be met.
     from cmkit import continuation
 
     spec, _, _, _ = _sphere_case(2, 0.4, m_lat=16)
@@ -430,7 +431,7 @@ def test_forcing_term_follows_eisenstat_walker_choice_2():
     assert newton._forcing_term(1e-4, 1e-2, tol) == gamma * (1e-4 / 1e-2) ** 2
 
 
-def test_solve_linear_singular_sparse_with_blocks():
+def test_solve_linear_declines_a_jacobian_with_a_zero_row():
     # a zero row: no step meets the backward-error target
     spec, _, _, weights = _sphere_case(1, 0.4)
     for w in weights.values():
@@ -443,9 +444,9 @@ def test_solve_linear_singular_sparse_with_blocks():
 @pytest.mark.parametrize("m_lat", [8, 16])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_weight_is_rejected_before_any_solve_work(monkeypatch, m_lat, bad):
-    # 8x16 (once the dense branch) and 16x32: a non-finite weight is
-    # reported before any factorization or Krylov work, and so is an
-    # operator built with a non-finite weight, here on the circle
+    # 8x16 and 16x32: a non-finite weight is reported before any
+    # factorization or Krylov work, and so is an operator built with a
+    # non-finite weight, here on the circle
     def no_work(*args):
         raise AssertionError("solve started on a non-finite Jacobian")
 
@@ -740,12 +741,20 @@ def test_preconditions(g2):
     bad.values[7] = bad.values[g2.antipodal_perm[7]] = -0.1
     with pytest.raises(DomainError):
         newton_solve(spec, bad, 0.0)
-    # non-admissible start: deep even dent leaves Gamma_2
+    # non-admissible start: deep even dent leaves Gamma_2; the result says
+    # where and by how much, and carries the start's evaluation
     spec2 = ProblemSpec(n=2, k=2, p=1.5, q=2.5, f=constant_function(g2, 1.0))
     z = g2.coords[:, 2]
     dent = GridFunction(g2, 1.0 - 0.9 * z ** 2)
-    with pytest.raises(AdmissibilityError):
-        newton_solve(spec2, dent, 0.0)
+    ev = evaluate(spec2, dent, 0.0)
+    i = int(np.argmin(ev.margin))
+    assert ev.margin[i] <= 0
+    res = newton_solve(spec2, dent, 0.0)
+    assert not res.converged and res.iterations == 0
+    assert res.message == (f"initial iterate is not k-admissible "
+                           f"(margin {ev.margin[i]:.3e} at node {i})")
+    assert np.array_equal(res.ev.h.values, dent.values)
+    assert np.array_equal(res.ev.margin, ev.margin) and res.ev.linf == ev.linf
     # odd start rejected
     odd = GridFunction(g2, 1.0 + 0.1 * g2.coords[:, 0])
     with pytest.raises(ValueError):
